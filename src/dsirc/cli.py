@@ -9,6 +9,7 @@ Options may also be supplied via ``--config FILE`` holding flat
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -31,25 +32,44 @@ from .core import (
     write_labels_csv,
 )
 from .evaluation import align_labels, cohens_kappa, overall_accuracy
+from .sar import IciConfig
 from .synth import SynthConfig, synth_hsi
 
 __all__ = ["main"]
 
 _ALGORITHMS = ("dsirc", "dvic", "kmeans", "sc")
 
-# Keys accepted both as flags and in a --config file, with defaults for the
-# ones the pipelines pin.  "auto" means "derive from the data".
+# Option keys that set a ClusterConfig field of the same meaning.
+_CLUSTER_FIELDS = {
+    "kn": "k_n",
+    "sigma0": "sigma0",
+    "t": "t",
+    "tau": "tau",
+    "lsar": "lengths",
+    "restarts": "restarts",
+    "p": "n_endmembers",
+    "eigenpairs": "n_eigenpairs",
+}
+
+_FIELD_DEFAULTS = {field.name: field.default for field in dataclasses.fields(ClusterConfig)}
+
+
+def _option_text(value) -> str:
+    """A config default as option text; ``None`` ("derive from the data")
+    reads ``auto``."""
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        return ",".join(str(part) for part in value)
+    return str(value)
+
+
+# Keys accepted both as flags and in a --config file, with their defaults;
+# the pipeline knobs take theirs from ClusterConfig.
 _DEFAULTS: dict[str, str] = {
     "algorithm": "dsirc",
-    "kn": "100",
-    "sigma0": "auto",
-    "t": "30",
-    "tau": "2.0",
-    "lsar": "1,2,3,5,7,9",
-    "restarts": "10",
+    **{key: _option_text(_FIELD_DEFAULTS[name]) for key, name in _CLUSTER_FIELDS.items()},
     "seed": "0",
-    "p": "auto",
-    "eigenpairs": "auto",
     "normalize": "none",
 }
 _CONFIG_KEYS = frozenset(_DEFAULTS) | {"k"}
@@ -125,7 +145,23 @@ def _parse_options(options: dict[str, str]) -> dict[str, object]:
     if normalize not in ("none", "l2"):
         raise ValueError(f"unknown normalization {normalize!r}; choose none or l2")
     parsed["normalize"] = normalize
+    _check_pipeline_options(parsed)
     return parsed
+
+
+def _cluster_config(opts: dict[str, object], seed: int) -> ClusterConfig:
+    return ClusterConfig(
+        n_clusters=opts["k"],
+        seed=seed,
+        **{name: opts[key] for key, name in _CLUSTER_FIELDS.items()},
+    )
+
+
+def _check_pipeline_options(opts: dict[str, object]) -> None:
+    """Raise ValueError when dsirc/dvic would reject the options."""
+    if opts["algorithm"] in ("dsirc", "dvic"):
+        _cluster_config(opts, opts["seed"])
+        IciConfig(tau=opts["tau"], lengths=opts["lsar"])
 
 
 def _normalized(cloud: PixelCloud, mode: str) -> PixelCloud:
@@ -139,18 +175,7 @@ def _normalized(cloud: PixelCloud, mode: str) -> PixelCloud:
 def _run_algorithm(cloud: PixelCloud, opts: dict[str, object], seed: int):
     algorithm = opts["algorithm"]
     if algorithm in ("dsirc", "dvic"):
-        config = ClusterConfig(
-            n_clusters=opts["k"],
-            k_n=opts["kn"],
-            sigma0=opts["sigma0"],
-            t=opts["t"],
-            tau=opts["tau"],
-            lengths=opts["lsar"],
-            restarts=opts["restarts"],
-            n_endmembers=opts["p"],
-            n_eigenpairs=opts["eigenpairs"],
-            seed=seed,
-        )
+        config = _cluster_config(opts, seed)
         return dsirc(cloud, config) if algorithm == "dsirc" else dvic(cloud, config)
     if algorithm == "kmeans":
         return kmeans(cloud, opts["k"], restarts=opts["restarts"], rng=seed)
@@ -172,15 +197,7 @@ def _write_params(path: str, opts: dict[str, object]) -> None:
 def _cmd_synth(args: argparse.Namespace) -> int:
     try:
         config = SynthConfig(
-            height=args.height,
-            width=args.width,
-            bands=args.bands,
-            n_endmembers=args.endmembers,
-            blob_rows=args.blob_rows,
-            blob_cols=args.blob_cols,
-            mixing_width=args.mixing_width,
-            noise=args.noise,
-            seed=args.seed,
+            **{field.name: getattr(args, field.name) for field in dataclasses.fields(SynthConfig)}
         )
     except ValueError as exc:
         return _fail("configuration", exc, 2)
@@ -318,6 +335,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         tau_grid = _parse_grid(args.tau_grid, float)
         if args.seeds < 1:
             raise ValueError("--seeds must be at least 1")
+        combos = _sweep_grid(opts["algorithm"], kn_grid, t_grid, tau_grid)
+        for combo in combos:
+            _check_pipeline_options({**opts, **combo})
     except (OSError, ValueError) as exc:
         return _fail("configuration", exc, 2)
     try:
@@ -326,7 +346,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError("sweep requires --gt to score combinations")
     except (OSError, ValueError) as exc:
         return _fail("input", exc, 2)
-    combos = _sweep_grid(opts["algorithm"], kn_grid, t_grid, tau_grid)
     rows: list[dict[str, object]] = []
     best: dict[str, object] | None = None
     for combo in combos:
@@ -392,15 +411,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     synth = subparsers.add_parser("synth", help="generate a synthetic labeled scene")
     synth.add_argument("--out", required=True, help="output directory")
-    synth.add_argument("--height", type=int, default=40)
-    synth.add_argument("--width", type=int, default=40)
-    synth.add_argument("--bands", type=int, default=30)
-    synth.add_argument("--endmembers", type=int, default=4)
-    synth.add_argument("--blob-rows", type=int, default=2)
-    synth.add_argument("--blob-cols", type=int, default=2)
-    synth.add_argument("--mixing-width", type=int, default=3)
-    synth.add_argument("--noise", type=float, default=0.05)
-    synth.add_argument("--seed", type=int, default=0)
+    for field in dataclasses.fields(SynthConfig):
+        flag = "endmembers" if field.name == "n_endmembers" else field.name
+        synth.add_argument(
+            "--" + flag.replace("_", "-"),
+            dest=field.name,
+            type=type(field.default),
+            default=field.default,
+        )
     synth.set_defaults(func=_cmd_synth)
 
     cluster = subparsers.add_parser("cluster", help="cluster an ENVI cube")

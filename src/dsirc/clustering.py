@@ -95,8 +95,8 @@ class ClusterConfig:
     k_n: int = 100
     sigma0: float | None = None
     t: float = 30.0
-    tau: float = 2.0
-    lengths: tuple[int, ...] = (1, 2, 3, 5, 7, 9)
+    tau: float = IciConfig.tau
+    lengths: tuple[int, ...] = IciConfig.lengths
     restarts: int = 10
     n_endmembers: int | None = None
     n_eigenpairs: int | None = None
@@ -116,22 +116,25 @@ class ClusterConfig:
         object.__setattr__(self, "lengths", tuple(int(l) for l in self.lengths))
 
 
-def auto_sigma0(cloud: PixelCloud, k_n: int) -> float:
-    """Median distance to the ``k_n``-th nearest neighbor over all pixels."""
-    _, dists = knn_indices(cloud.spectra, k_n, return_distances=True)
-    return float(np.median(dists[:, -1]))
+def auto_sigma0(distances: np.ndarray) -> float:
+    """Median distance to the ``k_n``-th nearest neighbor over all pixels.
+
+    ``distances`` is the ``(n, k_n)`` distance half of :func:`knn_indices`.
+    """
+    return float(np.median(distances[:, -1]))
 
 
-def kde_density(cloud: PixelCloud, k_n: int, sigma0: float) -> DensityField:
+def kde_density(distances: np.ndarray, sigma0: float) -> DensityField:
     """Gaussian KDE over each pixel's ``k_n`` nearest neighbors.
 
     ``f(x) = sum_y exp(-||x - y||^2 / sigma0^2)`` with ``y`` ranging over
-    the neighbors (self excluded); ``f_hat`` normalizes by the maximum.
+    the neighbors (self excluded), whose distances are the rows of the
+    ``(n, k_n)`` array ``distances`` from :func:`knn_indices`; ``f_hat``
+    normalizes by the maximum.
     """
     if not sigma0 > 0:
         raise ValueError("sigma0 must be positive")
-    _, dists = knn_indices(cloud.spectra, k_n, return_distances=True)
-    f = np.exp(-(dists**2) / sigma0**2).sum(axis=1)
+    f = np.exp(-(distances**2) / sigma0**2).sum(axis=1)
     return DensityField(f, f / f.max())
 
 
@@ -154,15 +157,20 @@ def _rank_order(zeta_values: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(n), -zeta_values))
 
 
-def dt_values(system: DiffusionSystem, zeta_field: ZetaField, t: float) -> np.ndarray:
-    """Diffusion distance from each pixel to its nearest higher-ranked pixel.
+def dt_values(
+    system: DiffusionSystem, zeta_field: ZetaField, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each pixel's nearest higher-ranked pixel and its diffusion distance.
 
-    The two pixels with no meaningful predecessor — the minimum-zeta pixel
-    and the top of the rank order — instead take the *maximum* diffusion
-    distance to any other pixel, which makes the top candidates stand out in
-    the ``zeta * d_t`` score.  Computed by streaming a running columnwise
-    minimum down the rank order, so each pixel sees exactly its
-    predecessors.
+    Returns ``(dt, parents)``.  ``parents[i]`` is the diffusion-nearest
+    predecessor of pixel ``i`` in the rank order (distance ties prefer the
+    smaller pixel index), ``-1`` for the top pixel; ``dt[i]`` is the
+    distance to it.  The two pixels with no meaningful predecessor — the
+    minimum-zeta pixel and the top of the rank order — instead take the
+    *maximum* diffusion distance to any other pixel as ``dt``, which makes
+    the top candidates stand out in the ``zeta * d_t`` score.  Computed in
+    one walk down the rank order that keeps every pixel's running nearest
+    source, so each pixel reads exactly its predecessors' best.
     """
     z = zeta_field.zeta
     n = z.shape[0]
@@ -170,17 +178,22 @@ def dt_values(system: DiffusionSystem, zeta_field: ZetaField, t: float) -> np.nd
         raise ValueError("zeta field and diffusion system disagree on pixel count")
     embedding = system.embedding(t)
     order = _rank_order(z)
-    running_min = np.full(n, np.inf)
-    out = np.empty(n)
+    best_dist = np.full(n, np.inf)
+    best_source = np.full(n, -1, dtype=np.intp)
+    dt = np.empty(n)
+    parents = np.empty(n, dtype=np.intp)
     for pixel in order:
-        out[pixel] = running_min[pixel]
+        dt[pixel] = best_dist[pixel]
+        parents[pixel] = best_source[pixel]
         column = np.linalg.norm(embedding - embedding[pixel], axis=1)
-        np.minimum(running_min, column, out=running_min)
+        better = (column < best_dist) | ((column == best_dist) & (pixel < best_source))
+        best_dist[better] = column[better]
+        best_source[better] = pixel
     for special in {int(np.argmin(z)), int(order[0])}:
-        out[special] = float(
+        dt[special] = float(
             np.linalg.norm(embedding - embedding[special], axis=1).max()
         )
-    return out
+    return dt, parents
 
 
 def select_modes(zeta_field: ZetaField, dt: np.ndarray, n_clusters: int) -> np.ndarray:
@@ -205,16 +218,17 @@ def propagate_labels(
     zeta_field: ZetaField,
     modes: Sequence[int] | np.ndarray,
     t: float,
+    parents: np.ndarray,
     scores: np.ndarray | None = None,
 ) -> Clustering:
     """Spread mode labels down the zeta rank order.
 
     Mode ``k`` (in the given order) starts with label ``k + 1``.  Every
-    other pixel, visited in decreasing-zeta order, copies the label of its
-    diffusion-nearest already-labeled predecessor in the rank order
-    (distance ties prefer the smaller pixel index).  Only the top-ranked
-    pixel can lack a predecessor; if unlabeled, it falls back to the
-    diffusion-nearest mode.
+    other pixel, visited in decreasing-zeta order, copies the label of
+    ``parents[pixel]``, its diffusion-nearest predecessor as returned by
+    :func:`dt_values`.  Only the top-ranked pixel lacks a predecessor; if
+    it is not a mode, it falls back to the diffusion-nearest mode (ties
+    prefer the smaller index), the one distance computed here.
     """
     z = zeta_field.zeta
     n = z.shape[0]
@@ -223,29 +237,20 @@ def propagate_labels(
         raise ValueError("modes must be a non-empty 1-D index array")
     if modes.min() < 0 or modes.max() >= n or np.unique(modes).size != modes.size:
         raise ValueError("modes must be distinct pixel indices")
-    if n != system.n:
-        raise ValueError("zeta field and diffusion system disagree on pixel count")
-    embedding = system.embedding(t)
+    if n != system.n or np.shape(parents) != (n,):
+        raise ValueError("zeta field, parents and diffusion system disagree on pixel count")
     labels = np.zeros(n, dtype=np.int64)
     labels[modes] = np.arange(1, modes.size + 1)
     order = _rank_order(z)
-    best_dist = np.full(n, np.inf)
-    best_source = np.full(n, -1, dtype=np.intp)
-    for position, pixel in enumerate(order):
+    top = order[0]
+    if labels[top] == 0:
+        embedding = system.embedding(t)
+        mode_sorted = np.sort(modes)
+        dists = np.linalg.norm(embedding[mode_sorted] - embedding[top], axis=1)
+        labels[top] = labels[mode_sorted[int(np.argmin(dists))]]
+    for pixel in order[1:]:
         if labels[pixel] == 0:
-            if position == 0:
-                mode_sorted = np.sort(modes)
-                dists = np.linalg.norm(
-                    embedding[mode_sorted] - embedding[pixel], axis=1
-                )
-                labels[pixel] = labels[mode_sorted[int(np.argmin(dists))]]
-            else:
-                labels[pixel] = labels[best_source[pixel]]
-        # The pixel is labeled now; offer it as a source to every successor.
-        column = np.linalg.norm(embedding - embedding[pixel], axis=1)
-        better = (column < best_dist) | ((column == best_dist) & (pixel < best_source))
-        best_dist[better] = column[better]
-        best_source[better] = pixel
+            labels[pixel] = labels[parents[pixel]]
     return Clustering(LabelMap(labels), modes=modes.copy(), scores=scores)
 
 
@@ -262,22 +267,22 @@ def _mode_pipeline(cloud: PixelCloud, config: ClusterConfig, reconstruct: bool) 
     rng = np.random.default_rng(config.seed)
     model = unmix(cloud, p=config.n_endmembers, restarts=config.restarts, rng=rng)
     pur = purity(model)
-    sigma0 = config.sigma0 if config.sigma0 is not None else auto_sigma0(cloud, config.k_n)
-    density = kde_density(cloud, config.k_n, sigma0)
+    neighbors, distances = knn_indices(cloud.spectra, config.k_n)
+    sigma0 = config.sigma0 if config.sigma0 is not None else auto_sigma0(distances)
+    density = kde_density(distances, sigma0)
     zeta_field = zeta(density, pur)
     if reconstruct:
         working = sar(cloud, IciConfig(tau=config.tau, lengths=config.lengths))
-    else:
-        working = cloud
-    graph = knn_graph(working, config.k_n)
+        neighbors, _ = knn_indices(working.spectra, config.k_n)
+    graph = knn_graph(neighbors)
     n_pairs = config.n_eigenpairs
     if n_pairs is None:
         n_pairs = min(n, max(2 * config.n_clusters, 50))
     system = diffusion_system(graph, n_pairs)
-    dt = dt_values(system, zeta_field, config.t)
+    dt, parents = dt_values(system, zeta_field, config.t)
     modes = select_modes(zeta_field, dt, config.n_clusters)
     return propagate_labels(
-        system, zeta_field, modes, config.t, scores=zeta_field.zeta * dt
+        system, zeta_field, modes, config.t, parents, scores=zeta_field.zeta * dt
     )
 
 
@@ -398,8 +403,7 @@ def spectral_clustering(
     if not 1 <= n_clusters <= cloud.n:
         raise ValueError(f"n_clusters must be in [1, {cloud.n}]")
     rng = np.random.default_rng(rng)
-    graph = knn_graph(cloud, k_n)
-    system = diffusion_system(graph, n_clusters)
+    system = diffusion_system(knn_graph(knn_indices(cloud.spectra, k_n)[0]), n_clusters)
     coords = np.ascontiguousarray(system.eigenvectors[:, :n_clusters])
     labels = _kmeans_labels(coords, n_clusters, restarts, rng)
     return Clustering(LabelMap(labels))

@@ -18,8 +18,6 @@ import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg
 
-from .core import PixelCloud
-
 __all__ = [
     "DisconnectedGraphError",
     "KnnGraph",
@@ -67,15 +65,14 @@ class KnnGraph:
         return self.adjacency.shape[0]
 
 
-def knn_indices(
-    spectra: np.ndarray, k_n: int, return_distances: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Indices of each row's ``k_n`` nearest other rows by Euclidean distance.
+def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``k_n`` nearest other rows by Euclidean distance.
 
-    Self-neighbors are excluded; distance ties resolve to the smaller index
-    (stable sort on exactly computed squared distances, so duplicates of a
-    spectrum order deterministically).  Optionally also returns the
-    corresponding distances, sorted ascending per row.
+    Returns ``(indices, distances)``, both ``(n, k_n)`` and sorted by
+    ascending distance per row.  Self-neighbors are excluded; distance ties
+    resolve to the smaller index (stable sort on exactly computed squared
+    distances, so duplicates of a spectrum order deterministically).  One
+    search per cloud serves the bandwidth, the density and the graph.
     """
     x = np.ascontiguousarray(np.asarray(spectra, dtype=np.float64))
     if x.ndim != 2:
@@ -85,7 +82,7 @@ def knn_indices(
         raise ValueError(f"k_n must be in [1, {n - 1}] for {n} pixels")
     sq = np.einsum("ij,ij->i", x, x)
     idx_out = np.empty((n, k_n), dtype=np.intp)
-    dist_out = np.empty((n, k_n)) if return_distances else None
+    dist_out = np.empty((n, k_n))
     block = max(1, int(4_000_000 // max(n, 1)))
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -95,26 +92,22 @@ def knn_indices(
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         order = np.argsort(d2, axis=1, kind="stable")[:, :k_n]
         idx_out[start:stop] = order
-        if dist_out is not None:
-            dist_out[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
-    if dist_out is not None:
-        return idx_out, dist_out
-    return idx_out
+        dist_out[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    return idx_out, dist_out
 
 
-def knn_graph(cloud: PixelCloud, k_n: int) -> KnnGraph:
-    """Symmetrized KNN graph over the cloud's spectra.
+def knn_graph(neighbors: np.ndarray) -> KnnGraph:
+    """Symmetrized KNN graph from an ``(n, k_n)`` neighbor index array.
 
-    A directed edge goes to each of a pixel's ``k_n`` nearest others; the
-    adjacency is the elementwise maximum with its transpose, so every row
-    has between ``k_n`` and ``2 * k_n`` neighbors.
+    ``neighbors`` is the index half of :func:`knn_indices`.  A directed edge
+    goes to each of a pixel's ``k_n`` nearest others; the adjacency is the
+    elementwise maximum with its transpose, so every row has between
+    ``k_n`` and ``2 * k_n`` neighbors.
     """
-    neighbors = knn_indices(cloud.spectra, k_n)
-    n = cloud.n
+    n, k_n = neighbors.shape
     rows = np.repeat(np.arange(n, dtype=np.intp), k_n)
-    cols = neighbors.ravel()
     directed = sparse.csr_matrix(
-        (np.ones(rows.shape[0]), (rows, cols)), shape=(n, n)
+        (np.ones(rows.shape[0]), (rows, neighbors.ravel())), shape=(n, n)
     )
     symmetric = directed.maximum(directed.T).tocsr()
     symmetric.sort_indices()

@@ -185,6 +185,18 @@ def test_cluster_usage_errors(tmp_path):
     assert main(["cluster", *cube, *out, "--k", "3", "--gt", str(short)]) == 2
 
 
+@pytest.mark.parametrize("option", ["--kn=0", "--restarts=0", "--t=-1", "--tau=0", "--lsar=0"])
+def test_cluster_invalid_pipeline_option_is_configuration_error(tmp_path, capsys, option):
+    scene = make_scene(tmp_path)
+    out = tmp_path / "run"
+    code = main(
+        ["cluster", str(scene / "cube.hdr"), str(scene / "cube.raw"), "--out", str(out), "--k", "3", option]
+    )
+    assert code == 2
+    assert "configuration failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_supplies_defaults_but_flags_win(tmp_path):
     scene = make_scene(tmp_path)
     cfg = tmp_path / "opts.cfg"
@@ -372,6 +384,29 @@ def test_sweep_configuration_errors(tmp_path):
     ]
     assert main(common + ["--seeds", "0"]) == 2
     assert main(common + ["--kn-grid", ""]) == 2
+
+
+def test_sweep_checks_every_combination_before_running(tmp_path, capsys):
+    scene = make_scene(tmp_path)
+    out = tmp_path / "s"
+    code = main(
+        [
+            "sweep",
+            str(scene / "cube.hdr"),
+            str(scene / "cube.raw"),
+            "--gt",
+            str(scene / "gt.csv"),
+            "--out",
+            str(out),
+            "--k",
+            "3",
+            "--kn-grid",
+            "40,0",
+        ]
+    )
+    assert code == 2
+    assert "configuration failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_is_usage_error():

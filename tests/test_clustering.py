@@ -28,7 +28,13 @@ from dsirc.clustering import (
     zeta,
 )
 from dsirc.core import ImageCube, PixelCloud, cube_to_cloud
-from dsirc.diffusion import DisconnectedGraphError, diffusion_system, knn_graph
+from dsirc.diffusion import (
+    DiffusionSystem,
+    DisconnectedGraphError,
+    diffusion_system,
+    knn_graph,
+    knn_indices,
+)
 from dsirc.unmixing import PurityField
 
 
@@ -67,7 +73,7 @@ def test_auto_sigma0_is_median_kth_neighbor_distance():
     for i in range(40):
         d = np.sort([np.linalg.norm(x[i] - x[j]) for j in range(40) if j != i])
         per_pixel.append(d[k - 1])
-    assert auto_sigma0(cloud_of(x), k) == pytest.approx(
+    assert auto_sigma0(knn_indices(x, k)[1]) == pytest.approx(
         float(np.median(per_pixel)), rel=1e-10
     )
 
@@ -76,7 +82,7 @@ def test_kde_density_matches_naive_sum():
     rng = np.random.default_rng(1)
     x = rng.uniform(size=(35, 4))
     k, sigma0 = 6, 0.37
-    field = kde_density(cloud_of(x), k, sigma0)
+    field = kde_density(knn_indices(x, k)[1], sigma0)
     for i in range(35):
         d2 = np.sort([np.sum((x[i] - x[j]) ** 2) for j in range(35) if j != i])[:k]
         want = float(np.sum(np.exp(-np.asarray(d2) / sigma0**2)))
@@ -89,7 +95,7 @@ def test_kde_requires_positive_bandwidth():
     rng = np.random.default_rng(2)
     cloud = cloud_of(rng.uniform(size=(10, 3)))
     with pytest.raises(ValueError):
-        kde_density(cloud, 3, 0.0)
+        kde_density(knn_indices(cloud.spectra, 3)[1], 0.0)
 
 
 def test_zeta_is_harmonic_mean():
@@ -140,7 +146,7 @@ def naive_dt(system, z, t):
 def small_system(seed=4, n=30):
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n, 3))
-    return diffusion_system(knn_graph(cloud_of(x), 5), n), rng
+    return diffusion_system(knn_graph(knn_indices(x, 5)[0]), n), rng
 
 
 def test_dt_values_match_naive_loop():
@@ -150,7 +156,7 @@ def test_dt_values_match_naive_loop():
         field = ZetaField(z)
         for t in (1.0, 4.0, 30.0):
             np.testing.assert_allclose(
-                dt_values(system, field, t), naive_dt(system, z, t), rtol=1e-12
+                dt_values(system, field, t)[0], naive_dt(system, z, t), rtol=1e-12
             )
 
 
@@ -194,13 +200,17 @@ def naive_propagate(system, z, modes, t):
     return labels
 
 
+def propagate(system, field, modes, t):
+    return propagate_labels(system, field, modes, t, dt_values(system, field, t)[1])
+
+
 def test_propagate_labels_match_naive_loop():
     system, rng = small_system(seed=5)
     for trial in range(6):
         z = rng.uniform(0.05, 1.0, size=system.n)
         modes = rng.choice(system.n, size=4, replace=False)
         t = float(rng.uniform(1.0, 10.0))
-        got = propagate_labels(system, ZetaField(z), modes, t)
+        got = propagate(system, ZetaField(z), modes, t)
         np.testing.assert_array_equal(
             got.labels.labels, naive_propagate(system, z, modes, t)
         )
@@ -213,7 +223,7 @@ def test_propagate_top_pixel_falls_back_to_nearest_mode():
     top = 11
     z[top] = 1.0
     modes = np.array([m for m in (0, 1, 2) if m != top])
-    got = propagate_labels(system, ZetaField(z), modes, 3.0)
+    got = propagate(system, ZetaField(z), modes, 3.0)
     assert got.labels.labels[top] in (1, 2, 3)
     np.testing.assert_array_equal(
         got.labels.labels, naive_propagate(system, z, modes, 3.0)
@@ -224,7 +234,7 @@ def test_propagate_modes_keep_their_own_labels():
     system, rng = small_system(seed=7)
     z = rng.uniform(0.05, 1.0, size=system.n)
     modes = np.array([9, 3, 21])
-    got = propagate_labels(system, ZetaField(z), modes, 2.0)
+    got = propagate(system, ZetaField(z), modes, 2.0)
     assert got.labels.labels[9] == 1
     assert got.labels.labels[3] == 2
     assert got.labels.labels[21] == 3
@@ -235,11 +245,57 @@ def test_propagate_validation():
     system, _ = small_system()
     field = ZetaField(np.full(system.n, 0.5))
     with pytest.raises(ValueError):
-        propagate_labels(system, field, [], 1.0)
+        propagate(system, field, [], 1.0)
     with pytest.raises(ValueError):
-        propagate_labels(system, field, [1, 1], 1.0)
+        propagate(system, field, [1, 1], 1.0)
     with pytest.raises(ValueError):
-        propagate_labels(system, field, [system.n], 1.0)
+        propagate(system, field, [system.n], 1.0)
+
+
+def naive_parents(system, z, t):
+    embedding = system.embedding(t)
+    order = ranked(z)
+    parents = np.full(z.shape[0], -1)
+    for pos in range(1, z.shape[0]):
+        pixel = order[pos]
+        parents[pixel] = min(
+            order[:pos],
+            key=lambda p: (float(np.linalg.norm(embedding[pixel] - embedding[p])), p),
+        )
+    return parents
+
+
+def tied_system(seed=12, n=40):
+    """A system whose embedding rows are small integer points, many of them
+    duplicated, so exact diffusion-distance ties are everywhere."""
+    rng = np.random.default_rng(seed)
+    graph = knn_graph(knn_indices(rng.uniform(size=(n, 3)), 5)[0])
+    degrees = np.asarray(graph.adjacency.sum(axis=1)).ravel()
+    points = rng.integers(0, 3, size=(n, 2)).astype(np.float64)
+    return DiffusionSystem(graph, degrees, degrees / degrees.sum(), np.ones(2), points), rng
+
+
+def test_parents_break_exact_ties_by_smaller_index():
+    system, rng = tied_system()
+    embedding = system.embedding(1.0)
+    for _ in range(5):
+        z = rng.uniform(0.05, 1.0, size=system.n)
+        field = ZetaField(z)
+        dt, parents = dt_values(system, field, 1.0)
+        want = naive_parents(system, z, 1.0)
+        np.testing.assert_array_equal(parents, want)
+        np.testing.assert_allclose(dt, naive_dt(system, z, 1.0), rtol=1e-12)
+        order = ranked(z)
+        tied = 0
+        for pos in range(1, system.n):
+            d = np.linalg.norm(embedding[order[:pos]] - embedding[order[pos]], axis=1)
+            tied += int(np.count_nonzero(d == d.min()) > 1)
+        assert tied > 0
+        modes = rng.choice(system.n, size=3, replace=False)
+        got = propagate_labels(system, field, modes, 1.0, parents)
+        np.testing.assert_array_equal(
+            got.labels.labels, naive_propagate(system, z, modes, 1.0)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +327,23 @@ def test_dsirc_recovers_blocky_scene():
     for cls in (1, 2, 3):
         counts = np.bincount(labels[owner == cls])
         assert counts.max() / counts.sum() >= 0.9
+
+
+def test_one_knn_search_per_cloud(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return knn_indices(*args, **kwargs)
+
+    monkeypatch.setattr("dsirc.clustering.knn_indices", counting)
+    monkeypatch.setattr("dsirc.diffusion.knn_indices", counting)
+    cloud, _ = grid_cloud(np.random.default_rng(13))
+    config = ClusterConfig(n_clusters=3, k_n=50, t=10.0, n_endmembers=3, seed=0)
+    dvic(cloud, config)
+    assert len(calls) == 1  # raw cloud: sigma0, density and graph
+    dsirc(cloud, config)
+    assert len(calls) == 3  # raw cloud, then the reconstructed cloud's graph
 
 
 def test_pipeline_validation():

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from dsirc.core import PixelCloud
 from dsirc.diffusion import (
     DiffusionSystem,
     DisconnectedGraphError,
@@ -20,13 +19,6 @@ from dsirc.diffusion import (
     knn_indices,
     nearest_in_diffusion,
 )
-
-
-def cloud_of(spectra):
-    spectra = np.asarray(spectra, dtype=np.float64)
-    n = spectra.shape[0]
-    coords = np.column_stack([np.zeros(n, dtype=np.intp), np.arange(n, dtype=np.intp)])
-    return PixelCloud(spectra, coords)
 
 
 def brute_knn(x, k):
@@ -53,7 +45,7 @@ def test_knn_indices_match_brute_force():
         n = int(rng.integers(8, 50))
         k = int(rng.integers(1, min(n - 1, 7) + 1))
         x = rng.uniform(size=(n, 4))
-        got = knn_indices(x, k)
+        got, _ = knn_indices(x, k)
         want, _ = brute_knn(x, k)
         np.testing.assert_array_equal(got, want)
 
@@ -61,7 +53,7 @@ def test_knn_indices_match_brute_force():
 def test_knn_distances_sorted_and_correct():
     rng = np.random.default_rng(1)
     x = rng.uniform(size=(30, 5))
-    idx, dist = knn_indices(x, 6, return_distances=True)
+    idx, dist = knn_indices(x, 6)
     _, want = brute_knn(x, 6)
     np.testing.assert_allclose(dist, want, rtol=1e-10, atol=1e-12)
     assert np.all(np.diff(dist, axis=1) >= 0)
@@ -76,7 +68,7 @@ def test_knn_duplicate_rows_find_each_other():
     rng = np.random.default_rng(2)
     x = rng.uniform(size=(10, 3))
     x[7] = x[2]
-    idx, dist = knn_indices(x, 1, return_distances=True)
+    idx, dist = knn_indices(x, 1)
     assert idx[2, 0] == 7 and idx[7, 0] == 2
     # the blocked gram-product distance leaves sqrt-of-rounding residue
     assert dist[2, 0] <= 1e-6 and dist[7, 0] <= 1e-6
@@ -95,7 +87,7 @@ def test_knn_indices_validation():
 def test_knn_graph_is_symmetrized_union():
     rng = np.random.default_rng(3)
     x = rng.uniform(size=(25, 3))
-    graph = knn_graph(cloud_of(x), 4)
+    graph = knn_graph(knn_indices(x, 4)[0])
     directed, _ = brute_knn(x, 4)
     want = np.zeros((25, 25))
     for i in range(25):
@@ -126,7 +118,7 @@ def test_knn_graph_validation():
 def connected_system(n=25, k_n=5, seed=4, n_eigenpairs=None):
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n, 3))
-    graph = knn_graph(cloud_of(x), k_n)
+    graph = knn_graph(knn_indices(x, k_n)[0])
     return diffusion_system(graph, n_eigenpairs if n_eigenpairs else n)
 
 
@@ -161,7 +153,7 @@ def test_diffusion_distance_matches_transition_matrix_power():
 def test_sparse_solver_agrees_with_dense_reference():
     rng = np.random.default_rng(6)
     x = rng.uniform(size=(200, 3))
-    graph = knn_graph(cloud_of(x), 6)
+    graph = knn_graph(knn_indices(x, 6)[0])
     system = diffusion_system(graph, 10)  # n > dense cutoff, k << n: sparse path
     adj = graph.adjacency.toarray()
     degrees = adj.sum(axis=1)
@@ -183,7 +175,7 @@ def test_disconnected_graph_is_rejected():
     rng = np.random.default_rng(7)
     blob_a = rng.uniform(size=(10, 3))
     blob_b = rng.uniform(size=(10, 3)) + 100.0
-    graph = knn_graph(cloud_of(np.vstack([blob_a, blob_b])), 3)
+    graph = knn_graph(knn_indices(np.vstack([blob_a, blob_b]), 3)[0])
     with pytest.raises(DisconnectedGraphError):
         diffusion_system(graph, 5)
 
