@@ -158,10 +158,9 @@ def _cluster_config(opts: dict[str, object], seed: int) -> ClusterConfig:
 
 
 def _check_pipeline_options(opts: dict[str, object]) -> None:
-    """Raise ValueError when dsirc/dvic would reject the options."""
-    if opts["algorithm"] in ("dsirc", "dvic"):
-        _cluster_config(opts, opts["seed"])
-        IciConfig(tau=opts["tau"], lengths=opts["lsar"])
+    """Raise ValueError when the clustering options are invalid."""
+    _cluster_config(opts, opts["seed"])
+    IciConfig(tau=opts["tau"], lengths=opts["lsar"])
 
 
 def _normalized(cloud: PixelCloud, mode: str) -> PixelCloud:

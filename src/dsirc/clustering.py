@@ -16,7 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .core import LabelMap, PixelCloud
-from .diffusion import DiffusionSystem, diffusion_system, knn_graph, knn_indices
+from .diffusion import (
+    DiffusionSystem,
+    diffusion_system,
+    knn_graph,
+    knn_indices,
+    nearest_in_diffusion,
+)
 from .sar import IciConfig, sar
 from .unmixing import purity, unmix
 
@@ -244,10 +250,7 @@ def propagate_labels(
     order = _rank_order(z)
     top = order[0]
     if labels[top] == 0:
-        embedding = system.embedding(t)
-        mode_sorted = np.sort(modes)
-        dists = np.linalg.norm(embedding[mode_sorted] - embedding[top], axis=1)
-        labels[top] = labels[mode_sorted[int(np.argmin(dists))]]
+        labels[top] = labels[nearest_in_diffusion(system, top, modes, t)]
     for pixel in order[1:]:
         if labels[pixel] == 0:
             labels[pixel] = labels[parents[pixel]]

@@ -323,14 +323,12 @@ def cloud_to_cube(cloud: PixelCloud) -> ImageCube:
 # First principal component
 
 
-def first_pc(cloud: PixelCloud, tol: float = 1e-10, max_iter: int = 10000) -> PcScalarField:
+def first_pc(cloud: PixelCloud) -> PcScalarField:
     """Project spectra onto their dominant principal axis.
 
-    The axis is found by power iteration on the sample covariance matrix,
-    started from the covariance column with the largest diagonal entry and
-    stopped when the Rayleigh quotient changes by a relative ``tol`` (or
-    after ``max_iter`` steps).  The axis sign is fixed so the entry of
-    largest magnitude is positive; scores are centered.
+    The axis is the eigenvector of the sample covariance matrix with the
+    largest eigenvalue (``np.linalg.eigh``).  The axis sign is fixed so the
+    entry of largest magnitude is positive; scores are centered.
 
     Raises
     ------
@@ -348,19 +346,7 @@ def first_pc(cloud: PixelCloud, tol: float = 1e-10, max_iter: int = 10000) -> Pc
         raise DegenerateCovarianceError(
             "spectra have zero variance in every band (all pixels identical)"
         )
-    v = cov[:, int(np.argmax(diag))].copy()
-    v /= np.linalg.norm(v)
-    rayleigh_prev = np.inf
-    for _ in range(max_iter):
-        w = cov @ v
-        rayleigh = float(v @ w)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            break
-        v = w / norm_w
-        if abs(rayleigh - rayleigh_prev) <= tol * abs(rayleigh):
-            break
-        rayleigh_prev = rayleigh
+    v = np.linalg.eigh(cov)[1][:, -1]
     peak = int(np.argmax(np.abs(v)))
     if v[peak] < 0:
         v = -v

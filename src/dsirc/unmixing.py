@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
 
 from .core import DegenerateCovarianceError, PixelCloud
 
@@ -249,51 +250,13 @@ def avmax(
     return x[np.sort(best_indices)].copy()
 
 
-def _lawson_hanson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Active-set non-negative least squares ``min ||a x - b|| s.t. x >= 0``.
-
-    The classic algorithm: grow a passive set one most-violating variable
-    at a time, solve unconstrained least squares on it, and backtrack any
-    passive variable the step would push negative.  Terminates when no
-    clamped variable has a descent direction.
-    """
-    m, n = a.shape
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    w = a.T @ b
-    tol = 1e-10 * max(1.0, float(np.abs(w).max()))
-    for _ in range(3 * n + 10):
-        w = a.T @ (b - a @ x)
-        candidates = np.flatnonzero(~passive & (w > tol))
-        if candidates.size == 0:
-            return x
-        passive[candidates[np.argmax(w[candidates])]] = True
-        while True:
-            idx = np.flatnonzero(passive)
-            s = np.linalg.lstsq(a[:, idx], b, rcond=None)[0]
-            if s.min() > 0.0:
-                x[:] = 0.0
-                x[idx] = s
-                break
-            # step to the boundary and clamp whatever hit zero
-            current = x[idx]
-            blocking = s <= 0.0
-            alpha = np.min(current[blocking] / (current[blocking] - s[blocking]))
-            x[:] = 0.0
-            x[idx] = np.maximum(current + alpha * (s - current), 0.0)
-            passive[idx[blocking & (x[idx] <= 0.0)]] = False
-            x[~passive] = 0.0
-            if not passive.any():
-                return x
-    raise RuntimeError("non-negative least squares did not converge")
-
-
 def nnls(endmembers: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Non-negative least-squares abundances of one spectrum.
 
-    Solves ``min_{a >= 0} || a @ endmembers - x ||_2`` by the active-set
-    method (Lawson–Hanson).  The solution satisfies the KKT conditions: the
-    residual gradient is non-negative everywhere and zero on the support.
+    Solves ``min_{a >= 0} || a @ endmembers - x ||_2`` with SciPy's
+    Lawson–Hanson active-set solver (:func:`scipy.optimize.nnls`).  The
+    solution satisfies the KKT conditions: the residual gradient is
+    non-negative everywhere and zero on the support.
     """
     e = np.asarray(endmembers, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -304,7 +267,7 @@ def nnls(endmembers: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ValueError("need at least as many bands as endmembers")
     if not (np.all(np.isfinite(e)) and np.all(np.isfinite(x))):
         raise ValueError("inputs must be finite")
-    return _lawson_hanson(e.T, x)
+    return scipy.optimize.nnls(e.T, x)[0]
 
 
 def abundances(endmembers: np.ndarray, spectra: np.ndarray) -> np.ndarray:

@@ -185,12 +185,23 @@ def test_cluster_usage_errors(tmp_path):
     assert main(["cluster", *cube, *out, "--k", "3", "--gt", str(short)]) == 2
 
 
-@pytest.mark.parametrize("option", ["--kn=0", "--restarts=0", "--t=-1", "--tau=0", "--lsar=0"])
-def test_cluster_invalid_pipeline_option_is_configuration_error(tmp_path, capsys, option):
+@pytest.mark.parametrize(
+    "options",
+    [
+        "--kn=0",
+        "--restarts=0",
+        "--t=-1",
+        "--tau=0",
+        "--lsar=0",
+        "--algorithm=kmeans --restarts=0",
+        "--algorithm=sc --kn=0",
+    ],
+)
+def test_cluster_invalid_pipeline_option_is_configuration_error(tmp_path, capsys, options):
     scene = make_scene(tmp_path)
     out = tmp_path / "run"
     code = main(
-        ["cluster", str(scene / "cube.hdr"), str(scene / "cube.raw"), "--out", str(out), "--k", "3", option]
+        ["cluster", str(scene / "cube.hdr"), str(scene / "cube.raw"), "--out", str(out), "--k", "3", *options.split()]
     )
     assert code == 2
     assert "configuration failed" in capsys.readouterr().err

@@ -215,8 +215,8 @@ def svd_first_pc(spectra):
 
 
 def test_first_pc_matches_svd_oracle():
-    # a clear spectral gap so the iteration pins the direction, not just
-    # the leading variance
+    # a clear spectral gap, so the oracle pins the direction, not just the
+    # leading variance
     rng = np.random.default_rng(5)
     for trial in range(20):
         n = int(rng.integers(5, 40))
@@ -228,6 +228,19 @@ def test_first_pc_matches_svd_oracle():
         coords = np.argwhere(np.ones((n, 1), dtype=bool))
         field = first_pc(PixelCloud(spectra, coords))
         np.testing.assert_allclose(field.values, svd_first_pc(spectra), atol=1e-6)
+    # small eigengaps: the top two sample variances are in an exact ratio
+    # close to 1, built from orthonormal (centered) scores and axes
+    n, bands = 30, 8
+    coords = np.argwhere(np.ones((n, 1), dtype=bool))
+    for ratio in (0.81, 0.9, 0.98):
+        for trial in range(3):
+            scores = rng.standard_normal((n, bands))
+            u = np.linalg.qr(scores - scores.mean(axis=0))[0]
+            v = np.linalg.qr(rng.standard_normal((bands, bands)))[0]
+            sv = np.array([10.0, 10.0 * np.sqrt(ratio), 3.0, 2.5, 2.0, 1.5, 1.0, 0.5])
+            spectra = (u * sv) @ v.T + rng.standard_normal(bands)
+            field = first_pc(PixelCloud(spectra, coords))
+            np.testing.assert_allclose(field.values, svd_first_pc(spectra), atol=1e-6)
 
 
 def test_first_pc_variance_matches_leading_singular_value():
