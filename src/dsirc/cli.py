@@ -32,7 +32,6 @@ from .core import (
     write_labels_csv,
 )
 from .evaluation import align_labels, cohens_kappa, overall_accuracy
-from .sar import IciConfig
 from .synth import SynthConfig, synth_hsi
 
 __all__ = ["main"]
@@ -145,22 +144,17 @@ def _parse_options(options: dict[str, str]) -> dict[str, object]:
     if normalize not in ("none", "l2"):
         raise ValueError(f"unknown normalization {normalize!r}; choose none or l2")
     parsed["normalize"] = normalize
-    _check_pipeline_options(parsed)
+    _cluster_config(parsed, parsed["seed"])
     return parsed
 
 
 def _cluster_config(opts: dict[str, object], seed: int) -> ClusterConfig:
+    """The pipeline config for ``opts``; raises ValueError when it is invalid."""
     return ClusterConfig(
         n_clusters=opts["k"],
         seed=seed,
         **{name: opts[key] for key, name in _CLUSTER_FIELDS.items()},
     )
-
-
-def _check_pipeline_options(opts: dict[str, object]) -> None:
-    """Raise ValueError when the clustering options are invalid."""
-    _cluster_config(opts, opts["seed"])
-    IciConfig(tau=opts["tau"], lengths=opts["lsar"])
 
 
 def _normalized(cloud: PixelCloud, mode: str) -> PixelCloud:
@@ -225,12 +219,28 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_ground_truth(path: str) -> LabelMap:
+    gt, _ = read_labels_csv(path)
+    if gt.num_classes == 0:
+        raise ValueError(f"{path}: ground truth labels no pixels")
+    return gt
+
+
+def _score(labels, gt: LabelMap) -> tuple[LabelMap, dict[str, float]]:
+    """Labels aligned to the ground-truth classes, and their OA and kappa."""
+    aligned = align_labels(labels, gt)
+    return aligned, {
+        "oa": overall_accuracy(aligned, gt),
+        "kappa": cohens_kappa(aligned, gt),
+    }
+
+
 def _load_inputs(args, opts) -> tuple[PixelCloud, tuple[int, int], LabelMap | None]:
     cube = load_envi(args.header, args.data)
     cloud = _normalized(cube_to_cloud(cube), opts["normalize"])
     gt = None
     if getattr(args, "gt", None):
-        gt, _ = read_labels_csv(args.gt)
+        gt = _read_ground_truth(args.gt)
         if gt.n != cloud.n:
             raise ValueError(
                 f"ground truth has {gt.n} pixels but the cube has {cloud.n}"
@@ -254,11 +264,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     labels = result.labels
     metrics: dict[str, float] | None = None
     if gt is not None:
-        labels = align_labels(labels, gt)
-        metrics = {
-            "oa": overall_accuracy(labels, gt),
-            "kappa": cohens_kappa(labels, gt),
-        }
+        labels, metrics = _score(labels, gt)
     try:
         os.makedirs(args.out, exist_ok=True)
         _write_params(os.path.join(args.out, "params.txt"), opts)
@@ -281,17 +287,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         pred, _ = read_labels_csv(args.pred)
-        gt, _ = read_labels_csv(args.gt)
+        gt = _read_ground_truth(args.gt)
         if pred.n != gt.n:
             raise ValueError(f"prediction has {pred.n} pixels, ground truth {gt.n}")
     except (OSError, ValueError) as exc:
         return _fail("input", exc, 2)
     try:
-        aligned = align_labels(pred, gt)
-        metrics = {
-            "oa": overall_accuracy(aligned, gt),
-            "kappa": cohens_kappa(aligned, gt),
-        }
+        _, metrics = _score(pred, gt)
     except ValueError as exc:
         return _fail("evaluation", exc, 1)
     text = json.dumps(metrics, indent=2)
@@ -336,7 +338,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError("--seeds must be at least 1")
         combos = _sweep_grid(opts["algorithm"], kn_grid, t_grid, tau_grid)
         for combo in combos:
-            _check_pipeline_options({**opts, **combo})
+            _cluster_config({**opts, **combo}, opts["seed"])
     except (OSError, ValueError) as exc:
         return _fail("configuration", exc, 2)
     try:
@@ -355,9 +357,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             for offset in range(args.seeds):
                 result = _run_algorithm(cloud, run_opts, opts["seed"] + offset)
-                aligned = align_labels(result.labels, gt)
-                oas.append(overall_accuracy(aligned, gt))
-                kappas.append(cohens_kappa(aligned, gt))
+                _, metrics = _score(result.labels, gt)
+                oas.append(metrics["oa"])
+                kappas.append(metrics["kappa"])
         except Exception as exc:
             return _fail("clustering", exc, 1)
         row: dict[str, object] = dict(combo)

@@ -119,7 +119,11 @@ class ClusterConfig:
             raise ValueError("t must be non-negative")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        object.__setattr__(self, "lengths", tuple(int(l) for l in self.lengths))
+        if self.n_endmembers is not None and self.n_endmembers < 1:
+            raise ValueError("n_endmembers must be at least 1")
+        if self.n_eigenpairs is not None and self.n_eigenpairs < 1:
+            raise ValueError("n_eigenpairs must be at least 1")
+        object.__setattr__(self, "lengths", IciConfig(tau=self.tau, lengths=self.lengths).lengths)
 
 
 def auto_sigma0(distances: np.ndarray) -> float:
@@ -175,8 +179,8 @@ def dt_values(
     minimum-zeta pixel and the top of the rank order — instead take the
     *maximum* diffusion distance to any other pixel as ``dt``, which makes
     the top candidates stand out in the ``zeta * d_t`` score.  Computed in
-    one walk down the rank order that keeps every pixel's running nearest
-    source, so each pixel reads exactly its predecessors' best.
+    one walk down the rank order in which each pixel reads only its
+    predecessors' embedding rows: n(n-1)/2 distances in all.
     """
     z = zeta_field.zeta
     n = z.shape[0]
@@ -184,17 +188,14 @@ def dt_values(
         raise ValueError("zeta field and diffusion system disagree on pixel count")
     embedding = system.embedding(t)
     order = _rank_order(z)
-    best_dist = np.full(n, np.inf)
-    best_source = np.full(n, -1, dtype=np.intp)
+    ranked = embedding[order]
     dt = np.empty(n)
-    parents = np.empty(n, dtype=np.intp)
-    for pixel in order:
-        dt[pixel] = best_dist[pixel]
-        parents[pixel] = best_source[pixel]
-        column = np.linalg.norm(embedding - embedding[pixel], axis=1)
-        better = (column < best_dist) | ((column == best_dist) & (pixel < best_source))
-        best_dist[better] = column[better]
-        best_source[better] = pixel
+    parents = np.full(n, -1, dtype=np.intp)
+    for rank in range(1, n):
+        dist = np.linalg.norm(ranked[:rank] - ranked[rank], axis=1)
+        best = dist.min()
+        dt[order[rank]] = best
+        parents[order[rank]] = order[:rank][dist == best].min()
     for special in {int(np.argmin(z)), int(order[0])}:
         dt[special] = float(
             np.linalg.norm(embedding - embedding[special], axis=1).max()

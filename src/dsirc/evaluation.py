@@ -95,15 +95,11 @@ def cohens_kappa(pred, gt) -> float:
     expected from the two label marginals.  When ``p_e == 1`` (both sides
     constant and equal), kappa is 1 for perfect agreement and 0 otherwise.
     """
+    oa = overall_accuracy(pred, gt)
     pred = _label_array(pred)
     gt = _label_array(gt)
-    if pred.shape != gt.shape:
-        raise ValueError("prediction and ground truth differ in length")
     mask = gt > 0
     total = int(mask.sum())
-    if total == 0:
-        raise ValueError("ground truth labels no pixels")
-    oa = float((pred[mask] == gt[mask]).sum() / total)
     top = int(max(pred.max(), gt.max()))
     pred_marginal = np.bincount(pred[mask], minlength=top + 1)[1:]
     gt_marginal = np.bincount(gt[mask], minlength=top + 1)[1:]

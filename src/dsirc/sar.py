@@ -11,7 +11,6 @@ correlation-weighted average of the neighborhood spectra.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -448,24 +447,20 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     field = first_pc(cloud)
     grid = field.grid()
     sigma = config.sigma if config.sigma is not None else estimate_noise_sigma(grid)
-    config = dataclasses.replace(config, sigma=sigma)
     kernels = build_lpa_kernels(config.lengths)
-    stacks = _directional_estimate_stacks(grid, kernels, config.lengths)
-    gnorms = [
-        [kernels[(direction, length)].gnorm2 for length in config.lengths]
-        for direction in range(1, 9)
-    ]
+    estimates = np.stack(_directional_estimate_stacks(grid, kernels, config.lengths))
+    # Every direction's kernel of a given length has the same weights.
+    gnorm2 = np.array([kernels[(1, length)].gnorm2 for length in config.lengths])
+    # Interval bounds as in ici_select_length, intersected along the length
+    # axis; the running intersection only shrinks, so the lengths whose
+    # prefix intersection is non-empty form a prefix of the ladder.
+    half = config.tau * sigma * gnorm2[:, None, None]
+    lower = np.maximum.accumulate(estimates - half, axis=1)
+    upper = np.minimum.accumulate(estimates + half, axis=1)
+    selected = np.asarray(config.lengths)[(lower <= upper).sum(axis=1) - 1]
     out = np.empty_like(cloud.spectra)
-    n_lengths = len(config.lengths)
     for i in range(cloud.n):
         r, c = int(cloud.coords[i, 0]), int(cloud.coords[i, 1])
-        selected = tuple(
-            ici_select_length(
-                [(stacks[m][li, r, c], gnorms[m][li]) for li in range(n_lengths)],
-                config,
-            )
-            for m in range(8)
-        )
-        region = build_sa_region((r, c), selected, shape)
+        region = build_sa_region((r, c), selected[:, r, c], shape)
         out[i] = reconstruct_pixel(cloud.spectra[i], region, cloud)
     return PixelCloud(out, cloud.coords.copy())

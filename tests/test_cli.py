@@ -195,6 +195,8 @@ def test_cluster_usage_errors(tmp_path):
         "--lsar=0",
         "--algorithm=kmeans --restarts=0",
         "--algorithm=sc --kn=0",
+        "--p=0",
+        "--eigenpairs=0",
     ],
 )
 def test_cluster_invalid_pipeline_option_is_configuration_error(tmp_path, capsys, options):
@@ -275,6 +277,22 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         )
         == 2
     )
+
+
+@pytest.mark.parametrize("command", ["cluster", "sweep", "eval"])
+def test_ground_truth_without_labelled_pixels_is_input_error(tmp_path, capsys, command):
+    scene = make_scene(tmp_path)
+    gt = tmp_path / "unlabelled.csv"
+    write_labels_csv(str(gt), LabelMap(np.zeros(256, dtype=np.int64)), grid_coords(16, 16))
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--pred", str(scene / "gt.csv"), "--gt", str(gt), "--out", str(out)]
+    else:
+        cube = [str(scene / "cube.hdr"), str(scene / "cube.raw")]
+        argv = [command, *cube, "--gt", str(gt), "--out", str(out), "--k", "3"]
+    assert main(argv) == 2
+    assert "input failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,40 @@ def test_parents_break_exact_ties_by_smaller_index():
         )
 
 
+def push_scan(system, z, t):
+    """``dt_values`` as a push loop: each visited pixel pushes its distance
+    to every pixel, keeping each one's running nearest source."""
+    n = z.shape[0]
+    embedding = system.embedding(t)
+    order = ranked(z)
+    best_dist = np.full(n, np.inf)
+    best_source = np.full(n, -1, dtype=np.intp)
+    dt = np.empty(n)
+    parents = np.empty(n, dtype=np.intp)
+    for pixel in order:
+        dt[pixel] = best_dist[pixel]
+        parents[pixel] = best_source[pixel]
+        column = np.linalg.norm(embedding - embedding[pixel], axis=1)
+        better = (column < best_dist) | ((column == best_dist) & (pixel < best_source))
+        best_dist[better] = column[better]
+        best_source[better] = pixel
+    for special in {int(np.argmin(z)), int(order[0])}:
+        dt[special] = float(np.linalg.norm(embedding - embedding[special], axis=1).max())
+    return dt, parents
+
+
+def test_dt_values_equal_push_scan():
+    cases = [(small_system()[0], t) for t in (1.0, 4.0, 30.0)] + [(tied_system()[0], 1.0)]
+    rng = np.random.default_rng(13)
+    for system, t in cases:
+        for _ in range(5):
+            z = rng.uniform(0.05, 1.0, size=system.n)
+            dt, parents = dt_values(system, ZetaField(z), t)
+            want_dt, want_parents = push_scan(system, z, t)
+            np.testing.assert_array_equal(dt, want_dt)
+            np.testing.assert_array_equal(parents, want_parents)
+
+
 # ---------------------------------------------------------------------------
 # full pipelines
 
@@ -366,6 +400,14 @@ def test_cluster_config_validation():
         ClusterConfig(n_clusters=2, t=-1.0)
     with pytest.raises(ValueError):
         ClusterConfig(n_clusters=2, restarts=0)
+    with pytest.raises(ValueError):
+        ClusterConfig(n_clusters=2, n_endmembers=0)
+    with pytest.raises(ValueError):
+        ClusterConfig(n_clusters=2, n_eigenpairs=0)
+    with pytest.raises(ValueError):
+        ClusterConfig(n_clusters=2, tau=0.0)
+    with pytest.raises(ValueError):
+        ClusterConfig(n_clusters=2, lengths=(2, 1))
     assert ClusterConfig(n_clusters=2, lengths=[1.0, 2.0]).lengths == (1, 2)
 
 

@@ -431,13 +431,17 @@ def first_pc_field(cloud):
 
 def test_sar_equals_scalar_assembly_bitwise():
     rng = np.random.default_rng(19)
-    for trial in range(3):
-        h, w, bands = 7, 8, 5
+    # The 6 x 11 grid is shorter than the longest default ray, so rays clip
+    # on every side and some selected lengths reach past the edge.
+    cases = [(7, 8, IciConfig(tau=2.0, lengths=(1, 2, 3)))] * 3 + [
+        (6, 11, IciConfig(tau=tau)) for tau in (1.0, 3.0)
+    ]
+    for h, w, config in cases:
+        bands = 5
         smooth = np.add.outer(np.linspace(0, 1, h), np.linspace(0, 2, w))
         data = np.stack([smooth * (b + 1) for b in range(bands)])
         data = data + rng.normal(scale=0.05, size=data.shape)
         cloud = cube_to_cloud(ImageCube(data))
-        config = IciConfig(tau=2.0, lengths=(1, 2, 3))
         got = sar(cloud, config)
         expected = scalar_sar(cloud, config)
         np.testing.assert_array_equal(got.spectra, expected)
