@@ -42,14 +42,13 @@ from .diffusion import (
     diffusion_distance,
     diffusion_system,
     knn_graph,
+    knn_indices,
     nearest_in_diffusion,
 )
 from .evaluation import align_labels, cohens_kappa, confusion_counts, overall_accuracy
 from .sar import (
     IciConfig,
-    LpaKernel,
     SaRegion,
-    build_lpa_kernels,
     build_sa_region,
     estimate_noise_sigma,
     ici_select_length,
@@ -87,9 +86,7 @@ __all__ = [
     "first_pc",
     # sar
     "IciConfig",
-    "LpaKernel",
     "SaRegion",
-    "build_lpa_kernels",
     "lpa_estimate",
     "ici_select_length",
     "build_sa_region",
@@ -109,6 +106,7 @@ __all__ = [
     "KnnGraph",
     "DiffusionSystem",
     "DisconnectedGraphError",
+    "knn_indices",
     "knn_graph",
     "diffusion_system",
     "diffusion_distance",

@@ -219,10 +219,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_ground_truth(path: str) -> LabelMap:
-    gt, _ = read_labels_csv(path)
+def _read_ground_truth(path: str, coords: np.ndarray, what: str) -> LabelMap:
+    """Ground-truth labels for the ``(row, col)`` pixels ``coords`` of the
+    ``what``; the CSV must list exactly those pixels, in that order, and
+    label at least one of them."""
+    gt, gt_coords = read_labels_csv(path)
     if gt.num_classes == 0:
         raise ValueError(f"{path}: ground truth labels no pixels")
+    if gt_coords.shape != coords.shape:
+        raise ValueError(f"ground truth has {len(gt_coords)} pixels but the {what} has {len(coords)}")
+    if not np.array_equal(gt_coords, coords):
+        raise ValueError(f"ground truth (row, col) coordinates differ from the {what}'s")
     return gt
 
 
@@ -240,11 +247,7 @@ def _load_inputs(args, opts) -> tuple[PixelCloud, tuple[int, int], LabelMap | No
     cloud = _normalized(cube_to_cloud(cube), opts["normalize"])
     gt = None
     if getattr(args, "gt", None):
-        gt = _read_ground_truth(args.gt)
-        if gt.n != cloud.n:
-            raise ValueError(
-                f"ground truth has {gt.n} pixels but the cube has {cloud.n}"
-            )
+        gt = _read_ground_truth(args.gt, cloud.coords, "cube")
     return cloud, (cube.height, cube.width), gt
 
 
@@ -286,10 +289,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
-        pred, _ = read_labels_csv(args.pred)
-        gt = _read_ground_truth(args.gt)
-        if pred.n != gt.n:
-            raise ValueError(f"prediction has {pred.n} pixels, ground truth {gt.n}")
+        pred, pred_coords = read_labels_csv(args.pred)
+        gt = _read_ground_truth(args.gt, pred_coords, "prediction")
     except (OSError, ValueError) as exc:
         return _fail("input", exc, 2)
     try:

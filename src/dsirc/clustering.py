@@ -115,7 +115,7 @@ class ClusterConfig:
             raise ValueError("k_n must be at least 1")
         if self.sigma0 is not None and not self.sigma0 > 0:
             raise ValueError("sigma0 must be positive")
-        if self.t < 0:
+        if not self.t >= 0:
             raise ValueError("t must be non-negative")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")

@@ -21,10 +21,8 @@ from .core import PcScalarField, PixelCloud, first_pc
 
 __all__ = [
     "DIRECTION_STEPS",
-    "LpaKernel",
     "IciConfig",
     "SaRegion",
-    "build_lpa_kernels",
     "lpa_estimate",
     "ici_select_length",
     "build_sa_region",
@@ -49,59 +47,19 @@ DIRECTION_STEPS: tuple[tuple[int, int], ...] = (
 
 
 @dataclass(frozen=True)
-class LpaKernel:
-    """A directional order-0 averaging kernel of a given length.
-
-    ``offsets[s]`` is the (row, col) displacement of sample ``s`` from the
-    center, ``weights[s]`` its weight.  Sample 0 is the center itself and
-    offsets must proceed outward along a single ray.
-    """
-
-    direction: int
-    length: int
-    offsets: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        offsets = np.ascontiguousarray(np.asarray(self.offsets, dtype=np.intp))
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        if not 1 <= self.direction <= 8:
-            raise ValueError("direction must be in 1..8")
-        if self.length < 1 or offsets.shape != (self.length, 2) or weights.shape != (self.length,):
-            raise ValueError("offsets/weights do not match kernel length")
-        if tuple(offsets[0]) != (0, 0):
-            raise ValueError("kernel sample 0 must sit on the center pixel")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("kernel weights must sum to 1")
-        if float(np.linalg.norm(weights)) > 1.0 + 1e-12:
-            raise ValueError("kernel weight norm must not exceed 1")
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def gnorm2(self) -> float:
-        """Euclidean norm of the weights (the estimator's noise gain)."""
-        return float(np.linalg.norm(self.weights))
-
-
-@dataclass(frozen=True)
 class IciConfig:
     """Parameters of the confidence-interval length selection.
 
-    ``sigma`` is the noise standard deviation of the scalar field; ``None``
-    means estimate it from the field itself.  ``lengths`` is the strictly
+    ``tau`` scales the interval half-widths; ``lengths`` is the strictly
     increasing ladder of candidate ray lengths.
     """
 
     tau: float = 2.0
-    sigma: float | None = None
     lengths: tuple[int, ...] = (1, 2, 3, 5, 7, 9)
 
     def __post_init__(self) -> None:
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.sigma is not None and not self.sigma >= 0:
-            raise ValueError("sigma must be non-negative")
         lengths = tuple(int(l) for l in self.lengths)
         if not lengths:
             raise ValueError("lengths must be non-empty")
@@ -116,7 +74,6 @@ class SaRegion:
     of the eight selected ray endpoints, clipped to the grid."""
 
     center: int
-    dir_lengths: tuple[int, ...]
     members: np.ndarray
 
     def __post_init__(self) -> None:
@@ -125,81 +82,69 @@ class SaRegion:
             raise ValueError("members must be a non-empty 1-D index array")
         if np.any(np.diff(members) <= 0):
             raise ValueError("members must be strictly increasing")
-        if len(self.dir_lengths) != 8 or any(l < 1 for l in self.dir_lengths):
-            raise ValueError("dir_lengths must be eight lengths >= 1")
         if self.center not in members:
             raise ValueError("center must be a member of its own region")
-        object.__setattr__(self, "dir_lengths", tuple(int(l) for l in self.dir_lengths))
         object.__setattr__(self, "members", members)
 
 
-def build_lpa_kernels(lengths: Sequence[int]) -> dict[tuple[int, int], LpaKernel]:
-    """Build uniform directional kernels for all 8 directions and lengths.
-
-    Returns a dict keyed by ``(direction, length)`` with direction in 1..8.
-    A kernel of length ``l`` averages ``l`` samples along its ray with equal
-    weights ``1/l``, so its weights sum to 1 and have norm ``1/sqrt(l)``.
-    """
-    lengths = tuple(int(l) for l in lengths)
-    if not lengths or any(l < 1 for l in lengths):
-        raise ValueError("lengths must be positive")
-    kernels: dict[tuple[int, int], LpaKernel] = {}
-    for direction, (dr, dc) in enumerate(DIRECTION_STEPS, start=1):
-        for length in lengths:
-            steps = np.arange(length, dtype=np.intp)
-            offsets = np.column_stack((steps * dr, steps * dc))
-            weights = np.full(length, 1.0 / length)
-            kernels[(direction, length)] = LpaKernel(direction, length, offsets, weights)
-    return kernels
+def _noise_gain(length: int) -> float:
+    """Euclidean norm of the ``length`` equal weights ``1/length``: the noise
+    gain of a ray average.  Computed as a norm rather than ``1/sqrt(length)``
+    because the two differ in the last bit for some lengths, which can flip
+    an interval comparison."""
+    return float(np.linalg.norm(np.full(length, 1.0 / length)))
 
 
 def lpa_estimate(
-    field: PcScalarField, kernel: LpaKernel, center: tuple[int, int]
-) -> tuple[float, float]:
-    """Directional local average at ``center``, with replicate padding.
+    field: PcScalarField, direction: int, length: int, center: tuple[int, int]
+) -> float:
+    """Equal-weight average of ``length`` samples along ray ``direction``
+    (1..8, see :data:`DIRECTION_STEPS`) starting at ``center``.
 
-    Samples falling outside the grid are replaced by the nearest in-bounds
-    pixel along the ray, so every tap is used.  Returns ``(estimate,
-    gnorm2)`` where ``gnorm2`` is the Euclidean norm of the weights.
+    Samples falling outside the grid are replaced by the last in-bounds
+    sample along the ray, so every tap is used.
     """
+    if not 1 <= direction <= 8:
+        raise ValueError("direction must be in 1..8")
+    if length < 1:
+        raise ValueError("length must be at least 1")
     grid = field.grid()
     h, w = grid.shape
     r0, c0 = int(center[0]), int(center[1])
     if not (0 <= r0 < h and 0 <= c0 < w):
         raise ValueError("center is outside the grid")
+    dr, dc = DIRECTION_STEPS[direction - 1]
+    weight = 1.0 / length
     est = 0.0
     last_r, last_c = r0, c0
-    for s in range(kernel.length):
-        rr = r0 + int(kernel.offsets[s, 0])
-        cc = c0 + int(kernel.offsets[s, 1])
+    for s in range(length):
+        rr, cc = r0 + s * dr, c0 + s * dc
         if 0 <= rr < h and 0 <= cc < w:
             last_r, last_c = rr, cc
-        est += kernel.weights[s] * grid[last_r, last_c]
-    return float(est), kernel.gnorm2
+        est += weight * grid[last_r, last_c]
+    return float(est)
 
 
-def ici_select_length(
-    estimates: Sequence[tuple[float, float]], config: IciConfig
-) -> int:
+def ici_select_length(estimates: Sequence[float], sigma: float, config: IciConfig) -> int:
     """Pick the largest candidate length whose confidence interval still
     intersects all shorter ones.
 
-    ``estimates`` holds one ``(estimate, gnorm2)`` pair per candidate
-    length, aligned with ``config.lengths``.  Interval ``l`` is
-    ``estimate ± tau * sigma * gnorm2``; the selected length is the last one
-    for which the running intersection ``[max lower, min upper]`` over the
-    prefix is non-empty.  The first interval is always non-empty, so the
-    smallest length is the fallback.
+    ``estimates`` holds one ray average per candidate length, aligned with
+    ``config.lengths``, and ``sigma`` is the noise standard deviation of the
+    field.  Interval ``l`` is ``estimate ± tau * sigma * gain(l)``, with
+    ``gain(l) = ‖(1/l, …, 1/l)‖₂`` the noise gain of an ``l``-sample
+    average; the selected length is the last one for which the running
+    intersection ``[max lower, min upper]`` over the prefix is non-empty.
+    The first interval is always non-empty, so the smallest length is the
+    fallback.
     """
-    if config.sigma is None:
-        raise ValueError("config.sigma must be set for length selection")
     if len(estimates) != len(config.lengths):
-        raise ValueError("one (estimate, gnorm2) pair per candidate length required")
+        raise ValueError("one estimate per candidate length required")
     lower = -np.inf
     upper = np.inf
     selected = config.lengths[0]
-    for (estimate, gnorm2), length in zip(estimates, config.lengths):
-        half = config.tau * config.sigma * gnorm2
+    for estimate, length in zip(estimates, config.lengths):
+        half = config.tau * sigma * _noise_gain(length)
         lower = max(lower, estimate - half)
         upper = min(upper, estimate + half)
         if lower > upper:
@@ -316,7 +261,7 @@ def build_sa_region(
     cols = c0 + offsets[:, 1]
     keep = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
     members = np.sort(rows[keep] * w + cols[keep])
-    return SaRegion(r0 * w + c0, lengths, members)
+    return SaRegion(r0 * w + c0, members)
 
 
 # ---------------------------------------------------------------------------
@@ -342,26 +287,21 @@ def _correlation_weights(x: np.ndarray, neighborhood: np.ndarray, center_pos: in
     return weights
 
 
-def reconstruct_pixel(x: np.ndarray, region: SaRegion, cloud: PixelCloud) -> np.ndarray:
-    """Correlation-weighted average of the region's spectra.
+def reconstruct_pixel(region: SaRegion, cloud: PixelCloud) -> np.ndarray:
+    """Average of the region's spectra, weighted by their clipped
+    correlation with the center's own spectrum.
 
     The result is a convex combination of member spectra (weights are
     non-negative and the center's own weight is 1, so the total is
     positive), which keeps each band inside the member min/max envelope.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cloud.bands,):
-        raise ValueError("x must be a single spectrum matching the cloud's bands")
     members = region.members
     if members.max() >= cloud.n:
         raise ValueError("region indices fall outside the cloud")
     neighborhood = cloud.spectra[members]
     center_pos = int(np.searchsorted(members, region.center))
-    weights = _correlation_weights(x, neighborhood, center_pos)
-    total = float(weights.sum())
-    if total <= 0.0:
-        return x.copy()
-    return (weights @ neighborhood) / total
+    weights = _correlation_weights(cloud.spectra[region.center], neighborhood, center_pos)
+    return (weights @ neighborhood) / float(weights.sum())
 
 
 def estimate_noise_sigma(grid: np.ndarray) -> float:
@@ -382,11 +322,7 @@ def estimate_noise_sigma(grid: np.ndarray) -> float:
     return mad / (0.6745 * np.sqrt(2.0))
 
 
-def _directional_estimate_stacks(
-    grid: np.ndarray,
-    kernels: dict[tuple[int, int], LpaKernel],
-    lengths: tuple[int, ...],
-) -> list[np.ndarray]:
+def _directional_estimate_stacks(grid: np.ndarray, lengths: tuple[int, ...]) -> list[np.ndarray]:
     """Per-direction stacks of LPA estimates, shape ``(len(lengths), h, w)``.
 
     Vectorized over the grid but accumulating samples in the same order as
@@ -397,7 +333,7 @@ def _directional_estimate_stacks(
     rows = np.arange(h, dtype=np.intp)[:, None]
     cols = np.arange(w, dtype=np.intp)[None, :]
     stacks: list[np.ndarray] = []
-    for direction, (dr, dc) in enumerate(DIRECTION_STEPS, start=1):
+    for dr, dc in DIRECTION_STEPS:
         # Steps available before the ray leaves the grid, per pixel.
         avail = np.full((h, w), max_len, dtype=np.intp)
         if dr > 0:
@@ -414,10 +350,10 @@ def _directional_estimate_stacks(
             samples.append(grid[rows + step * dr, cols + step * dc])
         stack = np.empty((len(lengths), h, w))
         for li, length in enumerate(lengths):
-            weights = kernels[(direction, length)].weights
+            weight = 1.0 / length
             acc = np.zeros((h, w))
             for s in range(length):
-                acc += weights[s] * samples[s]
+                acc += weight * samples[s]
             stack[li] = acc
         stacks.append(stack)
     return stacks
@@ -429,9 +365,8 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     Pipeline per pixel: directional local averages of the first-PC field at
     each candidate length, confidence-interval length selection per
     direction, convex-hull rasterization of the eight ray endpoints, and a
-    correlation-weighted average of the member spectra.  When
-    ``config.sigma`` is ``None`` the noise scale is estimated from the PC
-    field itself.
+    correlation-weighted average of the member spectra.  The noise scale
+    of the interval rule is estimated from the PC field itself.
 
     A cloud whose spectra are all identical is returned unchanged: there is
     no principal axis to adapt to, and any neighborhood average of equal
@@ -446,11 +381,9 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
         return PixelCloud(cloud.spectra.copy(), cloud.coords.copy())
     field = first_pc(cloud)
     grid = field.grid()
-    sigma = config.sigma if config.sigma is not None else estimate_noise_sigma(grid)
-    kernels = build_lpa_kernels(config.lengths)
-    estimates = np.stack(_directional_estimate_stacks(grid, kernels, config.lengths))
-    # Every direction's kernel of a given length has the same weights.
-    gnorm2 = np.array([kernels[(1, length)].gnorm2 for length in config.lengths])
+    sigma = estimate_noise_sigma(grid)
+    estimates = np.stack(_directional_estimate_stacks(grid, config.lengths))
+    gnorm2 = np.array([_noise_gain(length) for length in config.lengths])
     # Interval bounds as in ici_select_length, intersected along the length
     # axis; the running intersection only shrinks, so the lengths whose
     # prefix intersection is non-empty form a prefix of the ladder.
@@ -462,5 +395,5 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     for i in range(cloud.n):
         r, c = int(cloud.coords[i, 0]), int(cloud.coords[i, 1])
         region = build_sa_region((r, c), selected[:, r, c], shape)
-        out[i] = reconstruct_pixel(cloud.spectra[i], region, cloud)
+        out[i] = reconstruct_pixel(region, cloud)
     return PixelCloud(out, cloud.coords.copy())

@@ -191,6 +191,7 @@ def test_cluster_usage_errors(tmp_path):
         "--kn=0",
         "--restarts=0",
         "--t=-1",
+        "--t=nan",
         "--tau=0",
         "--lsar=0",
         "--algorithm=kmeans --restarts=0",
@@ -284,6 +285,24 @@ def test_ground_truth_without_labelled_pixels_is_input_error(tmp_path, capsys, c
     scene = make_scene(tmp_path)
     gt = tmp_path / "unlabelled.csv"
     write_labels_csv(str(gt), LabelMap(np.zeros(256, dtype=np.int64)), grid_coords(16, 16))
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--pred", str(scene / "gt.csv"), "--gt", str(gt), "--out", str(out)]
+    else:
+        cube = [str(scene / "cube.hdr"), str(scene / "cube.raw")]
+        argv = [command, *cube, "--gt", str(gt), "--out", str(out), "--k", "3"]
+    assert main(argv) == 2
+    assert "input failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "sweep", "eval"])
+def test_ground_truth_on_another_grid_is_input_error(tmp_path, capsys, command):
+    scene = make_scene(tmp_path)
+    labels, _ = read_labels_csv(str(scene / "gt.csv"))
+    gt = tmp_path / "wide.csv"
+    # the scene's 256 labels, laid out on an 8 x 32 grid instead of 16 x 16
+    write_labels_csv(str(gt), labels, grid_coords(8, 32))
     out = tmp_path / "out"
     if command == "eval":
         argv = ["eval", "--pred", str(scene / "gt.csv"), "--gt", str(gt), "--out", str(out)]
@@ -394,6 +413,30 @@ def test_sweep_sc_grid_rows(tmp_path):
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[1].startswith("40,") and lines[2].startswith("60,")
+
+
+@pytest.mark.parametrize("algorithm", ["dsirc", "dvic"])
+def test_sweep_rows_equal_single_cluster_runs(tmp_path, algorithm):
+    scene = make_scene(tmp_path)
+    cube = [str(scene / "cube.hdr"), str(scene / "cube.raw")]
+    common = ["--gt", str(scene / "gt.csv"), "--algorithm", algorithm, "--k", "3"]
+    out = tmp_path / "sweep"
+    grids = ["--kn-grid", "40,60", "--t-grid", "10,30", "--tau-grid", "1,2"]
+    assert main(["sweep", *cube, *common, "--out", str(out), *grids]) == 0
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    keys = lines[0].split(",")
+    rows = [dict(zip(keys, line.split(","))) for line in lines[1:]]
+    taus = ["1.0", "2.0"] if algorithm == "dsirc" else [""]
+    assert sorted((row["kn"], row["t"], row["tau"]) for row in rows) == [
+        (kn, t, tau) for kn in ("40", "60") for t in ("10.0", "30.0") for tau in taus
+    ]
+    for i, row in enumerate(rows):
+        knobs = [f"--{key}={row[key]}" for key in ("kn", "t", "tau") if row[key]]
+        run = tmp_path / f"run{i}"
+        assert main(["cluster", *cube, *common, "--out", str(run), *knobs]) == 0
+        metrics = json.loads((run / "metrics.json").read_text())
+        assert float(row["oa_median"]) == metrics["oa"]
+        assert float(row["kappa_median"]) == metrics["kappa"]
 
 
 def test_sweep_configuration_errors(tmp_path):

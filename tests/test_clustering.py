@@ -399,6 +399,8 @@ def test_cluster_config_validation():
     with pytest.raises(ValueError):
         ClusterConfig(n_clusters=2, t=-1.0)
     with pytest.raises(ValueError):
+        ClusterConfig(n_clusters=2, t=float("nan"))
+    with pytest.raises(ValueError):
         ClusterConfig(n_clusters=2, restarts=0)
     with pytest.raises(ValueError):
         ClusterConfig(n_clusters=2, n_endmembers=0)

@@ -13,9 +13,7 @@ from dsirc.core import PcScalarField, PixelCloud, cube_to_cloud, ImageCube
 from dsirc.sar import (
     DIRECTION_STEPS,
     IciConfig,
-    LpaKernel,
     SaRegion,
-    build_lpa_kernels,
     build_sa_region,
     estimate_noise_sigma,
     ici_select_length,
@@ -32,32 +30,18 @@ def field_from(grid):
 
 
 # ---------------------------------------------------------------------------
-# kernels
-
-
-def test_kernels_cover_all_directions_and_lengths():
-    lengths = (1, 2, 3, 5)
-    kernels = build_lpa_kernels(lengths)
-    assert set(kernels) == {(d, l) for d in range(1, 9) for l in lengths}
-    for (direction, length), kernel in kernels.items():
-        dr, dc = DIRECTION_STEPS[direction - 1]
-        np.testing.assert_array_equal(kernel.offsets[:, 0], np.arange(length) * dr)
-        np.testing.assert_array_equal(kernel.offsets[:, 1], np.arange(length) * dc)
-        np.testing.assert_allclose(kernel.weights, 1.0 / length)
-        assert kernel.gnorm2 == pytest.approx(1.0 / np.sqrt(length))
+# directional averages vs a literal ray walk
 
 
 def test_kernel_validation():
+    field = field_from(np.zeros((3, 3)))
+    # DIRECTION_STEPS[-1] would otherwise wrap to direction 8
     with pytest.raises(ValueError):
-        LpaKernel(0, 1, np.zeros((1, 2), dtype=np.intp), np.ones(1))
+        lpa_estimate(field, 0, 1, (1, 1))
     with pytest.raises(ValueError):
-        LpaKernel(1, 2, np.array([[0, 1], [0, 2]]), np.full(2, 0.5))
+        lpa_estimate(field, 9, 1, (1, 1))
     with pytest.raises(ValueError):
-        LpaKernel(1, 1, np.zeros((1, 2), dtype=np.intp), np.array([0.5]))
-
-
-# ---------------------------------------------------------------------------
-# directional averages vs a literal ray walk
+        lpa_estimate(field, 1, 0, (1, 1))
 
 
 def walk_average(grid, center, direction, length):
@@ -76,7 +60,6 @@ def walk_average(grid, center, direction, length):
 
 def test_lpa_estimate_matches_ray_walk_exactly():
     rng = np.random.default_rng(10)
-    kernels = build_lpa_kernels((1, 2, 3, 5, 7, 9))
     cases = 0
     while cases < 150:
         h = int(rng.integers(1, 9))
@@ -87,41 +70,37 @@ def test_lpa_estimate_matches_ray_walk_exactly():
         c = int(rng.integers(0, w))
         direction = int(rng.integers(1, 9))
         length = int(rng.choice([1, 2, 3, 5, 7, 9]))
-        est, gnorm = lpa_estimate(field, kernels[(direction, length)], (r, c))
+        est = lpa_estimate(field, direction, length, (r, c))
         assert est == walk_average(grid, (r, c), direction, length)
-        assert gnorm == kernels[(direction, length)].gnorm2
         cases += 1
 
 
 def test_lpa_estimate_interior_no_padding():
     grid = np.arange(49, dtype=float).reshape(7, 7)
     field = field_from(grid)
-    kernels = build_lpa_kernels((3,))
     # direction 1 steps east: average of (3,3), (3,4), (3,5)
-    est, _ = lpa_estimate(field, kernels[(1, 3)], (3, 3))
+    est = lpa_estimate(field, 1, 3, (3, 3))
     assert est == pytest.approx(np.mean([grid[3, 3], grid[3, 4], grid[3, 5]]))
     # direction 3 steps north: average of (3,3), (2,3), (1,3)
-    est, _ = lpa_estimate(field, kernels[(3, 3)], (3, 3))
+    est = lpa_estimate(field, 3, 3, (3, 3))
     assert est == pytest.approx(np.mean([grid[3, 3], grid[2, 3], grid[1, 3]]))
 
 
 def test_lpa_estimate_replicates_last_in_bounds_sample():
     grid = np.array([[1.0, 2.0, 4.0]])
     field = field_from(grid)
-    kernels = build_lpa_kernels((3,))
     # eastward from column 1: samples at columns 1, 2, then 2 again
-    est, _ = lpa_estimate(field, kernels[(1, 3)], (0, 1))
+    est = lpa_estimate(field, 1, 3, (0, 1))
     assert est == pytest.approx((2.0 + 4.0 + 4.0) / 3.0)
     # northward from the only row: the center replicates
-    est, _ = lpa_estimate(field, kernels[(3, 3)], (0, 1))
+    est = lpa_estimate(field, 3, 3, (0, 1))
     assert est == pytest.approx(2.0)
 
 
 def test_lpa_estimate_rejects_out_of_grid_center():
     field = field_from(np.zeros((3, 3)))
-    kernels = build_lpa_kernels((1,))
     with pytest.raises(ValueError):
-        lpa_estimate(field, kernels[(1, 1)], (3, 0))
+        lpa_estimate(field, 1, 1, (3, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -152,33 +131,30 @@ def test_ici_matches_prefix_oracle():
             (base + float(rng.normal(scale=rng.choice([0.1, 2.0]) * sigma)), g)
             for g in gains
         ]
-        config = IciConfig(tau=tau, sigma=sigma, lengths=lengths)
-        assert ici_select_length(ests, config) == prefix_selection(
+        config = IciConfig(tau=tau, lengths=lengths)
+        assert ici_select_length([e for e, _ in ests], sigma, config) == prefix_selection(
             ests, lengths, tau, sigma
         )
 
 
 def test_ici_constant_estimates_select_longest():
     lengths = (1, 2, 3, 5, 7, 9)
-    ests = [(0.7, 1.0 / np.sqrt(l)) for l in lengths]
-    config = IciConfig(tau=2.0, sigma=0.1, lengths=lengths)
-    assert ici_select_length(ests, config) == 9
+    ests = [0.7] * len(lengths)
+    config = IciConfig(tau=2.0, lengths=lengths)
+    assert ici_select_length(ests, 0.1, config) == 9
 
 
 def test_ici_divergent_second_estimate_selects_shortest():
     lengths = (1, 2, 3)
-    ests = [(0.0, 1.0), (100.0, 0.7), (0.0, 0.6)]
-    config = IciConfig(tau=1.0, sigma=0.1, lengths=lengths)
-    assert ici_select_length(ests, config) == 1
+    ests = [0.0, 100.0, 0.0]
+    config = IciConfig(tau=1.0, lengths=lengths)
+    assert ici_select_length(ests, 0.1, config) == 1
 
 
 def test_ici_requires_sigma_and_matching_lengths():
     config = IciConfig(tau=2.0, lengths=(1, 2))
     with pytest.raises(ValueError):
-        ici_select_length([(0.0, 1.0), (0.0, 0.7)], config)
-    config = IciConfig(tau=2.0, sigma=0.1, lengths=(1, 2))
-    with pytest.raises(ValueError):
-        ici_select_length([(0.0, 1.0)], config)
+        ici_select_length([0.0], 0.1, config)
 
 
 def test_ici_config_validation():
@@ -285,7 +261,7 @@ def test_sa_region_validation():
     with pytest.raises(ValueError):
         build_sa_region((5, 0), (1,) * 8, (3, 3))
     with pytest.raises(ValueError):
-        SaRegion(0, (1,) * 8, np.array([1, 2]))  # center not a member
+        SaRegion(0, np.array([1, 2]))  # center not a member
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +300,7 @@ def test_reconstruct_pixel_matches_weighted_mean_oracle():
         dir_lengths = tuple(int(l) for l in rng.integers(1, 4, size=8))
         region = build_sa_region((r0, c0), dir_lengths, (h, w))
         x = cloud.spectra[region.center]
-        got = reconstruct_pixel(x, region, cloud)
+        got = reconstruct_pixel(region, cloud)
         np.testing.assert_allclose(got, reconstruct_by_oracle(x, region, cloud), rtol=1e-12)
 
 
@@ -334,7 +310,7 @@ def test_reconstruct_singleton_region_returns_input():
     cloud = cube_to_cloud(cube)
     region = build_sa_region((1, 1), (1,) * 8, (4, 4))
     x = cloud.spectra[region.center]
-    np.testing.assert_array_equal(reconstruct_pixel(x, region, cloud), x)
+    np.testing.assert_array_equal(reconstruct_pixel(region, cloud), x)
 
 
 def test_reconstruct_identical_neighbors_average_to_the_same_spectrum():
@@ -342,7 +318,7 @@ def test_reconstruct_identical_neighbors_average_to_the_same_spectrum():
     coords = np.array([[r, c] for r in range(3) for c in range(3)])
     cloud = PixelCloud(spectra, coords)
     region = build_sa_region((1, 1), (2,) * 8, (3, 3))
-    got = reconstruct_pixel(cloud.spectra[4], region, cloud)
+    got = reconstruct_pixel(region, cloud)
     np.testing.assert_allclose(got, [1.0, 2.0, 3.0])
 
 
@@ -351,8 +327,7 @@ def test_reconstruction_is_a_convex_combination():
     cube = ImageCube(rng.standard_normal((5, 6, 6)))
     cloud = cube_to_cloud(cube)
     region = build_sa_region((3, 3), (3,) * 8, (6, 6))
-    x = cloud.spectra[region.center]
-    got = reconstruct_pixel(x, region, cloud)
+    got = reconstruct_pixel(region, cloud)
     members = cloud.spectra[region.members]
     assert np.all(got >= members.min(axis=0) - 1e-12)
     assert np.all(got <= members.max(axis=0) + 1e-12)
@@ -403,23 +378,18 @@ def scalar_sar(cloud, config):
     """Assemble the reconstruction pixel by pixel through the scalar ops."""
     field = first_pc_field(cloud)
     grid = field.grid()
-    sigma = config.sigma if config.sigma is not None else estimate_noise_sigma(grid)
-    cfg = IciConfig(tau=config.tau, sigma=sigma, lengths=config.lengths)
-    kernels = build_lpa_kernels(cfg.lengths)
+    sigma = estimate_noise_sigma(grid)
     h, w = grid.shape
     out = np.empty_like(cloud.spectra)
     for r in range(h):
         for c in range(w):
             dir_lengths = []
             for direction in range(1, 9):
-                ests = [
-                    lpa_estimate(field, kernels[(direction, l)], (r, c))
-                    for l in cfg.lengths
-                ]
-                dir_lengths.append(ici_select_length(ests, cfg))
+                ests = [lpa_estimate(field, direction, l, (r, c)) for l in config.lengths]
+                dir_lengths.append(ici_select_length(ests, sigma, config))
             region = build_sa_region((r, c), dir_lengths, (h, w))
             idx = r * w + c
-            out[idx] = reconstruct_pixel(cloud.spectra[idx], region, cloud)
+            out[idx] = reconstruct_pixel(region, cloud)
     return out
 
 
@@ -475,15 +445,3 @@ def test_sar_denoises_a_smooth_scene():
     mse_in = float(np.mean((cloud.spectra - clean_cloud.spectra) ** 2))
     mse_out = float(np.mean((out.spectra - clean_cloud.spectra) ** 2))
     assert mse_out < mse_in
-
-
-def test_sar_sigma_override_affects_lengths():
-    rng = np.random.default_rng(21)
-    data = rng.standard_normal((3, 6, 6))
-    cloud = cube_to_cloud(ImageCube(data))
-    # an enormous sigma accepts every interval: maximal smoothing
-    wide = sar(cloud, IciConfig(tau=2.0, sigma=100.0, lengths=(1, 3)))
-    # a zero sigma rejects everything beyond the first length: no smoothing
-    tight = sar(cloud, IciConfig(tau=2.0, sigma=0.0, lengths=(1, 3)))
-    np.testing.assert_array_equal(tight.spectra, cloud.spectra)
-    assert not np.array_equal(wide.spectra, cloud.spectra)
