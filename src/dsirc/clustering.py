@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .core import LabelMap, PixelCloud
 from .diffusion import (
@@ -115,8 +116,8 @@ class ClusterConfig:
             raise ValueError("k_n must be at least 1")
         if self.sigma0 is not None and not self.sigma0 > 0:
             raise ValueError("sigma0 must be positive")
-        if not self.t >= 0:
-            raise ValueError("t must be non-negative")
+        if not 0 <= self.t < np.inf:
+            raise ValueError("t must be finite and non-negative")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.n_endmembers is not None and self.n_endmembers < 1:
@@ -167,6 +168,10 @@ def _rank_order(zeta_values: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(n), -zeta_values))
 
 
+# Tree neighbours queried per pixel by :func:`dt_values` (self included).
+_TREE_K = 32
+
+
 def dt_values(
     system: DiffusionSystem, zeta_field: ZetaField, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -178,9 +183,18 @@ def dt_values(
     distance to it.  The two pixels with no meaningful predecessor — the
     minimum-zeta pixel and the top of the rank order — instead take the
     *maximum* diffusion distance to any other pixel as ``dt``, which makes
-    the top candidates stand out in the ``zeta * d_t`` score.  Computed in
-    one walk down the rank order in which each pixel reads only its
-    predecessors' embedding rows: n(n-1)/2 distances in all.
+    the top candidates stand out in the ``zeta * d_t`` score.
+
+    The search is exact and keeps that tie rule: every distance it returns
+    is ``np.linalg.norm(rows - row, axis=1)`` over embedding rows, as a scan
+    of all predecessors would compute it.  A k-d tree on the embedding
+    settles most pixels from their ``_TREE_K`` nearest rows (the
+    dependent-point search of Amagata & Hara, "Fast density-peaks
+    clustering", SIGMOD 2021; see :func:`_screen_predecessors`).  A pixel
+    falls back to the scan of all its predecessors when none of its tree
+    neighbours is higher-ranked, or when a predecessor beyond them could
+    still tie or win; on an embedding collapsed to a constant, every pixel
+    does.
     """
     z = zeta_field.zeta
     n = z.shape[0]
@@ -188,19 +202,67 @@ def dt_values(
         raise ValueError("zeta field and diffusion system disagree on pixel count")
     embedding = system.embedding(t)
     order = _rank_order(z)
-    ranked = embedding[order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
     dt = np.empty(n)
     parents = np.full(n, -1, dtype=np.intp)
-    for rank in range(1, n):
-        dist = np.linalg.norm(ranked[:rank] - ranked[rank], axis=1)
+    fallback = _screen_predecessors(embedding, rank, dt, parents)
+    ranked = embedding[order]
+    for pixel in fallback:
+        r = rank[pixel]
+        dist = np.linalg.norm(ranked[:r] - ranked[r], axis=1)
         best = dist.min()
-        dt[order[rank]] = best
-        parents[order[rank]] = order[:rank][dist == best].min()
+        dt[pixel] = best
+        parents[pixel] = order[:r][dist == best].min()
     for special in {int(np.argmin(z)), int(order[0])}:
         dt[special] = float(
             np.linalg.norm(embedding - embedding[special], axis=1).max()
         )
     return dt, parents
+
+
+def _screen_predecessors(
+    embedding: np.ndarray, rank: np.ndarray, dt: np.ndarray, parents: np.ndarray
+) -> np.ndarray:
+    """Fill ``dt`` and ``parents`` for the pixels a k-d tree settles, and
+    return the other pixels below the top of the rank order.
+
+    Each pixel's ``_TREE_K`` tree neighbours come back in order of tree
+    distance.  The first higher-ranked one bounds the true nearest
+    predecessor's distance by ``d*``, so every predecessor that can win lies
+    within ``d*`` times a rounding slack.  The candidates there get their
+    distances recomputed exactly.  That settles the pixel when the slack
+    bound stays below the farthest tree neighbour's distance; otherwise a
+    predecessor outside the query could tie or win, and the pixel is
+    returned for the full scan, as is a pixel with no higher-ranked tree
+    neighbour.  A pixel is never its own predecessor, so it drops out by
+    index even where a duplicate row comes back before it.
+    """
+    n, dims = embedding.shape
+    # A k sequence keeps the results 2-D even for a one-pixel cloud.
+    tree_dist, neighbors = cKDTree(embedding).query(
+        embedding, k=range(1, min(_TREE_K, n) + 1)
+    )
+    higher = rank[neighbors] < rank[:, None]
+    # Tree and norm distances are square roots of dims-term sums of squares,
+    # each with relative rounding error below (dims + 2) * eps while the
+    # squares stay normal; the floor covers subnormal squares.  The slack
+    # absorbs three such errors (the bound, the winner's norm distance and
+    # its tree distance), and once more the rounding in the tree's pruning.
+    finfo = np.finfo(np.float64)
+    slack = 1.0 + max(1e-12, 4 * (dims + 2) * finfo.eps)
+    bound = tree_dist[np.arange(n), np.argmax(higher, axis=1)] * slack + np.sqrt(
+        (dims + 2) * finfo.tiny
+    )
+    settled = higher.any(axis=1) & (bound * slack < tree_dist[:, -1])
+    pixel, col = np.nonzero(higher & (tree_dist <= bound[:, None]) & settled[:, None])
+    cand = neighbors[pixel, col]
+    dist = np.linalg.norm(embedding[cand] - embedding[pixel], axis=1)
+    pick = np.lexsort((cand, dist, pixel))
+    pick = pick[np.diff(pixel[pick], prepend=-1) != 0]
+    dt[pixel[pick]] = dist[pick]
+    parents[pixel[pick]] = cand[pick]
+    return np.flatnonzero(~settled & (rank > 0))
 
 
 def select_modes(zeta_field: ZetaField, dt: np.ndarray, n_clusters: int) -> np.ndarray:

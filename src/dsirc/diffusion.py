@@ -70,9 +70,15 @@ def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(indices, distances)``, both ``(n, k_n)`` and sorted by
     ascending distance per row.  Self-neighbors are excluded; distance ties
-    resolve to the smaller index (stable sort on exactly computed squared
-    distances, so duplicates of a spectrum order deterministically).  One
-    search per cloud serves the bandwidth, the density and the graph.
+    resolve to the smaller index, so duplicates of a spectrum order
+    deterministically.  One search per cloud serves the bandwidth, the
+    density and the graph.
+
+    Squared distances come from one Gram product per block of rows.  Each
+    row keeps its ``k_n`` smallest by a partial sort (``argpartition``) and
+    orders them by (squared distance, index): exactly the prefix of a stable
+    full sort.  A row where a column left outside the partition ties the
+    ``k_n``-th value is fully sorted instead.
     """
     x = np.ascontiguousarray(np.asarray(spectra, dtype=np.float64))
     if x.ndim != 2:
@@ -90,10 +96,29 @@ def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
         d2 = sq[start:stop, None] + sq[None, :] - 2.0 * gram
         np.clip(d2, 0.0, None, out=d2)
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k_n]
+        order = _smallest_columns(d2, k_n)
         idx_out[start:stop] = order
         dist_out[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
     return idx_out, dist_out
+
+
+def _smallest_columns(d2: np.ndarray, k: int) -> np.ndarray:
+    """Each row's first ``k`` columns in a stable ascending argsort.
+
+    A partial sort keeps ``k`` smallest columns per row, ordered by (value,
+    column).  Where a column left outside ties the ``k``-th value, the kept
+    set may hold the wrong one of the tied columns, so such rows alone are
+    fully sorted.  The partition's ``(rows, n)`` index array is freed on
+    return, before the caller's next block is built.
+    """
+    kept = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    order = np.take_along_axis(
+        kept, np.lexsort((kept, np.take_along_axis(d2, kept, axis=1))), axis=1
+    )
+    kth = np.take_along_axis(d2, order[:, -1:], axis=1)
+    tied = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k)
+    order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return order
 
 
 def knn_graph(neighbors: np.ndarray) -> KnnGraph:

@@ -192,6 +192,7 @@ def test_cluster_usage_errors(tmp_path):
         "--restarts=0",
         "--t=-1",
         "--t=nan",
+        "--t=inf",
         "--tau=0",
         "--lsar=0",
         "--algorithm=kmeans --restarts=0",
@@ -474,6 +475,29 @@ def test_sweep_checks_every_combination_before_running(tmp_path, capsys):
             "3",
             "--kn-grid",
             "40,0",
+        ]
+    )
+    assert code == 2
+    assert "configuration failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_infinite_t(tmp_path, capsys):
+    scene = make_scene(tmp_path)
+    out = tmp_path / "s"
+    code = main(
+        [
+            "sweep",
+            str(scene / "cube.hdr"),
+            str(scene / "cube.raw"),
+            "--gt",
+            str(scene / "gt.csv"),
+            "--out",
+            str(out),
+            "--k",
+            "3",
+            "--t-grid",
+            "10,inf",
         ]
     )
     assert code == 2

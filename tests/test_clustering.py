@@ -10,12 +10,14 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from dsirc.clustering import (
     ClusterConfig,
     Clustering,
     DensityField,
     ZetaField,
+    _screen_predecessors,
     auto_sigma0,
     dsirc,
     dt_values,
@@ -31,6 +33,7 @@ from dsirc.core import ImageCube, PixelCloud, cube_to_cloud
 from dsirc.diffusion import (
     DiffusionSystem,
     DisconnectedGraphError,
+    KnnGraph,
     diffusion_system,
     knn_graph,
     knn_indices,
@@ -160,6 +163,14 @@ def test_dt_values_match_naive_loop():
             )
 
 
+def test_dt_values_single_pixel():
+    graph = KnnGraph(sparse.csr_matrix((1, 1)), 1)
+    system = DiffusionSystem(graph, np.ones(1), np.ones(1), np.ones(1), np.ones((1, 1)))
+    dt, parents = dt_values(system, ZetaField(np.array([0.5])), 30.0)
+    np.testing.assert_array_equal(dt, [0.0])
+    np.testing.assert_array_equal(parents, [-1])
+
+
 def test_dt_values_pixel_count_mismatch():
     system, _ = small_system()
     with pytest.raises(ValueError):
@@ -265,14 +276,14 @@ def naive_parents(system, z, t):
     return parents
 
 
-def tied_system(seed=12, n=40):
+def tied_system(seed=12, n=40, span=3, dims=2):
     """A system whose embedding rows are small integer points, many of them
     duplicated, so exact diffusion-distance ties are everywhere."""
     rng = np.random.default_rng(seed)
     graph = knn_graph(knn_indices(rng.uniform(size=(n, 3)), 5)[0])
     degrees = np.asarray(graph.adjacency.sum(axis=1)).ravel()
-    points = rng.integers(0, 3, size=(n, 2)).astype(np.float64)
-    return DiffusionSystem(graph, degrees, degrees / degrees.sum(), np.ones(2), points), rng
+    points = rng.integers(0, span, size=(n, dims)).astype(np.float64)
+    return DiffusionSystem(graph, degrees, degrees / degrees.sum(), np.ones(dims), points), rng
 
 
 def test_parents_break_exact_ties_by_smaller_index():
@@ -330,6 +341,68 @@ def test_dt_values_equal_push_scan():
             want_dt, want_parents = push_scan(system, z, t)
             np.testing.assert_array_equal(dt, want_dt)
             np.testing.assert_array_equal(parents, want_parents)
+
+
+def fallback_count(system, z, t):
+    """How many pixels the k-d tree screen of ``dt_values`` leaves to the
+    full predecessor scan."""
+    n = system.n
+    rank = np.empty(n, dtype=np.intp)
+    rank[ranked(z)] = np.arange(n)
+    return _screen_predecessors(system.embedding(t), rank, np.empty(n), np.full(n, -1)).size
+
+
+def screen_system(seed=4, n=300):
+    """A pipeline-shaped system: 50 eigenpairs of a few hundred pixels, so
+    the 32 tree neighbours are a small part of the cloud."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, 3))
+    return diffusion_system(knn_graph(knn_indices(x, 5)[0]), 50), rng
+
+
+def assert_screened_scan_equals_push_scan(system, t, rng, fallbacks, trials=3):
+    for _ in range(trials):
+        z = rng.uniform(0.05, 1.0, size=system.n)
+        dt, parents = dt_values(system, ZetaField(z), t)
+        want_dt, want_parents = push_scan(system, z, t)
+        np.testing.assert_array_equal(dt, want_dt)
+        np.testing.assert_array_equal(parents, want_parents)
+        assert fallbacks(fallback_count(system, z, t))
+
+
+def test_screened_scan_equals_push_scan_beyond_tree_reach():
+    system, rng = screen_system()
+    for t in (1.0, 4.0, 30.0):
+        assert_screened_scan_equals_push_scan(
+            system, t, rng, lambda count: 0 < count < system.n // 4
+        )
+
+
+def test_screened_scan_equals_push_scan_on_duplicate_lattice():
+    # 300 points on a 4x4x4 lattice: every row has twins, which the tree can
+    # return before the row itself, and exact ties sit on the d* bound.
+    system, rng = tied_system(seed=12, n=300, span=4, dims=3)
+    embedding = system.embedding(1.0)
+    assert np.unique(embedding, axis=0).shape[0] < system.n // 4
+    assert_screened_scan_equals_push_scan(
+        system, 1.0, rng, lambda count: 0 < count < system.n // 2, trials=5
+    )
+
+
+def test_screened_scan_equals_push_scan_on_collapsed_embedding():
+    # At a large enough t every weight but the stationary one underflows to
+    # 0, so the embedding is the constant stationary column: no pixel can
+    # be settled from 32 neighbours, all at distance 0.
+    system, rng = screen_system(seed=5)
+    vectors = system.eigenvectors.copy()
+    vectors[:, 0] = 1.0
+    constant = DiffusionSystem(system.graph, system.degrees, system.pi, system.eigenvalues, vectors)
+    assert np.all(constant.embedding(1e9) == constant.embedding(1e9)[0])
+    assert_screened_scan_equals_push_scan(
+        constant, 1e9, rng, lambda count: count == system.n - 1
+    )
+    # Computed, the stationary column is constant only up to rounding.
+    assert_screened_scan_equals_push_scan(system, 1e9, rng, lambda count: count > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +473,8 @@ def test_cluster_config_validation():
         ClusterConfig(n_clusters=2, t=-1.0)
     with pytest.raises(ValueError):
         ClusterConfig(n_clusters=2, t=float("nan"))
+    with pytest.raises(ValueError):
+        ClusterConfig(n_clusters=2, t=float("inf"))
     with pytest.raises(ValueError):
         ClusterConfig(n_clusters=2, restarts=0)
     with pytest.raises(ValueError):

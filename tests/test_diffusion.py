@@ -35,6 +35,26 @@ def brute_knn(x, k):
     return out, dists
 
 
+def argsort_knn(x, k):
+    """``knn_indices`` with a full stable argsort of each block's squared
+    distances, as it was written before the partial sort."""
+    x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    n = x.shape[0]
+    sq = np.einsum("ij,ij->i", x, x)
+    idx = np.empty((n, k), dtype=np.intp)
+    dist = np.empty((n, k))
+    block = max(1, int(4_000_000 // max(n, 1)))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (x[start:stop] @ x.T)
+        np.clip(d2, 0.0, None, out=d2)
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        idx[start:stop] = order
+        dist[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    return idx, dist
+
+
 # ---------------------------------------------------------------------------
 # knn
 
@@ -72,6 +92,37 @@ def test_knn_duplicate_rows_find_each_other():
     assert idx[2, 0] == 7 and idx[7, 0] == 2
     # the blocked gram-product distance leaves sqrt-of-rounding residue
     assert dist[2, 0] <= 1e-6 and dist[7, 0] <= 1e-6
+
+
+def assert_knn_equals_argsort(x, ks):
+    # A stable sort's first k columns are the same for every k.
+    want_idx, want_dist = argsort_knn(x, max(ks))
+    for k in ks:
+        got_idx, got_dist = knn_indices(x, k)
+        np.testing.assert_array_equal(got_idx, want_idx[:, :k])
+        np.testing.assert_array_equal(got_dist, want_dist[:, :k])
+
+
+def test_knn_partial_sort_equals_argsort_on_lattice_ties():
+    # Integer points: squared distances are small integers, so the k-th
+    # value is tied with columns outside the partition in most rows.
+    x = np.random.default_rng(20).integers(0, 4, size=(300, 3)).astype(np.float64)
+    assert_knn_equals_argsort(x, (1, 2, 7, 20, 64, 299))
+
+
+def test_knn_partial_sort_equals_argsort_on_duplicate_rows():
+    rng = np.random.default_rng(21)
+    base = rng.uniform(size=(60, 5))
+    x = base[rng.integers(0, 60, size=240)]
+    assert_knn_equals_argsort(x, (1, 3, 8, 30, 239))
+
+
+def test_knn_partial_sort_equals_argsort_across_blocks():
+    # Above 2,000 rows a block holds fewer rows than the cloud, so the
+    # search runs block by block; rounded coordinates add boundary ties.
+    x = np.round(np.random.default_rng(22).uniform(size=(2100, 3)), 2)
+    assert max(1, 4_000_000 // x.shape[0]) < x.shape[0]
+    assert_knn_equals_argsort(x, (1, 10, 40))
 
 
 def test_knn_indices_validation():
