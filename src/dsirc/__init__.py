@@ -3,7 +3,8 @@
 Pixels are scored by density and spectral purity, spectra are denoised by
 shape-adaptive neighborhood reconstruction, and clusters grow from modes of
 a diffusion-geometry score.  See :mod:`dsirc.clustering` for the pipelines
-(``dsirc``, ``dvic``) and baselines, :mod:`dsirc.cli` for the command line.
+(``dsirc``, ``dvic``, and ``mode_grid`` over parameter grids) and baselines,
+:mod:`dsirc.cli` for the command line.
 """
 
 from .clustering import (
@@ -17,6 +18,7 @@ from .clustering import (
     dvic,
     kde_density,
     kmeans,
+    mode_grid,
     propagate_labels,
     select_modes,
     spectral_clustering,
@@ -122,6 +124,7 @@ __all__ = [
     "dt_values",
     "select_modes",
     "propagate_labels",
+    "mode_grid",
     "dsirc",
     "dvic",
     "kmeans",

@@ -18,7 +18,13 @@ import sys
 
 import numpy as np
 
-from .clustering import ClusterConfig, dsirc, dvic, kmeans, spectral_clustering
+from .clustering import (
+    ClusterConfig,
+    Clustering,
+    kmeans,
+    mode_grid,
+    spectral_clustering,
+)
 from .core import (
     EnviFormatError,
     LabelMap,
@@ -165,16 +171,36 @@ def _normalized(cloud: PixelCloud, mode: str) -> PixelCloud:
     return PixelCloud(cloud.spectra / norms, cloud.coords)
 
 
-def _run_algorithm(cloud: PixelCloud, opts: dict[str, object], seed: int):
-    algorithm = opts["algorithm"]
-    if algorithm in ("dsirc", "dvic"):
-        config = _cluster_config(opts, seed)
-        return dsirc(cloud, config) if algorithm == "dsirc" else dvic(cloud, config)
-    if algorithm == "kmeans":
+def _run_algorithm(cloud: PixelCloud, opts: dict[str, object], seed: int) -> Clustering:
+    """One ``kmeans`` or ``sc`` clustering."""
+    if opts["algorithm"] == "kmeans":
         return kmeans(cloud, opts["k"], restarts=opts["restarts"], rng=seed)
     return spectral_clustering(
         cloud, opts["k"], opts["kn"], restarts=opts["restarts"], rng=seed
     )
+
+
+def _run_grid(
+    cloud: PixelCloud, opts: dict[str, object], combos: list[dict[str, object]], seed: int
+) -> list[Clustering]:
+    """The clustering of each combination (options overriding ``opts``) at
+    one seed, in ``combos`` order.
+
+    ``dsirc`` and ``dvic`` run every combination in one :func:`mode_grid`
+    call, so each stage runs once per distinct input; ``kmeans`` and ``sc``
+    run once per combination.
+    """
+    runs = [{**opts, **combo} for combo in combos]
+    algorithm = opts["algorithm"]
+    if algorithm not in ("dsirc", "dvic"):
+        return [_run_algorithm(cloud, run, seed) for run in runs]
+    reconstruct = algorithm == "dsirc"
+    keys = [(run["kn"], run["t"], run["tau"] if reconstruct else None) for run in runs]
+    k_ns, ts, taus = zip(*keys)
+    grid = mode_grid(
+        cloud, _cluster_config(opts, seed), k_ns, ts, taus if reconstruct else None
+    )
+    return [grid[key] for key in keys]
 
 
 def _write_params(path: str, opts: dict[str, object]) -> None:
@@ -261,7 +287,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail("input", exc, 2)
     try:
-        result = _run_algorithm(cloud, opts, opts["seed"])
+        [result] = _run_grid(cloud, opts, [{}], opts["seed"])
     except Exception as exc:  # algorithm failure on valid inputs
         return _fail("clustering", exc, 1)
     labels = result.labels
@@ -348,24 +374,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError("sweep requires --gt to score combinations")
     except (OSError, ValueError) as exc:
         return _fail("input", exc, 2)
+    # scores[i][j]: the metrics of combination i at the j-th seed.
+    scores: list[list[dict[str, float]]] = [[] for _ in combos]
+    try:
+        for offset in range(args.seeds):
+            results = _run_grid(cloud, opts, combos, opts["seed"] + offset)
+            for runs, result in zip(scores, results):
+                runs.append(_score(result.labels, gt)[1])
+    except Exception as exc:
+        return _fail("clustering", exc, 1)
     rows: list[dict[str, object]] = []
     best: dict[str, object] | None = None
-    for combo in combos:
-        run_opts = dict(opts)
-        run_opts.update(combo)
-        oas = []
-        kappas = []
-        try:
-            for offset in range(args.seeds):
-                result = _run_algorithm(cloud, run_opts, opts["seed"] + offset)
-                _, metrics = _score(result.labels, gt)
-                oas.append(metrics["oa"])
-                kappas.append(metrics["kappa"])
-        except Exception as exc:
-            return _fail("clustering", exc, 1)
+    for combo, runs in zip(combos, scores):
         row: dict[str, object] = dict(combo)
-        row["oa_median"] = statistics.median(oas)
-        row["kappa_median"] = statistics.median(kappas)
+        row["oa_median"] = statistics.median(m["oa"] for m in runs)
+        row["kappa_median"] = statistics.median(m["kappa"] for m in runs)
         rows.append(row)
         if best is None or row["oa_median"] > best["oa_median"]:
             best = row

@@ -10,7 +10,8 @@ order.  K-means and spectral clustering baselines share the same interfaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "dt_values",
     "select_modes",
     "propagate_labels",
+    "mode_grid",
     "dsirc",
     "dvic",
     "kmeans",
@@ -324,43 +326,111 @@ def propagate_labels(
 # Full pipelines
 
 
-def _mode_pipeline(cloud: PixelCloud, config: ClusterConfig, reconstruct: bool) -> Clustering:
+def mode_grid(
+    cloud: PixelCloud,
+    config: ClusterConfig,
+    k_ns: Sequence[int],
+    ts: Sequence[float],
+    taus: Sequence[float] | None = None,
+) -> dict[tuple[int, float, float | None], Clustering]:
+    """The mode-based pipeline for every ``(k_n, t, tau)`` of a grid.
+
+    The grid's values replace ``config``'s ``k_n``, ``t`` and ``tau``.  With
+    ``taus = None`` the graph is built on the raw spectra (:func:`dvic`) and
+    the results are keyed ``(k_n, t, None)``; otherwise each ``tau`` gets a
+    shape-adaptive reconstruction (:func:`dsirc`).  Each stage runs once per
+    distinct input, and every result equals a run with a one-element grid:
+
+    * unmixing and purity run once (the seeded generator feeds only them);
+    * the raw spectra get one search at ``max(k_ns)``, whose first ``k_n``
+      columns are the ``k_n`` search, for the bandwidth, density and zeta;
+    * each ``tau`` gets one reconstruction and one search of its spectra;
+    * the graph and eigensystem run once per ``(k_n, tau)``, and the
+      predecessor scan, mode choice and labelling once per ``t`` on them.
+    """
+    k_ns = list(dict.fromkeys(k_ns))
+    ts = list(dict.fromkeys(ts))
+    grid_taus = [None] if taus is None else list(dict.fromkeys(taus))
     n = cloud.n
+    if not (k_ns and ts and grid_taus):
+        raise ValueError("every grid needs at least one value")
+    for k_n, t, tau in itertools.product(k_ns, ts, grid_taus):
+        # ClusterConfig rejects an invalid combination.
+        replace(config, k_n=k_n, t=t, tau=config.tau if tau is None else tau)
     if config.n_clusters > n:
         raise ValueError("more clusters than pixels")
-    if config.k_n >= n:
+    k_max = max(k_ns)
+    if k_max >= n:
         raise ValueError(f"k_n must be below the pixel count {n}")
     rng = np.random.default_rng(config.seed)
-    model = unmix(cloud, p=config.n_endmembers, restarts=config.restarts, rng=rng)
-    pur = purity(model)
-    neighbors, distances = knn_indices(cloud.spectra, config.k_n)
-    sigma0 = config.sigma0 if config.sigma0 is not None else auto_sigma0(distances)
-    density = kde_density(distances, sigma0)
-    zeta_field = zeta(density, pur)
-    if reconstruct:
-        working = sar(cloud, IciConfig(tau=config.tau, lengths=config.lengths))
-        neighbors, _ = knn_indices(working.spectra, config.k_n)
-    graph = knn_graph(neighbors)
+    pur = purity(unmix(cloud, p=config.n_endmembers, restarts=config.restarts, rng=rng))
+    neighbors, distances = knn_indices(cloud.spectra, k_max)
+    zetas = {}
+    for k_n in k_ns:
+        prefix = distances[:, :k_n]
+        sigma0 = config.sigma0 if config.sigma0 is not None else auto_sigma0(prefix)
+        zetas[k_n] = zeta(kde_density(prefix, sigma0), pur)
     n_pairs = config.n_eigenpairs
     if n_pairs is None:
         n_pairs = min(n, max(2 * config.n_clusters, 50))
-    system = diffusion_system(graph, n_pairs)
-    dt, parents = dt_values(system, zeta_field, config.t)
-    modes = select_modes(zeta_field, dt, config.n_clusters)
-    return propagate_labels(
-        system, zeta_field, modes, config.t, parents, scores=zeta_field.zeta * dt
-    )
+    if taus is None:
+        return _diffuse(neighbors, zetas, ts, None, n_pairs, config.n_clusters)
+    results = {}
+    for tau in grid_taus:
+        results.update(
+            _reconstruct_and_diffuse(cloud, config, tau, k_max, zetas, ts, n_pairs)
+        )
+    return results
+
+
+def _reconstruct_and_diffuse(
+    cloud: PixelCloud,
+    config: ClusterConfig,
+    tau: float,
+    k_max: int,
+    zetas: dict[int, ZetaField],
+    ts: list[float],
+    n_pairs: int,
+) -> dict[tuple[int, float, float | None], Clustering]:
+    """The grid's results for one ``tau``.  The reconstructed cloud and its
+    neighbour lists are freed on return, before the next ``tau``'s."""
+    working = sar(cloud, IciConfig(tau=tau, lengths=config.lengths))
+    neighbors, _ = knn_indices(working.spectra, k_max)
+    return _diffuse(neighbors, zetas, ts, tau, n_pairs, config.n_clusters)
+
+
+def _diffuse(
+    neighbors: np.ndarray,
+    zetas: dict[int, ZetaField],
+    ts: list[float],
+    tau: float | None,
+    n_pairs: int,
+    n_clusters: int,
+) -> dict[tuple[int, float, float | None], Clustering]:
+    """Clusterings for each ``(k_n, t)`` on the graphs of one neighbour
+    search; ``k_n`` takes the first ``k_n`` columns of ``neighbors``."""
+    results = {}
+    for k_n, zeta_field in zetas.items():
+        system = diffusion_system(knn_graph(neighbors[:, :k_n]), n_pairs)
+        for t in ts:
+            dt, parents = dt_values(system, zeta_field, t)
+            modes = select_modes(zeta_field, dt, n_clusters)
+            results[k_n, t, tau] = propagate_labels(
+                system, zeta_field, modes, t, parents, scores=zeta_field.zeta * dt
+            )
+    return results
 
 
 def dsirc(cloud: PixelCloud, config: ClusterConfig) -> Clustering:
     """Mode-based diffusion clustering on shape-adaptively reconstructed
     spectra (density and purity still come from the originals)."""
-    return _mode_pipeline(cloud, config, reconstruct=True)
+    grid = mode_grid(cloud, config, [config.k_n], [config.t], [config.tau])
+    return grid[config.k_n, config.t, config.tau]
 
 
 def dvic(cloud: PixelCloud, config: ClusterConfig) -> Clustering:
     """The same pipeline as :func:`dsirc` but on the raw spectra."""
-    return _mode_pipeline(cloud, config, reconstruct=False)
+    return mode_grid(cloud, config, [config.k_n], [config.t])[config.k_n, config.t, None]
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,8 @@ def diffusion_system(graph: KnnGraph, n_eigenpairs: int) -> DiffusionSystem:
     which are exactly orthonormal under ``pi = deg / sum(deg)``.  Pairs are
     sorted by decreasing ``|lambda|`` (exact ties prefer the larger signed
     value, putting the stationary pair first) and eigenvalues are clipped
-    into ``[-1, 1]``, their analytic range.
+    into ``[-1, 1]``, their analytic range.  The stationary pair is set to
+    its exact value, eigenvalue 1 and the constant vector 1.
 
     Raises
     ------
@@ -230,6 +231,10 @@ def diffusion_system(graph: KnnGraph, n_eigenpairs: int) -> DiffusionSystem:
     peaks = np.argmax(np.abs(psi), axis=0)
     flip = psi[peaks, np.arange(psi.shape[1])] < 0
     psi[:, flip] *= -1.0
+    # The solver leaves rounding in the stationary pair; at a large t, where
+    # every other weight underflows, that rounding would be all of d_t.
+    eigvals[0] = 1.0
+    psi[:, 0] = 1.0
     return DiffusionSystem(graph, degrees, pi, eigvals, psi)
 
 

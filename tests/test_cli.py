@@ -1,10 +1,12 @@
 """End-to-end CLI checks through ``main(argv)``: artifacts and exit codes."""
 
 import json
+import statistics
 
 import numpy as np
 import pytest
 
+from dsirc import clustering, diffusion
 from dsirc.cli import main
 from dsirc.core import LabelMap, load_envi, read_labels_csv, write_labels_csv
 
@@ -416,28 +418,120 @@ def test_sweep_sc_grid_rows(tmp_path):
     assert lines[1].startswith("40,") and lines[2].startswith("60,")
 
 
-@pytest.mark.parametrize("algorithm", ["dsirc", "dvic"])
-def test_sweep_rows_equal_single_cluster_runs(tmp_path, algorithm):
+@pytest.mark.parametrize(
+    "algorithm, seeds, grids",
+    [
+        pytest.param("dsirc", 1, ("40,60", "10,30", "1,2"), id="dsirc"),
+        pytest.param("dvic", 1, ("40,60", "10,30", "1,2"), id="dvic"),
+        pytest.param("dsirc", 2, ("40,60", "30", "1,2"), id="dsirc-seeds2"),
+        pytest.param("dvic", 2, ("40,60", "10,30", "1"), id="dvic-seeds2"),
+    ],
+)
+def test_sweep_rows_equal_single_cluster_runs(tmp_path, algorithm, seeds, grids):
+    # Each row is the median, over seeds 0.., of the cluster runs with its
+    # knobs, although the sweep shares stages between rows.
     scene = make_scene(tmp_path)
     cube = [str(scene / "cube.hdr"), str(scene / "cube.raw")]
     common = ["--gt", str(scene / "gt.csv"), "--algorithm", algorithm, "--k", "3"]
     out = tmp_path / "sweep"
-    grids = ["--kn-grid", "40,60", "--t-grid", "10,30", "--tau-grid", "1,2"]
-    assert main(["sweep", *cube, *common, "--out", str(out), *grids]) == 0
+    kn_grid, t_grid, tau_grid = grids
+    flags = ["--kn-grid", kn_grid, "--t-grid", t_grid, "--tau-grid", tau_grid]
+    assert main(["sweep", *cube, *common, "--out", str(out), *flags, "--seeds", str(seeds)]) == 0
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     keys = lines[0].split(",")
     rows = [dict(zip(keys, line.split(","))) for line in lines[1:]]
-    taus = ["1.0", "2.0"] if algorithm == "dsirc" else [""]
-    assert sorted((row["kn"], row["t"], row["tau"]) for row in rows) == [
-        (kn, t, tau) for kn in ("40", "60") for t in ("10.0", "30.0") for tau in taus
+    taus = [f"{float(tau)}" for tau in tau_grid.split(",")] if algorithm == "dsirc" else [""]
+    assert [(row["kn"], row["t"], row["tau"]) for row in rows] == [
+        (kn, f"{float(t)}", tau)
+        for kn in kn_grid.split(",")
+        for t in t_grid.split(",")
+        for tau in taus
     ]
     for i, row in enumerate(rows):
         knobs = [f"--{key}={row[key]}" for key in ("kn", "t", "tau") if row[key]]
-        run = tmp_path / f"run{i}"
-        assert main(["cluster", *cube, *common, "--out", str(run), *knobs]) == 0
-        metrics = json.loads((run / "metrics.json").read_text())
-        assert float(row["oa_median"]) == metrics["oa"]
-        assert float(row["kappa_median"]) == metrics["kappa"]
+        runs = []
+        for seed in range(seeds):
+            run = tmp_path / f"run{i}-{seed}"
+            argv = ["cluster", *cube, *common, "--out", str(run), *knobs, "--seed", str(seed)]
+            assert main(argv) == 0
+            runs.append(json.loads((run / "metrics.json").read_text()))
+        assert float(row["oa_median"]) == statistics.median(m["oa"] for m in runs)
+        assert float(row["kappa_median"]) == statistics.median(m["kappa"] for m in runs)
+
+
+@pytest.mark.parametrize(
+    "algorithm, counts",
+    [("dsirc", (1, 2, 3, 4, 8)), ("dvic", (1, 0, 1, 2, 4))],
+)
+def test_sweep_runs_each_stage_once_per_distinct_input(tmp_path, monkeypatch, algorithm, counts):
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    stages = ("unmix", "sar", "knn_indices", "diffusion_system", "dt_values")
+    for name in stages:
+        count(clustering, name)
+    count(diffusion, "knn_indices")
+    scene = make_scene(tmp_path)
+    code = main(
+        [
+            "sweep",
+            str(scene / "cube.hdr"),
+            str(scene / "cube.raw"),
+            "--gt",
+            str(scene / "gt.csv"),
+            "--out",
+            str(tmp_path / "sweep"),
+            "--algorithm",
+            algorithm,
+            "--k",
+            "3",
+            "--kn-grid",
+            "40,60",
+            "--t-grid",
+            "10,30",
+            "--tau-grid",
+            "1,2",
+        ]
+    )
+    assert code == 0
+    assert tuple(calls.get(name, 0) for name in stages) == counts
+
+
+def test_sweep_disconnected_graph_exits_one(tmp_path, capsys):
+    # kn 3 disconnects this scene's graph, as in the cluster test above; the
+    # sweep fails as a whole and writes no partial table.
+    scene = make_scene(tmp_path, noise="0.005")
+    out = tmp_path / "s"
+    code = main(
+        [
+            "sweep",
+            str(scene / "cube.hdr"),
+            str(scene / "cube.raw"),
+            "--gt",
+            str(scene / "gt.csv"),
+            "--out",
+            str(out),
+            "--k",
+            "3",
+            "--kn-grid",
+            "40,3",
+            "--t-grid",
+            "10",
+            "--tau-grid",
+            "1",
+        ]
+    )
+    assert code == 1
+    assert "clustering failed" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_configuration_errors(tmp_path):

@@ -401,8 +401,10 @@ def test_screened_scan_equals_push_scan_on_collapsed_embedding():
     assert_screened_scan_equals_push_scan(
         constant, 1e9, rng, lambda count: count == system.n - 1
     )
-    # Computed, the stationary column is constant only up to rounding.
-    assert_screened_scan_equals_push_scan(system, 1e9, rng, lambda count: count > 0)
+    # The computed system's stationary pair is exact, so it collapses too.
+    assert_screened_scan_equals_push_scan(
+        system, 1e9, rng, lambda count: count == system.n - 1
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,23 @@ def assert_knn_equals_argsort(x, ks):
         np.testing.assert_array_equal(got_dist, want_dist[:, :k])
 
 
+def assert_knn_prefix(x, ks, k_max):
+    # The search at k is the first k columns of the search at k_max; a
+    # sweep reads every k_n from one search at the largest.
+    big_idx, big_dist = knn_indices(x, k_max)
+    for k in ks:
+        assert k < k_max
+        got_idx, got_dist = knn_indices(x, k)
+        np.testing.assert_array_equal(got_idx, big_idx[:, :k])
+        np.testing.assert_array_equal(got_dist, big_dist[:, :k])
+
+
 def test_knn_partial_sort_equals_argsort_on_lattice_ties():
     # Integer points: squared distances are small integers, so the k-th
     # value is tied with columns outside the partition in most rows.
     x = np.random.default_rng(20).integers(0, 4, size=(300, 3)).astype(np.float64)
     assert_knn_equals_argsort(x, (1, 2, 7, 20, 64, 299))
+    assert_knn_prefix(x, (1, 2, 7, 20, 64), 100)
 
 
 def test_knn_partial_sort_equals_argsort_on_duplicate_rows():
@@ -115,6 +127,7 @@ def test_knn_partial_sort_equals_argsort_on_duplicate_rows():
     base = rng.uniform(size=(60, 5))
     x = base[rng.integers(0, 60, size=240)]
     assert_knn_equals_argsort(x, (1, 3, 8, 30, 239))
+    assert_knn_prefix(x, (1, 3, 4, 8, 30), 100)
 
 
 def test_knn_partial_sort_equals_argsort_across_blocks():
@@ -123,6 +136,7 @@ def test_knn_partial_sort_equals_argsort_across_blocks():
     x = np.round(np.random.default_rng(22).uniform(size=(2100, 3)), 2)
     assert max(1, 4_000_000 // x.shape[0]) < x.shape[0]
     assert_knn_equals_argsort(x, (1, 10, 40))
+    assert_knn_prefix(x, (1, 10, 40), 100)
 
 
 def test_knn_indices_validation():
@@ -179,6 +193,18 @@ def test_stationary_pair_comes_first():
     np.testing.assert_allclose(system.eigenvectors[:, 0], 1.0, atol=1e-9)
     assert np.all(np.abs(system.eigenvalues) <= 1.0)
     assert np.all(np.diff(np.abs(system.eigenvalues)) <= 1e-12)
+
+
+def test_stationary_pair_is_exact():
+    # Solved, the pair is (1, constant) only up to rounding, which a large t
+    # would leave as the whole embedding.
+    rng = np.random.default_rng(5)
+    for n, n_pairs in ((300, 50), (60, 60)):  # sparse and dense solvers
+        x = rng.uniform(size=(n, 3))
+        system = diffusion_system(knn_graph(knn_indices(x, 5)[0]), n_pairs)
+        assert system.eigenvalues[0] == 1.0
+        assert np.all(system.eigenvectors[:, 0] == 1.0)
+        assert np.unique(system.embedding(1e9)[:, 0]).size == 1
 
 
 def test_eigenvectors_orthonormal_under_stationary_weights():
