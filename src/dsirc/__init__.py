@@ -41,7 +41,6 @@ from .diffusion import (
     DiffusionSystem,
     DisconnectedGraphError,
     KnnGraph,
-    diffusion_distance,
     diffusion_system,
     knn_graph,
     knn_indices,
@@ -50,12 +49,7 @@ from .diffusion import (
 from .evaluation import align_labels, cohens_kappa, confusion_counts, overall_accuracy
 from .sar import (
     IciConfig,
-    SaRegion,
-    build_sa_region,
     estimate_noise_sigma,
-    ici_select_length,
-    lpa_estimate,
-    reconstruct_pixel,
     sar,
 )
 from .synth import SynthConfig, SynthScene, synth_hsi
@@ -88,11 +82,6 @@ __all__ = [
     "first_pc",
     # sar
     "IciConfig",
-    "SaRegion",
-    "lpa_estimate",
-    "ici_select_length",
-    "build_sa_region",
-    "reconstruct_pixel",
     "estimate_noise_sigma",
     "sar",
     # unmixing
@@ -111,7 +100,6 @@ __all__ = [
     "knn_indices",
     "knn_graph",
     "diffusion_system",
-    "diffusion_distance",
     "nearest_in_diffusion",
     # clustering
     "ClusterConfig",

@@ -11,6 +11,7 @@ order.  K-means and spectral clustering baselines share the same interfaces.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -143,11 +144,23 @@ def kde_density(distances: np.ndarray, sigma0: float) -> DensityField:
     ``f(x) = sum_y exp(-||x - y||^2 / sigma0^2)`` with ``y`` ranging over
     the neighbors (self excluded), whose distances are the rows of the
     ``(n, k_n)`` array ``distances`` from :func:`knn_indices`; ``f_hat``
-    normalizes by the maximum.
+    normalizes by the maximum.  A pixel far from all its neighbors (a
+    saturated outlier, say) can have every term underflow to 0; its ``f`` is
+    floored at the smallest normal float, with a ``RuntimeWarning`` that
+    counts such pixels, so it ranks last instead of failing the run.
     """
     if not sigma0 > 0:
         raise ValueError("sigma0 must be positive")
     f = np.exp(-(distances**2) / sigma0**2).sum(axis=1)
+    tiny = np.finfo(np.float64).tiny
+    floored = int(np.count_nonzero(f < tiny))
+    if floored:
+        warnings.warn(
+            f"KDE density underflows for {floored} pixel(s); floored at {tiny:.3g}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        f = np.maximum(f, tiny)
     return DensityField(f, f / f.max())
 
 

@@ -215,11 +215,12 @@ def _parse_envi_header(path: str) -> dict[str, str]:
     return fields
 
 
-def _header_int(fields: dict[str, str], key: str) -> int:
+def _header_int(fields: dict[str, str], key: str, default: str | None = None) -> int:
+    value = fields.get(key, default)
     try:
-        return int(fields[key])
+        return int(value)
     except ValueError as exc:
-        raise EnviFormatError(f"header key {key!r} is not an integer: {fields[key]!r}") from exc
+        raise EnviFormatError(f"header key {key!r} is not an integer: {value!r}") from exc
 
 
 def load_envi(header_path: str, data_path: str) -> ImageCube:
@@ -242,10 +243,10 @@ def load_envi(header_path: str, data_path: str) -> ImageCube:
     interleave = fields["interleave"].lower()
     if interleave not in ("bsq", "bil", "bip"):
         raise EnviFormatError(f"unsupported interleave {interleave!r}")
-    data_type = int(fields.get("data type", "4"))
+    data_type = _header_int(fields, "data type", "4")
     if data_type != 4:
         raise EnviFormatError(f"unsupported data type {data_type}; only 4 (float32)")
-    byte_order = int(fields.get("byte order", "0"))
+    byte_order = _header_int(fields, "byte order", "0")
     if byte_order != 0:
         raise EnviFormatError(f"unsupported byte order {byte_order}; only 0 (little-endian)")
 

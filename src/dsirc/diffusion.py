@@ -25,7 +25,6 @@ __all__ = [
     "knn_indices",
     "knn_graph",
     "diffusion_system",
-    "diffusion_distance",
     "nearest_in_diffusion",
 ]
 
@@ -236,15 +235,6 @@ def diffusion_system(graph: KnnGraph, n_eigenpairs: int) -> DiffusionSystem:
     eigvals[0] = 1.0
     psi[:, 0] = 1.0
     return DiffusionSystem(graph, degrees, pi, eigvals, psi)
-
-
-def diffusion_distance(system: DiffusionSystem, i: int, j: int, t: float) -> float:
-    """Diffusion distance between nodes ``i`` and ``j`` at time ``t``."""
-    n = system.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError("node index out of range")
-    embedding = system.embedding(t)
-    return float(np.linalg.norm(embedding[i] - embedding[j]))
 
 
 def nearest_in_diffusion(

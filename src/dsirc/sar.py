@@ -13,20 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .core import PcScalarField, PixelCloud, first_pc
+from .core import PixelCloud, first_pc
 
 __all__ = [
     "DIRECTION_STEPS",
     "IciConfig",
-    "SaRegion",
-    "lpa_estimate",
-    "ici_select_length",
-    "build_sa_region",
-    "reconstruct_pixel",
     "estimate_noise_sigma",
     "sar",
 ]
@@ -66,91 +60,6 @@ class IciConfig:
         if lengths[0] < 1 or any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("lengths must be strictly increasing and at least 1")
         object.__setattr__(self, "lengths", lengths)
-
-
-@dataclass(frozen=True)
-class SaRegion:
-    """A pixel's adaptive neighborhood: flat indices inside the convex hull
-    of the eight selected ray endpoints, clipped to the grid."""
-
-    center: int
-    members: np.ndarray
-
-    def __post_init__(self) -> None:
-        members = np.ascontiguousarray(np.asarray(self.members, dtype=np.intp))
-        if members.ndim != 1 or members.size < 1:
-            raise ValueError("members must be a non-empty 1-D index array")
-        if np.any(np.diff(members) <= 0):
-            raise ValueError("members must be strictly increasing")
-        if self.center not in members:
-            raise ValueError("center must be a member of its own region")
-        object.__setattr__(self, "members", members)
-
-
-def _noise_gain(length: int) -> float:
-    """Euclidean norm of the ``length`` equal weights ``1/length``: the noise
-    gain of a ray average.  Computed as a norm rather than ``1/sqrt(length)``
-    because the two differ in the last bit for some lengths, which can flip
-    an interval comparison."""
-    return float(np.linalg.norm(np.full(length, 1.0 / length)))
-
-
-def lpa_estimate(
-    field: PcScalarField, direction: int, length: int, center: tuple[int, int]
-) -> float:
-    """Equal-weight average of ``length`` samples along ray ``direction``
-    (1..8, see :data:`DIRECTION_STEPS`) starting at ``center``.
-
-    Samples falling outside the grid are replaced by the last in-bounds
-    sample along the ray, so every tap is used.
-    """
-    if not 1 <= direction <= 8:
-        raise ValueError("direction must be in 1..8")
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    grid = field.grid()
-    h, w = grid.shape
-    r0, c0 = int(center[0]), int(center[1])
-    if not (0 <= r0 < h and 0 <= c0 < w):
-        raise ValueError("center is outside the grid")
-    dr, dc = DIRECTION_STEPS[direction - 1]
-    weight = 1.0 / length
-    est = 0.0
-    last_r, last_c = r0, c0
-    for s in range(length):
-        rr, cc = r0 + s * dr, c0 + s * dc
-        if 0 <= rr < h and 0 <= cc < w:
-            last_r, last_c = rr, cc
-        est += weight * grid[last_r, last_c]
-    return float(est)
-
-
-def ici_select_length(estimates: Sequence[float], sigma: float, config: IciConfig) -> int:
-    """Pick the largest candidate length whose confidence interval still
-    intersects all shorter ones.
-
-    ``estimates`` holds one ray average per candidate length, aligned with
-    ``config.lengths``, and ``sigma`` is the noise standard deviation of the
-    field.  Interval ``l`` is ``estimate ± tau * sigma * gain(l)``, with
-    ``gain(l) = ‖(1/l, …, 1/l)‖₂`` the noise gain of an ``l``-sample
-    average; the selected length is the last one for which the running
-    intersection ``[max lower, min upper]`` over the prefix is non-empty.
-    The first interval is always non-empty, so the smallest length is the
-    fallback.
-    """
-    if len(estimates) != len(config.lengths):
-        raise ValueError("one estimate per candidate length required")
-    lower = -np.inf
-    upper = np.inf
-    selected = config.lengths[0]
-    for estimate, length in zip(estimates, config.lengths):
-        half = config.tau * sigma * _noise_gain(length)
-        lower = max(lower, estimate - half)
-        upper = min(upper, estimate + half)
-        if lower > upper:
-            break
-        selected = length
-    return selected
 
 
 # ---------------------------------------------------------------------------
@@ -239,29 +148,16 @@ def _region_offsets(dir_lengths: tuple[int, ...]) -> np.ndarray:
     return offsets
 
 
-def build_sa_region(
-    center: tuple[int, int], dir_lengths: Sequence[int], shape: tuple[int, int]
-) -> SaRegion:
-    """Rasterize the adaptive neighborhood for one pixel.
-
-    ``dir_lengths`` gives the selected length per direction (order matching
-    :data:`DIRECTION_STEPS`); members are the in-bounds integer pixels inside
-    the closed convex hull of the eight ray endpoints, as flat row-major
-    indices into a grid of the given ``shape``.
-    """
-    h, w = int(shape[0]), int(shape[1])
-    lengths = tuple(int(l) for l in dir_lengths)
-    if len(lengths) != 8 or any(l < 1 for l in lengths):
-        raise ValueError("dir_lengths must be eight lengths >= 1")
-    r0, c0 = int(center[0]), int(center[1])
-    if not (0 <= r0 < h and 0 <= c0 < w):
-        raise ValueError("center is outside the grid")
+def _region_members(r: int, c: int, lengths: tuple[int, ...], shape: tuple[int, int]) -> np.ndarray:
+    """Sorted flat row-major indices of the in-bounds pixels inside the
+    closed convex hull of the eight ray endpoints of pixel ``(r, c)``, with
+    ``lengths`` the selected length per direction of :data:`DIRECTION_STEPS`."""
+    h, w = shape
     offsets = _region_offsets(lengths)
-    rows = r0 + offsets[:, 0]
-    cols = c0 + offsets[:, 1]
+    rows = r + offsets[:, 0]
+    cols = c + offsets[:, 1]
     keep = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    members = np.sort(rows[keep] * w + cols[keep])
-    return SaRegion(r0 * w + c0, members)
+    return np.sort(rows[keep] * w + cols[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +183,18 @@ def _correlation_weights(x: np.ndarray, neighborhood: np.ndarray, center_pos: in
     return weights
 
 
-def reconstruct_pixel(region: SaRegion, cloud: PixelCloud) -> np.ndarray:
-    """Average of the region's spectra, weighted by their clipped
-    correlation with the center's own spectrum.
+def _reconstruct(spectra: np.ndarray, members: np.ndarray, center: int) -> np.ndarray:
+    """Average of the ``members`` rows of ``spectra`` (sorted, including
+    ``center``), weighted by their clipped correlation with the center's own
+    spectrum.
 
     The result is a convex combination of member spectra (weights are
     non-negative and the center's own weight is 1, so the total is
     positive), which keeps each band inside the member min/max envelope.
     """
-    members = region.members
-    if members.max() >= cloud.n:
-        raise ValueError("region indices fall outside the cloud")
-    neighborhood = cloud.spectra[members]
-    center_pos = int(np.searchsorted(members, region.center))
-    weights = _correlation_weights(cloud.spectra[region.center], neighborhood, center_pos)
+    neighborhood = spectra[members]
+    center_pos = int(np.searchsorted(members, center))
+    weights = _correlation_weights(spectra[center], neighborhood, center_pos)
     return (weights @ neighborhood) / float(weights.sum())
 
 
@@ -325,8 +219,10 @@ def estimate_noise_sigma(grid: np.ndarray) -> float:
 def _directional_estimate_stacks(grid: np.ndarray, lengths: tuple[int, ...]) -> list[np.ndarray]:
     """Per-direction stacks of LPA estimates, shape ``(len(lengths), h, w)``.
 
-    Vectorized over the grid but accumulating samples in the same order as
-    :func:`lpa_estimate`, so values agree bit for bit with the scalar path.
+    Entry ``[m][li, r, c]`` is the equal-weight average of ``lengths[li]``
+    samples of ``grid`` along ray ``m + 1`` from ``(r, c)``, samples outside
+    the grid replaced by the last in-bounds one, so every tap is used.  The
+    samples are accumulated in ray order.
     """
     h, w = grid.shape
     max_len = max(lengths)
@@ -359,6 +255,26 @@ def _directional_estimate_stacks(grid: np.ndarray, lengths: tuple[int, ...]) -> 
     return stacks
 
 
+def _select_lengths(estimates: np.ndarray, sigma: float, config: IciConfig) -> np.ndarray:
+    """Largest candidate length whose confidence interval still intersects
+    all shorter ones, for every ray at once.
+
+    The first axis of ``estimates`` runs over ``config.lengths``.  Interval
+    ``l`` is ``estimate ± tau * sigma * gain(l)``, with ``gain(l)`` the noise
+    gain ``‖(1/l, …, 1/l)‖₂`` of an ``l``-sample average, computed as a norm
+    rather than ``1/sqrt(l)`` because the two differ in the last bit for some
+    lengths, which can flip a comparison.  The running intersection only
+    shrinks, so the lengths whose prefix intersection is non-empty form a
+    prefix of the ladder; the first interval is never empty, so the smallest
+    length is the fallback.
+    """
+    gain = np.array([np.linalg.norm(np.full(l, 1.0 / l)) for l in config.lengths])
+    half = config.tau * sigma * gain.reshape((-1,) + (1,) * (estimates.ndim - 1))
+    lower = np.maximum.accumulate(estimates - half, axis=0)
+    upper = np.minimum.accumulate(estimates + half, axis=0)
+    return np.asarray(config.lengths)[(lower <= upper).sum(axis=0) - 1]
+
+
 def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     """Shape-adaptive reconstruction of every spectrum in a full-grid cloud.
 
@@ -382,18 +298,11 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     field = first_pc(cloud)
     grid = field.grid()
     sigma = estimate_noise_sigma(grid)
-    estimates = np.stack(_directional_estimate_stacks(grid, config.lengths))
-    gnorm2 = np.array([_noise_gain(length) for length in config.lengths])
-    # Interval bounds as in ici_select_length, intersected along the length
-    # axis; the running intersection only shrinks, so the lengths whose
-    # prefix intersection is non-empty form a prefix of the ladder.
-    half = config.tau * sigma * gnorm2[:, None, None]
-    lower = np.maximum.accumulate(estimates - half, axis=1)
-    upper = np.minimum.accumulate(estimates + half, axis=1)
-    selected = np.asarray(config.lengths)[(lower <= upper).sum(axis=1) - 1]
+    estimates = np.stack(_directional_estimate_stacks(grid, config.lengths), axis=1)
+    selected = _select_lengths(estimates, sigma, config)
     out = np.empty_like(cloud.spectra)
     for i in range(cloud.n):
-        r, c = int(cloud.coords[i, 0]), int(cloud.coords[i, 1])
-        region = build_sa_region((r, c), selected[:, r, c], shape)
-        out[i] = reconstruct_pixel(region, cloud)
+        r, c = divmod(i, shape[1])  # the cloud is in row-major order
+        lengths = tuple(int(l) for l in selected[:, r, c])
+        out[i] = _reconstruct(cloud.spectra, _region_members(r, c, lengths, shape), i)
     return PixelCloud(out, cloud.coords.copy())

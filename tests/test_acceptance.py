@@ -17,7 +17,6 @@ from dsirc.clustering import ClusterConfig, dsirc, dvic, kmeans, spectral_cluste
 from dsirc.core import PixelCloud, cube_to_cloud, load_envi, read_labels_csv
 from dsirc.diffusion import (
     DisconnectedGraphError,
-    diffusion_distance,
     diffusion_system,
     knn_graph,
     knn_indices,
@@ -26,14 +25,13 @@ from dsirc.evaluation import align_labels, cohens_kappa, overall_accuracy
 from dsirc.sar import (
     DIRECTION_STEPS,
     IciConfig,
-    build_sa_region,
-    ici_select_length,
-    lpa_estimate,
+    _directional_estimate_stacks,
+    _region_members,
+    _select_lengths,
     sar,
 )
 from dsirc.synth import SynthConfig, synth_hsi
 from dsirc.unmixing import avmax, hysime, nnls, project_affine_pca
-from dsirc.core import PcScalarField
 
 
 def cloud_of(spectra):
@@ -71,10 +69,11 @@ def test_criterion_1_diffusion_distance_oracle():
         p_matrix = adj / adj.sum(axis=1, keepdims=True)
         for t in (1, 2, 5):
             p_t = np.linalg.matrix_power(p_matrix, t)
+            embedding = system.embedding(t)
             for i in range(n):
                 for j in range(i + 1, n):
                     want = float(np.sqrt(np.sum((p_t[i] - p_t[j]) ** 2 / system.pi)))
-                    got = diffusion_distance(system, i, j, t)
+                    got = float(np.linalg.norm(embedding[i] - embedding[j]))
                     if want < 1e-12:
                         assert got < 1e-9
                     else:
@@ -161,15 +160,14 @@ def test_criterion_2_sar_component_oracles():
     for _ in range(100):
         h, w = int(rng.integers(1, 10)), int(rng.integers(1, 10))
         grid = rng.uniform(size=(h, w))
-        field = PcScalarField(grid.ravel(), h, w)
         center = (int(rng.integers(0, h)), int(rng.integers(0, w)))
         direction = int(rng.integers(1, 9))
         length = int(rng.choice(lengths))
-        est = lpa_estimate(field, direction, length, center)
-        lpa_exact += est == walk_average(grid, center, direction, length)
+        est = _directional_estimate_stacks(grid, lengths)[direction - 1][lengths.index(length)]
+        lpa_exact += est[center] == walk_average(grid, center, direction, length)
 
     ici_exact = 0
-    gains = [1.0 / np.sqrt(l) for l in lengths]
+    gains = [np.linalg.norm(np.full(l, 1.0 / l)) for l in lengths]
     for _ in range(100):
         sigma = float(rng.uniform(0.05, 1.0))
         tau = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
@@ -177,7 +175,8 @@ def test_criterion_2_sar_component_oracles():
         ests = [
             (base + float(rng.normal(scale=rng.choice([0.02, 0.5]))), g) for g in gains
         ]
-        got = ici_select_length([e for e, _ in ests], sigma, IciConfig(tau=tau, lengths=lengths))
+        config = IciConfig(tau=tau, lengths=lengths)
+        got = _select_lengths(np.array([e for e, _ in ests]), sigma, config)
         ici_exact += got == prefix_selection(ests, lengths, tau, sigma)
 
     region_exact = 0
@@ -185,7 +184,7 @@ def test_criterion_2_sar_component_oracles():
         h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         center = (int(rng.integers(0, h)), int(rng.integers(0, w)))
         dir_lengths = tuple(int(l) for l in rng.integers(1, 5, size=8))
-        region = build_sa_region(center, dir_lengths, (h, w))
+        members = _region_members(*center, dir_lengths, (h, w))
         vertices = [
             (center[0] + (l - 1) * dr, center[1] + (l - 1) * dc)
             for l, (dr, dc) in zip(dir_lengths, DIRECTION_STEPS)
@@ -196,7 +195,7 @@ def test_criterion_2_sar_component_oracles():
             for c in range(w)
             if hull_membership((r, c), vertices)
         ]
-        region_exact += region.members.tolist() == want
+        region_exact += members.tolist() == want
 
     elapsed = time.perf_counter() - start
     ok = lpa_exact == ici_exact == region_exact == 100 and elapsed < 10.0

@@ -38,6 +38,7 @@ from dsirc.diffusion import (
     knn_graph,
     knn_indices,
 )
+from dsirc.synth import SynthConfig, synth_hsi
 from dsirc.unmixing import PurityField
 
 
@@ -99,6 +100,15 @@ def test_kde_requires_positive_bandwidth():
     cloud = cloud_of(rng.uniform(size=(10, 3)))
     with pytest.raises(ValueError):
         kde_density(knn_indices(cloud.spectra, 3)[1], 0.0)
+
+
+def test_kde_floors_underflowing_rows():
+    distances = np.array([[0.1, 0.2], [100.0, 200.0], [0.3, 0.4]])
+    with pytest.warns(RuntimeWarning, match="underflows for 1 pixel"):
+        field = kde_density(distances, 0.35)
+    want = np.exp(-(distances**2) / 0.35**2).sum(axis=1)
+    assert field.f[1] == np.finfo(np.float64).tiny
+    assert field.f[0] == want[0] and field.f[2] == want[2]
 
 
 def test_zeta_is_harmonic_mean():
@@ -436,6 +446,18 @@ def test_dsirc_recovers_blocky_scene():
     for cls in (1, 2, 3):
         counts = np.bincount(labels[owner == cls])
         assert counts.max() / counts.sum() >= 0.9
+
+
+@pytest.mark.parametrize("pipeline", [dsirc, dvic])
+def test_saturated_pixel_is_floored_not_fatal(pipeline):
+    # One pixel at 50 in every band is so far from the rest that each of its
+    # KDE terms underflows to 0.
+    cloud = cube_to_cloud(synth_hsi(SynthConfig(seed=0)).cube)
+    spectra = cloud.spectra.copy()
+    spectra[5] = 50.0
+    with pytest.warns(RuntimeWarning, match="underflows for 1 pixel"):
+        got = pipeline(PixelCloud(spectra, cloud.coords), ClusterConfig(n_clusters=4, seed=0))
+    assert set(np.unique(got.labels.labels)) == {1, 2, 3, 4}
 
 
 def test_one_knn_search_per_cloud(monkeypatch):

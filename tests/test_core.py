@@ -151,6 +151,23 @@ def test_load_envi_rejects_unsupported_dtype(tmp_path):
         load_envi(str(hdr), str(raw))
 
 
+@pytest.mark.parametrize(
+    "key, value", [("data type", "float"), ("byte order", "little")]
+)
+def test_load_envi_names_a_non_integer_format_key(tmp_path, key, value):
+    hdr = tmp_path / "g.hdr"
+    raw = tmp_path / "g.raw"
+    fields = {"data type": "4", "byte order": "0", key: value}
+    write_header(
+        hdr,
+        "ENVI\nsamples = 2\nlines = 2\nbands = 1\ninterleave = bsq\n"
+        + "".join(f"{k} = {v}\n" for k, v in fields.items()),
+    )
+    raw.write_bytes(b"\0" * 16)
+    with pytest.raises(EnviFormatError, match=f"header key '{key}' is not an integer"):
+        load_envi(str(hdr), str(raw))
+
+
 def test_load_envi_rejects_missing_keys(tmp_path):
     hdr = tmp_path / "d.hdr"
     raw = tmp_path / "d.raw"

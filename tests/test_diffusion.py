@@ -13,7 +13,6 @@ from dsirc.diffusion import (
     DiffusionSystem,
     DisconnectedGraphError,
     KnnGraph,
-    diffusion_distance,
     diffusion_system,
     knn_graph,
     knn_indices,
@@ -220,10 +219,11 @@ def test_diffusion_distance_matches_transition_matrix_power():
     rng = np.random.default_rng(5)
     for t in (1, 2, 3, 6):
         p_t = np.linalg.matrix_power(p_matrix, t)
+        embedding = system.embedding(t)
         for _ in range(8):
             i, j = rng.integers(0, system.n, size=2)
             want = np.sqrt(np.sum((p_t[i] - p_t[j]) ** 2 / system.pi))
-            got = diffusion_distance(system, int(i), int(j), t)
+            got = np.linalg.norm(embedding[i] - embedding[j])
             assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -242,8 +242,9 @@ def test_sparse_solver_agrees_with_dense_reference():
     psi = eigvecs[:, order] * inv_sqrt[:, None] * np.sqrt(degrees.sum())
     for t in (1, 4):
         want = psi * np.abs(eigvals[order]) ** t
+        got = system.embedding(t)
         for i, j in ((0, 50), (3, 120), (77, 199)):
-            assert diffusion_distance(system, i, j, t) == pytest.approx(
+            assert np.linalg.norm(got[i] - got[j]) == pytest.approx(
                 float(np.linalg.norm(want[i] - want[j])), rel=1e-6, abs=1e-9
             )
 
@@ -265,8 +266,6 @@ def test_diffusion_system_validation():
         diffusion_system(system.graph, system.n + 1)
     with pytest.raises(ValueError):
         system.embedding(-1.0)
-    with pytest.raises(IndexError):
-        diffusion_distance(system, 0, system.n, 1.0)
 
 
 def test_nearest_in_diffusion_matches_pointwise_distances():
@@ -277,7 +276,8 @@ def test_nearest_in_diffusion_matches_pointwise_distances():
         cand = rng.choice(system.n, size=6, replace=False)
         t = float(rng.uniform(0.5, 8.0))
         got = nearest_in_diffusion(system, i, cand, t)
-        dists = {int(c): diffusion_distance(system, i, int(c), t) for c in cand}
+        embedding = system.embedding(t)
+        dists = {int(c): np.linalg.norm(embedding[i] - embedding[c]) for c in cand}
         best = min(sorted(dists), key=lambda c: dists[c])
         assert got == best
 
@@ -291,5 +291,8 @@ def test_nearest_in_diffusion_validation():
 
 
 def test_self_distance_is_zero():
+    # Every node is its own nearest candidate: its distance to itself is 0,
+    # and ties with a coincident node go to the smaller index.
     system = connected_system()
-    assert diffusion_distance(system, 4, 4, 3.0) == 0.0
+    for i in range(system.n):
+        assert nearest_in_diffusion(system, i, range(i, system.n), 3.0) == i

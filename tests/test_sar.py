@@ -1,47 +1,42 @@
 """Directional averaging, interval length selection, adaptive regions.
 
-Each geometric/statistical operation is checked against an independently
-written oracle: a literal ray walk for the directional averages, an
-explicit prefix-intersection loop for the length rule, and an exact
-integer triangle-decomposition membership test for the convex regions.
+Each stage ``sar`` runs is checked against an independently written
+oracle: a literal ray walk for the directional averages, an explicit
+prefix-intersection loop for the length rule, an exact integer
+triangle-decomposition membership test for the convex regions, and a
+per-member Pearson loop for the weighted average.  The full pass is then
+checked bit for bit against the first three oracles assembled around the
+library's weighted average.
 """
 
 import numpy as np
 import pytest
 
-from dsirc.core import PcScalarField, PixelCloud, cube_to_cloud, ImageCube
+from dsirc.core import PixelCloud, cube_to_cloud, first_pc, ImageCube
 from dsirc.sar import (
     DIRECTION_STEPS,
     IciConfig,
-    SaRegion,
-    build_sa_region,
+    _directional_estimate_stacks,
+    _reconstruct,
+    _region_members,
+    _select_lengths,
     estimate_noise_sigma,
-    ici_select_length,
-    lpa_estimate,
-    reconstruct_pixel,
     sar,
 )
-
-
-def field_from(grid):
-    grid = np.asarray(grid, dtype=np.float64)
-    h, w = grid.shape
-    return PcScalarField(grid.ravel(), h, w)
 
 
 # ---------------------------------------------------------------------------
 # directional averages vs a literal ray walk
 
 
-def test_kernel_validation():
-    field = field_from(np.zeros((3, 3)))
-    # DIRECTION_STEPS[-1] would otherwise wrap to direction 8
-    with pytest.raises(ValueError):
-        lpa_estimate(field, 0, 1, (1, 1))
-    with pytest.raises(ValueError):
-        lpa_estimate(field, 9, 1, (1, 1))
-    with pytest.raises(ValueError):
-        lpa_estimate(field, 1, 0, (1, 1))
+LADDER = (1, 2, 3, 5, 7, 9)
+
+
+def library_estimate(grid, direction, length, center):
+    """The library's average of ``length`` samples along ray ``direction``,
+    read from the stacks ``sar`` computes for the default ladder."""
+    stacks = _directional_estimate_stacks(np.asarray(grid, dtype=np.float64), LADDER)
+    return stacks[direction - 1][LADDER.index(length)][center]
 
 
 def walk_average(grid, center, direction, length):
@@ -65,42 +60,33 @@ def test_lpa_estimate_matches_ray_walk_exactly():
         h = int(rng.integers(1, 9))
         w = int(rng.integers(1, 9))
         grid = rng.standard_normal((h, w))
-        field = field_from(grid)
         r = int(rng.integers(0, h))
         c = int(rng.integers(0, w))
         direction = int(rng.integers(1, 9))
-        length = int(rng.choice([1, 2, 3, 5, 7, 9]))
-        est = lpa_estimate(field, direction, length, (r, c))
+        length = int(rng.choice(LADDER))
+        est = library_estimate(grid, direction, length, (r, c))
         assert est == walk_average(grid, (r, c), direction, length)
         cases += 1
 
 
 def test_lpa_estimate_interior_no_padding():
     grid = np.arange(49, dtype=float).reshape(7, 7)
-    field = field_from(grid)
     # direction 1 steps east: average of (3,3), (3,4), (3,5)
-    est = lpa_estimate(field, 1, 3, (3, 3))
+    est = library_estimate(grid, 1, 3, (3, 3))
     assert est == pytest.approx(np.mean([grid[3, 3], grid[3, 4], grid[3, 5]]))
     # direction 3 steps north: average of (3,3), (2,3), (1,3)
-    est = lpa_estimate(field, 3, 3, (3, 3))
+    est = library_estimate(grid, 3, 3, (3, 3))
     assert est == pytest.approx(np.mean([grid[3, 3], grid[2, 3], grid[1, 3]]))
 
 
 def test_lpa_estimate_replicates_last_in_bounds_sample():
     grid = np.array([[1.0, 2.0, 4.0]])
-    field = field_from(grid)
     # eastward from column 1: samples at columns 1, 2, then 2 again
-    est = lpa_estimate(field, 1, 3, (0, 1))
+    est = library_estimate(grid, 1, 3, (0, 1))
     assert est == pytest.approx((2.0 + 4.0 + 4.0) / 3.0)
     # northward from the only row: the center replicates
-    est = lpa_estimate(field, 3, 3, (0, 1))
+    est = library_estimate(grid, 3, 3, (0, 1))
     assert est == pytest.approx(2.0)
-
-
-def test_lpa_estimate_rejects_out_of_grid_center():
-    field = field_from(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        lpa_estimate(field, 1, 1, (3, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +104,20 @@ def prefix_selection(estimates, lengths, tau, sigma):
     return best
 
 
+def noise_gain(length):
+    """Noise gain of a ``length``-sample average, in the library's form."""
+    return np.linalg.norm(np.full(length, 1.0 / length))
+
+
+def library_selection(estimates, sigma, config):
+    """The library's length choice for one ray."""
+    return int(_select_lengths(np.asarray(estimates, dtype=np.float64), sigma, config))
+
+
 def test_ici_matches_prefix_oracle():
     rng = np.random.default_rng(11)
     lengths = (1, 2, 3, 5, 7, 9)
-    gains = [1.0 / np.sqrt(l) for l in lengths]
+    gains = [noise_gain(l) for l in lengths]
     for trial in range(200):
         sigma = float(rng.uniform(0.05, 1.0))
         tau = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
@@ -132,7 +128,7 @@ def test_ici_matches_prefix_oracle():
             for g in gains
         ]
         config = IciConfig(tau=tau, lengths=lengths)
-        assert ici_select_length([e for e, _ in ests], sigma, config) == prefix_selection(
+        assert library_selection([e for e, _ in ests], sigma, config) == prefix_selection(
             ests, lengths, tau, sigma
         )
 
@@ -141,20 +137,14 @@ def test_ici_constant_estimates_select_longest():
     lengths = (1, 2, 3, 5, 7, 9)
     ests = [0.7] * len(lengths)
     config = IciConfig(tau=2.0, lengths=lengths)
-    assert ici_select_length(ests, 0.1, config) == 9
+    assert library_selection(ests, 0.1, config) == 9
 
 
 def test_ici_divergent_second_estimate_selects_shortest():
     lengths = (1, 2, 3)
     ests = [0.0, 100.0, 0.0]
     config = IciConfig(tau=1.0, lengths=lengths)
-    assert ici_select_length(ests, 0.1, config) == 1
-
-
-def test_ici_requires_sigma_and_matching_lengths():
-    config = IciConfig(tau=2.0, lengths=(1, 2))
-    with pytest.raises(ValueError):
-        ici_select_length([0.0], 0.1, config)
+    assert library_selection(ests, 0.1, config) == 1
 
 
 def test_ici_config_validation():
@@ -229,39 +219,29 @@ def test_sa_region_matches_exact_hull_oracle():
         r0 = int(rng.integers(0, h))
         c0 = int(rng.integers(0, w))
         dir_lengths = tuple(int(l) for l in rng.integers(1, 5, size=8))
-        region = build_sa_region((r0, c0), dir_lengths, (h, w))
-        assert region.members.tolist() == region_by_oracle((r0, c0), dir_lengths, (h, w))
+        members = _region_members(r0, c0, dir_lengths, (h, w))
+        assert members.tolist() == region_by_oracle((r0, c0), dir_lengths, (h, w))
 
 
 def test_sa_region_all_lengths_one_is_a_singleton():
-    region = build_sa_region((2, 3), (1,) * 8, (5, 5))
-    assert region.members.tolist() == [2 * 5 + 3]
-    assert region.center == 2 * 5 + 3
+    members = _region_members(2, 3, (1,) * 8, (5, 5))
+    assert members.tolist() == [2 * 5 + 3]
 
 
 def test_sa_region_uniform_lengths_make_a_symmetric_octagon():
-    region = build_sa_region((4, 4), (3,) * 8, (9, 9))
-    rows, cols = np.divmod(region.members, 9)
+    members = _region_members(4, 4, (3,) * 8, (9, 9))
+    rows, cols = np.divmod(members, 9)
     # symmetric under 180-degree rotation about the center
     mirrored = sorted(zip(8 - rows, 8 - cols))
     assert mirrored == sorted(zip(rows, cols))
-    assert 4 * 9 + 4 in region.members
+    assert 4 * 9 + 4 in members
 
 
 def test_sa_region_clips_to_grid():
-    region = build_sa_region((0, 0), (9,) * 8, (3, 3))
-    assert region.members.min() >= 0
-    rows, cols = np.divmod(region.members, 3)
+    members = _region_members(0, 0, (9,) * 8, (3, 3))
+    assert members.min() >= 0
+    rows, cols = np.divmod(members, 3)
     assert rows.max() <= 2 and cols.max() <= 2
-
-
-def test_sa_region_validation():
-    with pytest.raises(ValueError):
-        build_sa_region((0, 0), (1,) * 7, (3, 3))
-    with pytest.raises(ValueError):
-        build_sa_region((5, 0), (1,) * 8, (3, 3))
-    with pytest.raises(ValueError):
-        SaRegion(0, np.array([1, 2]))  # center not a member
 
 
 # ---------------------------------------------------------------------------
@@ -278,57 +258,54 @@ def pearson(a, b):
     return float(ac @ bc / (na * nb))
 
 
-def reconstruct_by_oracle(x, region, cloud):
+def reconstruct_by_oracle(spectra, members, center):
+    x = spectra[center]
     weights = []
-    for pos, idx in enumerate(region.members):
-        if idx == region.center:
+    for idx in members:
+        if idx == center:
             weights.append(1.0)
         else:
-            weights.append(max(pearson(x, cloud.spectra[idx]), 0.0))
+            weights.append(max(pearson(x, spectra[idx]), 0.0))
     weights = np.array(weights)
-    return (weights[:, None] * cloud.spectra[region.members]).sum(axis=0) / weights.sum()
+    return (weights[:, None] * spectra[members]).sum(axis=0) / weights.sum()
 
 
 def test_reconstruct_pixel_matches_weighted_mean_oracle():
     rng = np.random.default_rng(13)
     for trial in range(30):
         h, w, bands = 5, 6, 4
-        cube = ImageCube(rng.standard_normal((bands, h, w)))
-        cloud = cube_to_cloud(cube)
+        spectra = cube_to_cloud(ImageCube(rng.standard_normal((bands, h, w)))).spectra
         r0 = int(rng.integers(0, h))
         c0 = int(rng.integers(0, w))
         dir_lengths = tuple(int(l) for l in rng.integers(1, 4, size=8))
-        region = build_sa_region((r0, c0), dir_lengths, (h, w))
-        x = cloud.spectra[region.center]
-        got = reconstruct_pixel(region, cloud)
-        np.testing.assert_allclose(got, reconstruct_by_oracle(x, region, cloud), rtol=1e-12)
+        members = _region_members(r0, c0, dir_lengths, (h, w))
+        center = r0 * w + c0
+        got = _reconstruct(spectra, members, center)
+        np.testing.assert_allclose(
+            got, reconstruct_by_oracle(spectra, members, center), rtol=1e-12
+        )
 
 
 def test_reconstruct_singleton_region_returns_input():
     rng = np.random.default_rng(14)
-    cube = ImageCube(rng.standard_normal((3, 4, 4)))
-    cloud = cube_to_cloud(cube)
-    region = build_sa_region((1, 1), (1,) * 8, (4, 4))
-    x = cloud.spectra[region.center]
-    np.testing.assert_array_equal(reconstruct_pixel(region, cloud), x)
+    spectra = cube_to_cloud(ImageCube(rng.standard_normal((3, 4, 4)))).spectra
+    members = _region_members(1, 1, (1,) * 8, (4, 4))
+    np.testing.assert_array_equal(_reconstruct(spectra, members, 5), spectra[5])
 
 
 def test_reconstruct_identical_neighbors_average_to_the_same_spectrum():
     spectra = np.tile(np.array([1.0, 2.0, 3.0]), (9, 1))
-    coords = np.array([[r, c] for r in range(3) for c in range(3)])
-    cloud = PixelCloud(spectra, coords)
-    region = build_sa_region((1, 1), (2,) * 8, (3, 3))
-    got = reconstruct_pixel(region, cloud)
+    members = _region_members(1, 1, (2,) * 8, (3, 3))
+    got = _reconstruct(spectra, members, 4)
     np.testing.assert_allclose(got, [1.0, 2.0, 3.0])
 
 
 def test_reconstruction_is_a_convex_combination():
     rng = np.random.default_rng(15)
-    cube = ImageCube(rng.standard_normal((5, 6, 6)))
-    cloud = cube_to_cloud(cube)
-    region = build_sa_region((3, 3), (3,) * 8, (6, 6))
-    got = reconstruct_pixel(region, cloud)
-    members = cloud.spectra[region.members]
+    spectra = cube_to_cloud(ImageCube(rng.standard_normal((5, 6, 6)))).spectra
+    region = _region_members(3, 3, (3,) * 8, (6, 6))
+    got = _reconstruct(spectra, region, 3 * 6 + 3)
+    members = spectra[region]
     assert np.all(got >= members.min(axis=0) - 1e-12)
     assert np.all(got <= members.max(axis=0) + 1e-12)
 
@@ -375,28 +352,26 @@ def test_noise_sigma_requires_2d():
 
 
 def scalar_sar(cloud, config):
-    """Assemble the reconstruction pixel by pixel through the scalar ops."""
-    field = first_pc_field(cloud)
-    grid = field.grid()
+    """Assemble the reconstruction pixel by pixel from the oracles: ray walks,
+    prefix selection and hull rasterization choose each region, and the
+    library's ``_reconstruct`` averages it."""
+    grid = first_pc(cloud).grid()
     sigma = estimate_noise_sigma(grid)
+    gains = [noise_gain(l) for l in config.lengths]
     h, w = grid.shape
     out = np.empty_like(cloud.spectra)
     for r in range(h):
         for c in range(w):
             dir_lengths = []
             for direction in range(1, 9):
-                ests = [lpa_estimate(field, direction, l, (r, c)) for l in config.lengths]
-                dir_lengths.append(ici_select_length(ests, sigma, config))
-            region = build_sa_region((r, c), dir_lengths, (h, w))
+                ests = [walk_average(grid, (r, c), direction, l) for l in config.lengths]
+                dir_lengths.append(
+                    prefix_selection(list(zip(ests, gains)), config.lengths, config.tau, sigma)
+                )
+            members = np.array(region_by_oracle((r, c), dir_lengths, (h, w)), dtype=np.intp)
             idx = r * w + c
-            out[idx] = reconstruct_pixel(region, cloud)
+            out[idx] = _reconstruct(cloud.spectra, members, idx)
     return out
-
-
-def first_pc_field(cloud):
-    from dsirc.core import first_pc
-
-    return first_pc(cloud)
 
 
 def test_sar_equals_scalar_assembly_bitwise():
