@@ -29,7 +29,6 @@ from .core import (
     EnviFormatError,
     ImageCube,
     LabelMap,
-    PcScalarField,
     PixelCloud,
     cloud_to_cube,
     cube_to_cloud,
@@ -72,7 +71,6 @@ __all__ = [
     "ImageCube",
     "PixelCloud",
     "LabelMap",
-    "PcScalarField",
     "EnviFormatError",
     "DegenerateCovarianceError",
     "load_envi",

@@ -43,41 +43,60 @@ from .synth import SynthConfig, synth_hsi
 __all__ = ["main"]
 
 _ALGORITHMS = ("dsirc", "dvic", "kmeans", "sc")
+_NORMALIZATIONS = ("none", "l2")
 
-# Option keys that set a ClusterConfig field of the same meaning.
-_CLUSTER_FIELDS = {
-    "kn": "k_n",
-    "sigma0": "sigma0",
-    "t": "t",
-    "tau": "tau",
-    "lsar": "lengths",
-    "restarts": "restarts",
-    "p": "n_endmembers",
-    "eigenpairs": "n_eigenpairs",
+
+def _auto(cast):
+    """A parser that reads ``auto`` as ``None`` ("derive from the data")."""
+    return lambda text: None if text == "auto" else cast(text)
+
+
+def _choice(*choices):
+    """A parser that lower-cases its text and accepts only ``choices``."""
+
+    def parse(text: str) -> str:
+        value = text.lower()
+        if value not in choices:
+            raise ValueError(f"choose from {', '.join(choices)}")
+        return value
+
+    return parse
+
+
+def _lengths(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(","))
+
+
+# Each key is both a flag and a --config key: its parser, the ClusterConfig
+# field it sets (or None) and its help.
+_OPTIONS = {
+    "algorithm": (_choice(*_ALGORITHMS), None, f"clustering algorithm: {', '.join(_ALGORITHMS)}"),
+    "k": (int, "n_clusters", "number of clusters"),
+    "kn": (int, "k_n", "nearest-neighbor count for graph and density"),
+    "sigma0": (_auto(float), "sigma0", "KDE bandwidth, or 'auto'"),
+    "t": (float, "t", "diffusion time"),
+    "tau": (float, "tau", "confidence-interval width multiplier"),
+    "lsar": (_lengths, "lengths", "comma-separated candidate ray lengths"),
+    "restarts": (int, "restarts", "random restarts for volume ascent / k-means"),
+    "seed": (int, None, "random seed"),
+    "p": (_auto(int), "n_endmembers", "endmember count, or 'auto'"),
+    "eigenpairs": (_auto(int), "n_eigenpairs", "retained eigenpairs, or 'auto'"),
+    "normalize": (
+        _choice(*_NORMALIZATIONS), None, f"spectrum normalization: {', '.join(_NORMALIZATIONS)}"
+    ),
 }
 
-_FIELD_DEFAULTS = {field.name: field.default for field in dataclasses.fields(ClusterConfig)}
-
-
-def _option_text(value) -> str:
-    """A config default as option text; ``None`` ("derive from the data")
-    reads ``auto``."""
-    if value is None:
-        return "auto"
-    if isinstance(value, tuple):
-        return ",".join(str(part) for part in value)
-    return str(value)
-
-
-# Keys accepted both as flags and in a --config file, with their defaults;
-# the pipeline knobs take theirs from ClusterConfig.
-_DEFAULTS: dict[str, str] = {
-    "algorithm": "dsirc",
-    **{key: _option_text(_FIELD_DEFAULTS[name]) for key, name in _CLUSTER_FIELDS.items()},
-    "seed": "0",
-    "normalize": "none",
+# The pipeline knobs take their defaults from ClusterConfig; k has none.
+_DEFAULTS: dict[str, object] = {"algorithm": "dsirc", "seed": 0, "normalize": "none"} | {
+    key: field.default
+    for field in dataclasses.fields(ClusterConfig)
+    for key, (_, name, _) in _OPTIONS.items()
+    if name == field.name and field.default is not dataclasses.MISSING
 }
-_CONFIG_KEYS = frozenset(_DEFAULTS) | {"k"}
+
+# The sweep's default grids, and the keys each algorithm sweeps.
+_GRIDS = {"kn": "20,50,100,200", "t": "10,30,100", "tau": "1,2,3"}
+_SWEPT = {"kmeans": (), "sc": ("kn",), "dvic": ("kn", "t"), "dsirc": ("kn", "t", "tau")}
 
 
 def _fail(stage: str, message, code: int) -> int:
@@ -96,71 +115,36 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip().lower()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value
+            values[key] = value.strip()
     return values
 
 
-def _resolve_options(args: argparse.Namespace) -> dict[str, str]:
-    """Merge defaults, config file, and explicit flags (flags win)."""
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = str(flag)
-    return merged
-
-
-def _parse_lengths(text: str) -> tuple[int, ...]:
+def _parse_value(key: str, text: str):
     try:
-        lengths = tuple(int(part) for part in text.split(","))
+        return _OPTIONS[key][0](text)
     except ValueError as exc:
-        raise ValueError(f"bad length list {text!r}") from exc
-    if not lengths:
-        raise ValueError("length list is empty")
-    return lengths
+        raise ValueError(f"bad {key} value {text!r}: {exc}") from exc
 
 
-def _parse_options(options: dict[str, str]) -> dict[str, object]:
-    """Typed view of the merged string options; raises ValueError on junk."""
-    parsed: dict[str, object] = {}
-    algorithm = options["algorithm"].lower()
-    if algorithm not in _ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {_ALGORITHMS}")
-    parsed["algorithm"] = algorithm
-    if "k" not in options:
+def _parse_options(args: argparse.Namespace) -> dict[str, object]:
+    """The run's options: defaults, then the --config file, then flags, each
+    given value parsed once; raises ValueError when one is invalid."""
+    given = _read_config_file(args.config) if args.config else {}
+    given.update({key: getattr(args, key) for key in _OPTIONS if getattr(args, key) is not None})
+    opts = dict(_DEFAULTS)
+    opts.update({key: _parse_value(key, text) for key, text in given.items()})
+    if "k" not in opts:
         raise ValueError("number of clusters is required (--k or config key 'k')")
-    parsed["k"] = int(options["k"])
-    parsed["kn"] = int(options["kn"])
-    parsed["sigma0"] = None if options["sigma0"] == "auto" else float(options["sigma0"])
-    parsed["t"] = float(options["t"])
-    parsed["tau"] = float(options["tau"])
-    parsed["lsar"] = _parse_lengths(options["lsar"])
-    parsed["restarts"] = int(options["restarts"])
-    parsed["seed"] = int(options["seed"])
-    parsed["p"] = None if options["p"] == "auto" else int(options["p"])
-    parsed["eigenpairs"] = (
-        None if options["eigenpairs"] == "auto" else int(options["eigenpairs"])
-    )
-    normalize = options["normalize"].lower()
-    if normalize not in ("none", "l2"):
-        raise ValueError(f"unknown normalization {normalize!r}; choose none or l2")
-    parsed["normalize"] = normalize
-    _cluster_config(parsed, parsed["seed"])
-    return parsed
+    _cluster_config(opts, opts["seed"])
+    return opts
 
 
 def _cluster_config(opts: dict[str, object], seed: int) -> ClusterConfig:
     """The pipeline config for ``opts``; raises ValueError when it is invalid."""
-    return ClusterConfig(
-        n_clusters=opts["k"],
-        seed=seed,
-        **{name: opts[key] for key, name in _CLUSTER_FIELDS.items()},
-    )
+    fields = {name: opts[key] for key, (_, name, _) in _OPTIONS.items() if name}
+    return ClusterConfig(seed=seed, **fields)
 
 
 def _normalized(cloud: PixelCloud, mode: str) -> PixelCloud:
@@ -279,7 +263,7 @@ def _load_inputs(args, opts) -> tuple[PixelCloud, tuple[int, int], LabelMap | No
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     try:
-        opts = _parse_options(_resolve_options(args))
+        opts = _parse_options(args)
     except (OSError, ValueError) as exc:
         return _fail("configuration", exc, 2)
     try:
@@ -334,36 +318,22 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(text: str, cast) -> list:
-    values = [cast(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise ValueError(f"empty grid {text!r}")
-    return values
-
-
-def _sweep_grid(algorithm: str, kn_grid, t_grid, tau_grid) -> list[dict[str, object]]:
-    """Parameter combinations that actually affect the given algorithm."""
-    if algorithm == "kmeans":
-        return [{}]
-    if algorithm == "sc":
-        return [{"kn": kn} for kn in kn_grid]
-    if algorithm == "dvic":
-        return [{"kn": kn, "t": t} for kn, t in itertools.product(kn_grid, t_grid)]
-    return [
-        {"kn": kn, "t": t, "tau": tau}
-        for kn, t, tau in itertools.product(kn_grid, t_grid, tau_grid)
-    ]
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        opts = _parse_options(_resolve_options(args))
-        kn_grid = _parse_grid(args.kn_grid, int)
-        t_grid = _parse_grid(args.t_grid, float)
-        tau_grid = _parse_grid(args.tau_grid, float)
+        opts = _parse_options(args)
+        grids = {}
+        for key in _GRIDS:
+            text = getattr(args, f"{key}_grid")
+            grids[key] = [_parse_value(key, part) for part in text.split(",") if part.strip()]
+            if not grids[key]:
+                raise ValueError(f"empty {key} grid {text!r}")
         if args.seeds < 1:
             raise ValueError("--seeds must be at least 1")
-        combos = _sweep_grid(opts["algorithm"], kn_grid, t_grid, tau_grid)
+        swept = _SWEPT[opts["algorithm"]]
+        combos = [
+            dict(zip(swept, values))
+            for values in itertools.product(*(grids[key] for key in swept))
+        ]
         for combo in combos:
             _cluster_config({**opts, **combo}, opts["seed"])
     except (OSError, ValueError) as exc:
@@ -413,18 +383,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _add_common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value options file (flags win)")
-    sub.add_argument("--algorithm", choices=_ALGORITHMS, help="clustering algorithm")
-    sub.add_argument("--k", type=int, help="number of clusters")
-    sub.add_argument("--kn", type=int, help="nearest-neighbor count for graph and density")
-    sub.add_argument("--sigma0", help="KDE bandwidth, or 'auto'")
-    sub.add_argument("--t", type=float, help="diffusion time")
-    sub.add_argument("--tau", type=float, help="confidence-interval width multiplier")
-    sub.add_argument("--lsar", help="comma-separated candidate ray lengths")
-    sub.add_argument("--restarts", type=int, help="random restarts for volume ascent / k-means")
-    sub.add_argument("--seed", type=int, help="random seed")
-    sub.add_argument("--p", help="endmember count, or 'auto'")
-    sub.add_argument("--eigenpairs", help="retained eigenpairs, or 'auto'")
-    sub.add_argument("--normalize", choices=("none", "l2"), help="spectrum normalization")
+    for key, (_, _, text) in _OPTIONS.items():
+        sub.add_argument("--" + key, help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -465,9 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("data", help="ENVI data file")
     sweep.add_argument("--gt", required=True, help="ground-truth CSV")
     sweep.add_argument("--out", required=True, help="output directory")
-    sweep.add_argument("--kn-grid", default="20,50,100,200")
-    sweep.add_argument("--t-grid", default="10,30,100")
-    sweep.add_argument("--tau-grid", default="1,2,3")
+    for key, default in _GRIDS.items():
+        sweep.add_argument(f"--{key}-grid", default=default, help=f"comma-separated {key} values")
     sweep.add_argument("--seeds", type=int, default=1, help="seeds per combination")
     _add_common_options(sweep)
     sweep.set_defaults(func=_cmd_sweep)

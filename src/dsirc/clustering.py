@@ -292,9 +292,7 @@ def select_modes(zeta_field: ZetaField, dt: np.ndarray, n_clusters: int) -> np.n
         raise ValueError("dt and zeta disagree on pixel count")
     if not 1 <= n_clusters <= z.shape[0]:
         raise ValueError(f"n_clusters must be in [1, {z.shape[0]}]")
-    scores = z * dt
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return order[:n_clusters]
+    return _rank_order(z * dt)[:n_clusters]
 
 
 def propagate_labels(

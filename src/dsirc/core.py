@@ -20,7 +20,6 @@ __all__ = [
     "ImageCube",
     "PixelCloud",
     "LabelMap",
-    "PcScalarField",
     "load_envi",
     "write_envi",
     "cube_to_cloud",
@@ -160,33 +159,6 @@ class LabelMap:
         return int(self.labels.max()) if self.labels.size else 0
 
 
-@dataclass(frozen=True)
-class PcScalarField:
-    """A scalar value per pixel, optionally viewable as a 2-D grid."""
-
-    values: np.ndarray
-    height: int | None = None
-    width: int | None = None
-
-    def __post_init__(self) -> None:
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if values.ndim != 1:
-            raise ValueError("field values must be 1-D")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        if (self.height is None) != (self.width is None):
-            raise ValueError("height and width must be given together")
-        if self.height is not None and values.shape[0] != self.height * self.width:
-            raise ValueError("grid shape does not match value count")
-        object.__setattr__(self, "values", values)
-
-    def grid(self) -> np.ndarray:
-        """Return the values reshaped to ``(height, width)``."""
-        if self.height is None:
-            raise ValueError("field has no grid shape")
-        return self.values.reshape(self.height, self.width)
-
-
 # ---------------------------------------------------------------------------
 # ENVI I/O
 
@@ -324,8 +296,8 @@ def cloud_to_cube(cloud: PixelCloud) -> ImageCube:
 # First principal component
 
 
-def first_pc(cloud: PixelCloud) -> PcScalarField:
-    """Project spectra onto their dominant principal axis.
+def first_pc(cloud: PixelCloud) -> np.ndarray:
+    """The ``(n,)`` scores of the spectra on their dominant principal axis.
 
     The axis is the eigenvector of the sample covariance matrix with the
     largest eigenvalue (``np.linalg.eigh``).  The axis sign is fixed so the
@@ -351,11 +323,7 @@ def first_pc(cloud: PixelCloud) -> PcScalarField:
     peak = int(np.argmax(np.abs(v)))
     if v[peak] < 0:
         v = -v
-    scores = centered @ v
-    shape = cloud.grid_shape()
-    if shape is None:
-        return PcScalarField(scores)
-    return PcScalarField(scores, shape[0], shape[1])
+    return centered @ v
 
 
 # ---------------------------------------------------------------------------

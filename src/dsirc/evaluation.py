@@ -21,14 +21,7 @@ __all__ = [
 
 
 def _label_array(labels) -> np.ndarray:
-    if isinstance(labels, LabelMap):
-        return labels.labels
-    arr = np.asarray(labels, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("labels must be 1-D")
-    if arr.size and arr.min() < 0:
-        raise ValueError("labels must be non-negative")
-    return arr
+    return (labels if isinstance(labels, LabelMap) else LabelMap(labels)).labels
 
 
 def confusion_counts(pred, gt) -> np.ndarray:

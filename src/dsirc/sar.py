@@ -295,8 +295,7 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
         raise ValueError("reconstruction requires a full-grid cloud")
     if np.all(cloud.spectra == cloud.spectra[0]):
         return PixelCloud(cloud.spectra.copy(), cloud.coords.copy())
-    field = first_pc(cloud)
-    grid = field.grid()
+    grid = first_pc(cloud).reshape(shape)
     sigma = estimate_noise_sigma(grid)
     estimates = np.stack(_directional_estimate_stacks(grid, config.lengths), axis=1)
     selected = _select_lengths(estimates, sigma, config)

@@ -283,6 +283,106 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     )
 
 
+# Every option set away from its default, and the params.txt it gives.
+ALL_OPTIONS = {
+    "algorithm": "dvic",
+    "k": "3",
+    "kn": "50",
+    "sigma0": "0.3",
+    "t": "20",
+    "tau": "1.5",
+    "lsar": "1,2,4",
+    "restarts": "4",
+    "seed": "7",
+    "p": "3",
+    "eigenpairs": "20",
+    "normalize": "l2",
+}
+ALL_OPTIONS_PARAMS = """\
+algorithm = dvic
+eigenpairs = 20
+k = 3
+kn = 50
+lsar = (1, 2, 4)
+normalize = l2
+p = 3
+restarts = 4
+seed = 7
+sigma0 = 0.3
+t = 20.0
+tau = 1.5
+"""
+DEFAULT_PARAMS = """\
+algorithm = dsirc
+eigenpairs = None
+k = 3
+kn = 100
+lsar = (1, 2, 3, 5, 7, 9)
+normalize = none
+p = None
+restarts = 10
+seed = 0
+sigma0 = None
+t = 30.0
+tau = 2.0
+"""
+
+
+def cluster_with(tmp_path, scene, flags, config, out):
+    """``main`` on a cluster run given ``flags`` and ``config`` key/value
+    dicts, the latter written to a --config file."""
+    argv = ["cluster", str(scene / "cube.hdr"), str(scene / "cube.raw"), "--out", str(out)]
+    argv += [f"--{key}={value}" for key, value in flags.items()]
+    if config:
+        cfg = tmp_path / "options.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+        argv += ["--config", str(cfg)]
+    return main(argv)
+
+
+def test_default_params_text(tmp_path):
+    scene = make_scene(tmp_path)
+    out = tmp_path / "run"
+    assert cluster_with(tmp_path, scene, {"k": "3"}, {}, out) == 0
+    assert (out / "params.txt").read_text() == DEFAULT_PARAMS
+
+
+@pytest.mark.parametrize("in_config", [(), *((key,) for key in ALL_OPTIONS), tuple(ALL_OPTIONS)])
+def test_each_key_is_a_flag_and_a_config_key(tmp_path, in_config):
+    # The keys in ``in_config`` come from the file, the rest from flags; the
+    # rendered options are the same either way.
+    scene = make_scene(tmp_path)
+    out = tmp_path / "run"
+    flags = {key: value for key, value in ALL_OPTIONS.items() if key not in in_config}
+    config = {key: ALL_OPTIONS[key] for key in in_config}
+    assert cluster_with(tmp_path, scene, flags, config, out) == 0
+    assert (out / "params.txt").read_text() == ALL_OPTIONS_PARAMS
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("k", "x"),
+        ("kn", "1e3"),
+        ("algorithm", "foo"),
+        ("normalize", "l3"),
+        ("lsar", "1,a"),
+        ("sigma0", "abc"),
+    ],
+)
+def test_bad_option_value_is_configuration_error_in_either_form(tmp_path, capsys, form, key, value):
+    scene = make_scene(tmp_path)
+    out = tmp_path / "run"
+    given = {key: value} if key == "k" else {"k": "3", key: value}
+    flags, config = (given, {}) if form == "flag" else ({}, given)
+    assert cluster_with(tmp_path, scene, flags, config, out) == 2
+    err = capsys.readouterr().err
+    assert "configuration failed" in err
+    assert f"bad {key} value" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["cluster", "sweep", "eval"])
 def test_ground_truth_without_labelled_pixels_is_input_error(tmp_path, capsys, command):
     scene = make_scene(tmp_path)

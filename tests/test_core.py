@@ -243,8 +243,8 @@ def test_first_pc_matches_svd_oracle():
         direction /= np.linalg.norm(direction)
         spectra += 4.0 * np.outer(rng.standard_normal(n), direction)
         coords = np.argwhere(np.ones((n, 1), dtype=bool))
-        field = first_pc(PixelCloud(spectra, coords))
-        np.testing.assert_allclose(field.values, svd_first_pc(spectra), atol=1e-6)
+        scores = first_pc(PixelCloud(spectra, coords))
+        np.testing.assert_allclose(scores, svd_first_pc(spectra), atol=1e-6)
     # small eigengaps: the top two sample variances are in an exact ratio
     # close to 1, built from orthonormal (centered) scores and axes
     n, bands = 30, 8
@@ -256,8 +256,8 @@ def test_first_pc_matches_svd_oracle():
             v = np.linalg.qr(rng.standard_normal((bands, bands)))[0]
             sv = np.array([10.0, 10.0 * np.sqrt(ratio), 3.0, 2.5, 2.0, 1.5, 1.0, 0.5])
             spectra = (u * sv) @ v.T + rng.standard_normal(bands)
-            field = first_pc(PixelCloud(spectra, coords))
-            np.testing.assert_allclose(field.values, svd_first_pc(spectra), atol=1e-6)
+            scores = first_pc(PixelCloud(spectra, coords))
+            np.testing.assert_allclose(scores, svd_first_pc(spectra), atol=1e-6)
 
 
 def test_first_pc_variance_matches_leading_singular_value():
@@ -265,26 +265,26 @@ def test_first_pc_variance_matches_leading_singular_value():
     for trial in range(10):
         spectra = rng.standard_normal((25, 6))
         coords = np.argwhere(np.ones((25, 1), dtype=bool))
-        field = first_pc(PixelCloud(spectra, coords))
+        scores = first_pc(PixelCloud(spectra, coords))
         centered = spectra - spectra.mean(axis=0)
         top_sv = np.linalg.svd(centered, compute_uv=False)[0]
-        np.testing.assert_allclose(np.linalg.norm(field.values), top_sv, rtol=1e-8)
+        np.testing.assert_allclose(np.linalg.norm(scores), top_sv, rtol=1e-8)
 
 
-def test_first_pc_scores_are_centered_and_grid_attached():
+def test_first_pc_scores_are_centered():
     rng = np.random.default_rng(6)
     cube = random_cube(rng, bands=4, height=5, width=3)
-    field = first_pc(cube_to_cloud(cube))
-    assert abs(field.values.mean()) < 1e-10
-    assert field.grid().shape == (5, 3)
+    scores = first_pc(cube_to_cloud(cube))
+    assert scores.shape == (15,)
+    assert abs(scores.mean()) < 1e-10
 
 
 def test_first_pc_sign_convention():
     rng = np.random.default_rng(7)
     spectra = rng.standard_normal((30, 6))
     coords = np.argwhere(np.ones((30, 1), dtype=bool))
-    a = first_pc(PixelCloud(spectra, coords)).values
-    b = first_pc(PixelCloud(-spectra, coords)).values
+    a = first_pc(PixelCloud(spectra, coords))
+    b = first_pc(PixelCloud(-spectra, coords))
     # the dominant direction flips with the data, the scores stay aligned
     np.testing.assert_allclose(np.abs(a), np.abs(b), atol=1e-7)
 

@@ -355,7 +355,7 @@ def scalar_sar(cloud, config):
     """Assemble the reconstruction pixel by pixel from the oracles: ray walks,
     prefix selection and hull rasterization choose each region, and the
     library's ``_reconstruct`` averages it."""
-    grid = first_pc(cloud).grid()
+    grid = first_pc(cloud).reshape(cloud.grid_shape())
     sigma = estimate_noise_sigma(grid)
     gains = [noise_gain(l) for l in config.lengths]
     h, w = grid.shape
