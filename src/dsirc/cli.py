@@ -121,9 +121,11 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_value(key: str, text: str):
+def _parse_value(key: str, text: str, parse=None):
+    """``text`` parsed by ``parse``, by default ``key``'s own parser; a
+    ValueError names the key."""
     try:
-        return _OPTIONS[key][0](text)
+        return (parse or _OPTIONS[key][0])(text)
     except ValueError as exc:
         raise ValueError(f"bad {key} value {text!r}: {exc}") from exc
 
@@ -327,7 +329,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             grids[key] = [_parse_value(key, part) for part in text.split(",") if part.strip()]
             if not grids[key]:
                 raise ValueError(f"empty {key} grid {text!r}")
-        if args.seeds < 1:
+        seeds = _parse_value("seeds", args.seeds, int)
+        if seeds < 1:
             raise ValueError("--seeds must be at least 1")
         swept = _SWEPT[opts["algorithm"]]
         combos = [
@@ -347,7 +350,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # scores[i][j]: the metrics of combination i at the j-th seed.
     scores: list[list[dict[str, float]]] = [[] for _ in combos]
     try:
-        for offset in range(args.seeds):
+        for offset in range(seeds):
             results = _run_grid(cloud, opts, combos, opts["seed"] + offset)
             for runs, result in zip(scores, results):
                 runs.append(_score(result.labels, gt)[1])
@@ -427,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="output directory")
     for key, default in _GRIDS.items():
         sweep.add_argument(f"--{key}-grid", default=default, help=f"comma-separated {key} values")
-    sweep.add_argument("--seeds", type=int, default=1, help="seeds per combination")
+    sweep.add_argument("--seeds", default="1", help="seeds per combination")
     _add_common_options(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 

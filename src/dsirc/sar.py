@@ -148,54 +148,88 @@ def _region_offsets(dir_lengths: tuple[int, ...]) -> np.ndarray:
     return offsets
 
 
-def _region_members(r: int, c: int, lengths: tuple[int, ...], shape: tuple[int, int]) -> np.ndarray:
-    """Sorted flat row-major indices of the in-bounds pixels inside the
-    closed convex hull of the eight ray endpoints of pixel ``(r, c)``, with
-    ``lengths`` the selected length per direction of :data:`DIRECTION_STEPS`."""
+def _offset_table(tuples: np.ndarray, h: int) -> np.ndarray:
+    """:func:`_region_offsets` of each row of ``tuples`` (lengths per
+    direction), stacked into one ``(len(tuples), K, 2)`` array.
+
+    Shorter lists are padded with the offset ``(-h, 0)``, which lands above
+    a grid of height ``h`` from every pixel, so it is clipped like any other
+    outside cell.
+    """
+    offsets = [_region_offsets(tuple(t)) for t in tuples.tolist()]
+    table = np.zeros((len(offsets), max(len(o) for o in offsets), 2), dtype=np.intp)
+    table[:, :, 0] = -h
+    for k, o in enumerate(offsets):
+        table[k, : len(o)] = o
+    return table
+
+
+def _region_members(pixels: np.ndarray, offsets: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Region members of each pixel in ``pixels`` (flat row-major indices).
+
+    ``offsets[i]`` is the :func:`_offset_table` row of pixel ``pixels[i]``'s
+    selected lengths.  Row ``i`` of the result lists, ascending, the flat
+    indices of the in-bounds cells inside the closed convex hull of that
+    pixel's eight ray endpoints; ``-1`` fills the rest of the row.  The
+    offsets are in (row, col) order, and in-bounds cells keep that order as
+    flat indices.
+    """
     h, w = shape
-    offsets = _region_offsets(lengths)
-    rows = r + offsets[:, 0]
-    cols = c + offsets[:, 1]
-    keep = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    return np.sort(rows[keep] * w + cols[keep])
+    rows = (pixels // w)[:, None] + offsets[:, :, 0]
+    cols = (pixels % w)[:, None] + offsets[:, :, 1]
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    return np.where(inside, rows * w + cols, -1)
 
 
 # ---------------------------------------------------------------------------
 # Reconstruction
 
+# Elements one gather of region data may hold (as in ``knn_indices``), so
+# that memory stays bounded however many pixels share a member count.
+_GATHER_ELEMENTS = 4_000_000
 
-def _correlation_weights(x: np.ndarray, neighborhood: np.ndarray, center_pos: int) -> np.ndarray:
-    """Clipped Pearson correlations of ``x`` against each neighborhood row.
 
-    Negative correlations are zeroed; rows with zero variance get weight 0
-    (Pearson is undefined there); the center's weight is forced to 1.
+def _centred_rows(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each spectrum minus its mean, with two norms of that centred row.
+
+    The member norm sums squares pairwise and the centre norm is BLAS's
+    ``dot`` (a 1×b by b×1 ``matmul``, the call ``np.linalg.norm`` makes);
+    the two can differ in the last bit, and each is the one the Pearson
+    weight of a per-pixel reconstruction takes for that role.
     """
-    weights = np.zeros(neighborhood.shape[0])
-    xc = x - x.mean()
-    x_norm = float(np.linalg.norm(xc))
-    if x_norm > 0.0:
-        yc = neighborhood - neighborhood.mean(axis=1, keepdims=True)
-        y_norm = np.sqrt((yc * yc).sum(axis=1))
-        ok = y_norm > 0.0
-        weights[ok] = (yc[ok] @ xc) / (y_norm[ok] * x_norm)
-        np.clip(weights, 0.0, None, out=weights)
-    weights[center_pos] = 1.0
-    return weights
+    centred = spectra - spectra.mean(axis=1, keepdims=True)
+    member_norm = np.sqrt((centred * centred).sum(axis=1))
+    centre_norm = np.sqrt(np.matmul(centred[:, None, :], centred[:, :, None]).ravel())
+    return centred, member_norm, centre_norm
 
 
-def _reconstruct(spectra: np.ndarray, members: np.ndarray, center: int) -> np.ndarray:
-    """Average of the ``members`` rows of ``spectra`` (sorted, including
-    ``center``), weighted by their clipped correlation with the center's own
-    spectrum.
+def _reconstruct(
+    spectra: np.ndarray,
+    row_stats: tuple[np.ndarray, np.ndarray, np.ndarray],
+    members: np.ndarray,
+    centers: np.ndarray,
+) -> np.ndarray:
+    """Correlation-weighted average of each center's region members.
 
-    The result is a convex combination of member spectra (weights are
-    non-negative and the center's own weight is 1, so the total is
-    positive), which keeps each band inside the member min/max envelope.
+    ``members`` is ``(g, m)``: row ``i`` holds the sorted members of pixel
+    ``centers[i]``, itself among them; ``row_stats`` is
+    :func:`_centred_rows` of ``spectra``.  Each member's weight is its
+    Pearson correlation with the center, clipped at 0, and 0 where either
+    spectrum has zero variance (Pearson is undefined there); the center's
+    own weight is 1, so the result is a convex combination of member
+    spectra, inside their per-band min/max envelope.  Each row takes one
+    matrix-vector product for the correlations and one for the average.
     """
-    neighborhood = spectra[members]
-    center_pos = int(np.searchsorted(members, center))
-    weights = _correlation_weights(spectra[center], neighborhood, center_pos)
-    return (weights @ neighborhood) / float(weights.sum())
+    centred, member_norm, centre_norm = row_stats
+    numerators = np.matmul(centred[members], centred[centers][:, :, None])[:, :, 0]
+    norms = member_norm[members]
+    ok = (norms > 0.0) & (centre_norm[centers] > 0.0)[:, None]
+    denominators = norms * centre_norm[centers][:, None]
+    weights = np.divide(numerators, denominators, out=np.zeros_like(numerators), where=ok)
+    np.clip(weights, 0.0, None, out=weights)
+    weights[members == centers[:, None]] = 1.0
+    average = np.matmul(weights[:, None, :], spectra[members])[:, 0, :]
+    return average / weights.sum(axis=1)[:, None]
 
 
 def estimate_noise_sigma(grid: np.ndarray) -> float:
@@ -282,7 +316,9 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     each candidate length, confidence-interval length selection per
     direction, convex-hull rasterization of the eight ray endpoints, and a
     correlation-weighted average of the member spectra.  The noise scale
-    of the interval rule is estimated from the PC field itself.
+    of the interval rule is estimated from the PC field itself.  Pixels
+    with the same number of region members are reconstructed together, in
+    blocks of at most ``_GATHER_ELEMENTS`` gathered values.
 
     A cloud whose spectra are all identical is returned unchanged: there is
     no principal axis to adapt to, and any neighborhood average of equal
@@ -299,9 +335,28 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     sigma = estimate_noise_sigma(grid)
     estimates = np.stack(_directional_estimate_stacks(grid, config.lengths), axis=1)
     selected = _select_lengths(estimates, sigma, config)
+    # The cloud is in row-major order, as are the pixels' length tuples.
+    tuples, inverse = np.unique(
+        selected.reshape(len(DIRECTION_STEPS), -1).T, axis=0, return_inverse=True
+    )
+    table = _offset_table(tuples, shape[0])
+    inverse = inverse.ravel()  # numpy 2.0.0 keeps an extra axis here
+    pixels = np.arange(cloud.n)
+    block = max(1, _GATHER_ELEMENTS // table.shape[1])
+    counts = np.concatenate(
+        [
+            (_region_members(p, table[inverse[p]], shape) >= 0).sum(axis=1)
+            for p in np.split(pixels, range(block, cloud.n, block))
+        ]
+    )
+    row_stats = _centred_rows(cloud.spectra)
     out = np.empty_like(cloud.spectra)
-    for i in range(cloud.n):
-        r, c = divmod(i, shape[1])  # the cloud is in row-major order
-        lengths = tuple(int(l) for l in selected[:, r, c])
-        out[i] = _reconstruct(cloud.spectra, _region_members(r, c, lengths, shape), i)
+    order = np.argsort(counts, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        m = int(counts[group[0]])
+        block = max(1, _GATHER_ELEMENTS // max(m * cloud.bands, table.shape[1]))
+        for centers in np.split(group, range(block, group.size, block)):
+            members = _region_members(centers, table[inverse[centers]], shape)
+            members = members[members >= 0].reshape(centers.size, m)
+            out[centers] = _reconstruct(cloud.spectra, row_stats, members, centers)
     return PixelCloud(out, cloud.coords.copy())

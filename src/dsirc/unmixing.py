@@ -11,6 +11,7 @@ share any single endmember takes of its abundance.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,20 +173,27 @@ def _replacement_volumes(projected: np.ndarray, vertices: np.ndarray, j: int) ->
 
     The augmented matrix has rows ``[1, v]`` for each vertex ``v`` in the
     ``(p-1)``-dim projection; its determinant is proportional to the simplex
-    volume and affine in any single row, so a batched determinant over all
-    candidate replacements evaluates every swap exactly.
+    volume and affine in row ``j``.  Expanding along that row gives
+    ``c[0] + x @ c[1:]`` for a point ``x``, with ``c`` the cofactors of row
+    ``j``: ``p`` determinants of size ``(p-1) x (p-1)`` that do not depend
+    on the row, so every swap costs one matrix-vector product (Chan et al.,
+    IEEE TGRS 2011).
     """
-    n = projected.shape[0]
     p = vertices.shape[0]
     base = np.ones((p, p))
     base[:, 1:] = vertices
-    batch = np.broadcast_to(base, (n, p, p)).copy()
-    batch[:, j, 1:] = projected
-    return np.abs(np.linalg.det(batch))
+    others = np.delete(base, j, axis=0)
+    minors = np.stack([np.delete(others, k, axis=1) for k in range(p)])
+    cofactors = (-1.0) ** (j + np.arange(p)) * np.linalg.det(minors)
+    return np.abs(cofactors[0] + projected @ cofactors[1:])
 
 
 def _ascend_volume(projected: np.ndarray, start: np.ndarray, max_cycles: int = 500) -> tuple[float, np.ndarray]:
-    """Cyclic single-vertex ascent of simplex volume from a starting index set."""
+    """Cyclic single-vertex ascent of simplex volume from a starting index set.
+
+    Warns (``RuntimeWarning``) when ``max_cycles`` cycles all moved a vertex,
+    so the ascent stopped at the cap rather than at a local maximum.
+    """
     indices = np.asarray(start, dtype=np.intp).copy()
     p = indices.shape[0]
     volume = 0.0
@@ -203,6 +211,12 @@ def _ascend_volume(projected: np.ndarray, start: np.ndarray, max_cycles: int = 5
                 volume = float(current)
         if not changed:
             break
+    else:
+        warnings.warn(
+            f"AVMAX volume ascent stopped at its cap of {max_cycles} cycles before converging",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return volume, indices
 
 

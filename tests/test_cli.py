@@ -634,7 +634,7 @@ def test_sweep_disconnected_graph_exits_one(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
-def test_sweep_configuration_errors(tmp_path):
+def test_sweep_configuration_errors(tmp_path, capsys):
     scene = make_scene(tmp_path)
     common = [
         "sweep",
@@ -649,8 +649,11 @@ def test_sweep_configuration_errors(tmp_path):
         "--k",
         "3",
     ]
-    assert main(common + ["--seeds", "0"]) == 2
-    assert main(common + ["--kn-grid", ""]) == 2
+    bad = [("--seeds", "0", "seeds"), ("--seeds", "x", "seeds"), ("--kn-grid", "", "kn")]
+    for flag, value, key in bad:
+        assert main(common + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "configuration failed" in err and key in err
 
 
 def test_sweep_checks_every_combination_before_running(tmp_path, capsys):

@@ -4,10 +4,13 @@ Each stage ``sar`` runs is checked against an independently written
 oracle: a literal ray walk for the directional averages, an explicit
 prefix-intersection loop for the length rule, an exact integer
 triangle-decomposition membership test for the convex regions, and a
-per-member Pearson loop for the weighted average.  The full pass is then
-checked bit for bit against the first three oracles assembled around the
-library's weighted average.
+per-member Pearson loop for the weighted average.  The grouped region
+gathers and batched averages ``sar`` runs are also checked bit for bit
+against a per-pixel reference, and the full pass against the first three
+oracles assembled around the per-pixel weighted average.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -16,9 +19,12 @@ from dsirc.core import PixelCloud, cube_to_cloud, first_pc, ImageCube
 from dsirc.sar import (
     DIRECTION_STEPS,
     IciConfig,
+    _centred_rows,
     _directional_estimate_stacks,
+    _offset_table,
     _reconstruct,
     _region_members,
+    _region_offsets,
     _select_lengths,
     estimate_noise_sigma,
     sar,
@@ -203,12 +209,34 @@ def region_by_oracle(center, dir_lengths, shape):
         (r0 + (l - 1) * dr, c0 + (l - 1) * dc)
         for l, (dr, dc) in zip(dir_lengths, DIRECTION_STEPS)
     ]
+    # The hull lies inside the vertices' bounding box.
+    rows = range(max(0, min(v[0] for v in vertices)), min(shape[0], max(v[0] for v in vertices) + 1))
+    cols = range(max(0, min(v[1] for v in vertices)), min(shape[1], max(v[1] for v in vertices) + 1))
     members = []
-    for r in range(shape[0]):
-        for c in range(shape[1]):
+    for r in rows:
+        for c in cols:
             if hull_membership((r, c), vertices):
                 members.append(r * shape[1] + c)
     return members
+
+
+def library_region(center, dir_lengths, shape):
+    """The members ``sar`` gathers for one pixel."""
+    table = _offset_table(np.array([dir_lengths]), shape[0])
+    members = _region_members(np.array([center[0] * shape[1] + center[1]]), table, shape)[0]
+    return members[members >= 0]
+
+
+def region_members_per_pixel(r, c, lengths, shape):
+    """Sorted flat row-major indices of the in-bounds pixels inside the
+    closed convex hull of the eight ray endpoints of pixel ``(r, c)``, with
+    ``lengths`` the selected length per direction of :data:`DIRECTION_STEPS`."""
+    h, w = shape
+    offsets = _region_offsets(lengths)
+    rows = r + offsets[:, 0]
+    cols = c + offsets[:, 1]
+    keep = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    return np.sort(rows[keep] * w + cols[keep])
 
 
 def test_sa_region_matches_exact_hull_oracle():
@@ -219,17 +247,17 @@ def test_sa_region_matches_exact_hull_oracle():
         r0 = int(rng.integers(0, h))
         c0 = int(rng.integers(0, w))
         dir_lengths = tuple(int(l) for l in rng.integers(1, 5, size=8))
-        members = _region_members(r0, c0, dir_lengths, (h, w))
+        members = library_region((r0, c0), dir_lengths, (h, w))
         assert members.tolist() == region_by_oracle((r0, c0), dir_lengths, (h, w))
 
 
 def test_sa_region_all_lengths_one_is_a_singleton():
-    members = _region_members(2, 3, (1,) * 8, (5, 5))
+    members = library_region((2, 3), (1,) * 8, (5, 5))
     assert members.tolist() == [2 * 5 + 3]
 
 
 def test_sa_region_uniform_lengths_make_a_symmetric_octagon():
-    members = _region_members(4, 4, (3,) * 8, (9, 9))
+    members = library_region((4, 4), (3,) * 8, (9, 9))
     rows, cols = np.divmod(members, 9)
     # symmetric under 180-degree rotation about the center
     mirrored = sorted(zip(8 - rows, 8 - cols))
@@ -238,10 +266,25 @@ def test_sa_region_uniform_lengths_make_a_symmetric_octagon():
 
 
 def test_sa_region_clips_to_grid():
-    members = _region_members(0, 0, (9,) * 8, (3, 3))
+    members = library_region((0, 0), (9,) * 8, (3, 3))
     assert members.min() >= 0
     rows, cols = np.divmod(members, 3)
     assert rows.max() <= 2 and cols.max() <= 2
+
+
+def test_grouped_region_members_equal_per_pixel_reference():
+    rng = np.random.default_rng(22)
+    for trial in range(20):
+        h = int(rng.integers(1, 13))
+        w = int(rng.integers(1, 13))
+        lengths = rng.choice(LADDER, size=(h * w, 8))
+        tuples, inverse = np.unique(lengths, axis=0, return_inverse=True)
+        table = _offset_table(tuples, h)[inverse.ravel()]
+        members = _region_members(np.arange(h * w), table, (h, w))
+        for i, row in enumerate(members):
+            want = region_members_per_pixel(*divmod(i, w), tuple(lengths[i].tolist()), (h, w))
+            np.testing.assert_array_equal(row[row >= 0], want)
+            assert np.all(row[row < 0] == -1)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +313,40 @@ def reconstruct_by_oracle(spectra, members, center):
     return (weights[:, None] * spectra[members]).sum(axis=0) / weights.sum()
 
 
+def library_reconstruct(spectra, members, center):
+    """The library's reconstruction of one pixel."""
+    return _reconstruct(spectra, _centred_rows(spectra), members[None, :], np.array([center]))[0]
+
+
+def correlation_weights_per_pixel(x, neighborhood, center_pos):
+    """Clipped Pearson correlations of ``x`` against each neighborhood row.
+
+    Negative correlations are zeroed; rows with zero variance get weight 0
+    (Pearson is undefined there); the center's weight is forced to 1.
+    """
+    weights = np.zeros(neighborhood.shape[0])
+    xc = x - x.mean()
+    x_norm = float(np.linalg.norm(xc))
+    if x_norm > 0.0:
+        yc = neighborhood - neighborhood.mean(axis=1, keepdims=True)
+        y_norm = np.sqrt((yc * yc).sum(axis=1))
+        ok = y_norm > 0.0
+        weights[ok] = (yc[ok] @ xc) / (y_norm[ok] * x_norm)
+        np.clip(weights, 0.0, None, out=weights)
+    weights[center_pos] = 1.0
+    return weights
+
+
+def reconstruct_per_pixel(spectra, members, center):
+    """Average of the ``members`` rows of ``spectra`` (sorted, including
+    ``center``), weighted by their clipped correlation with the center's own
+    spectrum."""
+    neighborhood = spectra[members]
+    center_pos = int(np.searchsorted(members, center))
+    weights = correlation_weights_per_pixel(spectra[center], neighborhood, center_pos)
+    return (weights @ neighborhood) / float(weights.sum())
+
+
 def test_reconstruct_pixel_matches_weighted_mean_oracle():
     rng = np.random.default_rng(13)
     for trial in range(30):
@@ -278,33 +355,55 @@ def test_reconstruct_pixel_matches_weighted_mean_oracle():
         r0 = int(rng.integers(0, h))
         c0 = int(rng.integers(0, w))
         dir_lengths = tuple(int(l) for l in rng.integers(1, 4, size=8))
-        members = _region_members(r0, c0, dir_lengths, (h, w))
+        members = library_region((r0, c0), dir_lengths, (h, w))
         center = r0 * w + c0
-        got = _reconstruct(spectra, members, center)
+        got = library_reconstruct(spectra, members, center)
         np.testing.assert_allclose(
             got, reconstruct_by_oracle(spectra, members, center), rtol=1e-12
         )
 
 
+def test_batched_reconstruction_equals_per_pixel_reference_bitwise():
+    rng = np.random.default_rng(21)
+    h, w, bands = 9, 10, 7
+    spectra = cube_to_cloud(ImageCube(rng.standard_normal((bands, h, w)))).spectra
+    # Zero-variance rows, one of them a center: they take weight 0, or give
+    # the center's own spectrum back.
+    spectra[[3, 40, 41]] = 1.0
+    pixels = np.arange(h * w)
+    row_stats = _centred_rows(spectra)
+    for lengths in (rng.choice((1, 2, 3, 5), size=(h * w, 8)), np.full((h * w, 8), 3)):
+        tuples, inverse = np.unique(lengths, axis=0, return_inverse=True)
+        members = _region_members(pixels, _offset_table(tuples, h)[inverse.ravel()], (h, w))
+        counts = (members >= 0).sum(axis=1)
+        for m in np.unique(counts):
+            group = pixels[counts == m]
+            batch = members[group]
+            batch = batch[batch >= 0].reshape(group.size, m)
+            got = _reconstruct(spectra, row_stats, batch, group)
+            want = [reconstruct_per_pixel(spectra, row, i) for row, i in zip(batch, group)]
+            np.testing.assert_array_equal(got, want)
+
+
 def test_reconstruct_singleton_region_returns_input():
     rng = np.random.default_rng(14)
     spectra = cube_to_cloud(ImageCube(rng.standard_normal((3, 4, 4)))).spectra
-    members = _region_members(1, 1, (1,) * 8, (4, 4))
-    np.testing.assert_array_equal(_reconstruct(spectra, members, 5), spectra[5])
+    members = library_region((1, 1), (1,) * 8, (4, 4))
+    np.testing.assert_array_equal(library_reconstruct(spectra, members, 5), spectra[5])
 
 
 def test_reconstruct_identical_neighbors_average_to_the_same_spectrum():
     spectra = np.tile(np.array([1.0, 2.0, 3.0]), (9, 1))
-    members = _region_members(1, 1, (2,) * 8, (3, 3))
-    got = _reconstruct(spectra, members, 4)
+    members = library_region((1, 1), (2,) * 8, (3, 3))
+    got = library_reconstruct(spectra, members, 4)
     np.testing.assert_allclose(got, [1.0, 2.0, 3.0])
 
 
 def test_reconstruction_is_a_convex_combination():
     rng = np.random.default_rng(15)
     spectra = cube_to_cloud(ImageCube(rng.standard_normal((5, 6, 6)))).spectra
-    region = _region_members(3, 3, (3,) * 8, (6, 6))
-    got = _reconstruct(spectra, region, 3 * 6 + 3)
+    region = library_region((3, 3), (3,) * 8, (6, 6))
+    got = library_reconstruct(spectra, region, 3 * 6 + 3)
     members = spectra[region]
     assert np.all(got >= members.min(axis=0) - 1e-12)
     assert np.all(got <= members.max(axis=0) + 1e-12)
@@ -354,7 +453,7 @@ def test_noise_sigma_requires_2d():
 def scalar_sar(cloud, config):
     """Assemble the reconstruction pixel by pixel from the oracles: ray walks,
     prefix selection and hull rasterization choose each region, and the
-    library's ``_reconstruct`` averages it."""
+    per-pixel reference reconstruction averages it."""
     grid = first_pc(cloud).reshape(cloud.grid_shape())
     sigma = estimate_noise_sigma(grid)
     gains = [noise_gain(l) for l in config.lengths]
@@ -370,27 +469,50 @@ def scalar_sar(cloud, config):
                 )
             members = np.array(region_by_oracle((r, c), dir_lengths, (h, w)), dtype=np.intp)
             idx = r * w + c
-            out[idx] = _reconstruct(cloud.spectra, members, idx)
+            out[idx] = reconstruct_per_pixel(cloud.spectra, members, idx)
     return out
+
+
+def noisy_cloud(rng, field, bands=5):
+    data = np.stack([field * (b + 1) for b in range(bands)])
+    return cube_to_cloud(ImageCube(data + rng.normal(scale=0.05, size=data.shape)))
+
+
+def ramp_field(h, w):
+    return np.add.outer(np.linspace(0, 1, h), np.linspace(0, 2, w))
+
+
+def step_field(h, w):
+    """Flat but for a step four columns from the left edge: interior pixels
+    clear of it reach full 17 x 17 hulls under the default ladder."""
+    return np.add.outer(np.zeros(h), (np.arange(w) >= 4).astype(float))
 
 
 def test_sar_equals_scalar_assembly_bitwise():
     rng = np.random.default_rng(19)
     # The 6 x 11 grid is shorter than the longest default ray, so rays clip
-    # on every side and some selected lengths reach past the edge.
-    cases = [(7, 8, IciConfig(tau=2.0, lengths=(1, 2, 3)))] * 3 + [
-        (6, 11, IciConfig(tau=tau)) for tau in (1.0, 3.0)
-    ]
-    for h, w, config in cases:
-        bands = 5
-        smooth = np.add.outer(np.linspace(0, 1, h), np.linspace(0, 2, w))
-        data = np.stack([smooth * (b + 1) for b in range(bands)])
-        data = data + rng.normal(scale=0.05, size=data.shape)
-        cloud = cube_to_cloud(ImageCube(data))
+    # on every side and some selected lengths reach past the edge.  On the
+    # 24 x 24 grid 32 pixels have 289 members, and 576 pixels share 94
+    # member counts.
+    cases = (
+        [(IciConfig(tau=2.0, lengths=(1, 2, 3)), ramp_field(7, 8))] * 3
+        + [(IciConfig(tau=tau), ramp_field(6, 11)) for tau in (1.0, 3.0)]
+        + [(IciConfig(), step_field(24, 24))]
+    )
+    for config, field in cases:
+        cloud = noisy_cloud(rng, field)
         got = sar(cloud, config)
         expected = scalar_sar(cloud, config)
         np.testing.assert_array_equal(got.spectra, expected)
         np.testing.assert_array_equal(got.coords, cloud.coords)
+
+
+def test_sar_split_gathers_equal_one_gather(monkeypatch):
+    cloud = noisy_cloud(np.random.default_rng(23), step_field(24, 24))
+    whole = sar(cloud)
+    # Small enough that the larger member-count groups span several blocks.
+    monkeypatch.setattr(importlib.import_module("dsirc.sar"), "_GATHER_ELEMENTS", 3000)
+    np.testing.assert_array_equal(sar(cloud).spectra, whole.spectra)
 
 
 def test_sar_constant_image_is_unchanged():

@@ -15,6 +15,8 @@ from dsirc.unmixing import (
     PurityField,
     RankDeficientDataError,
     UnmixingModel,
+    _ascend_volume,
+    _replacement_volumes,
     abundances,
     avmax,
     hysime,
@@ -219,6 +221,44 @@ def test_avmax_validation_and_degenerate_data():
         avmax(cloud_of(spectra), 3, restarts=0)
     with pytest.raises(RankDeficientDataError):
         avmax(cloud_of(np.ones((8, 4))), 3)
+
+
+def replacement_volumes_by_det(projected, vertices, j):
+    """|det| of the augmented simplex matrix with vertex ``j`` swapped for
+    each data point in turn, one LU determinant per candidate."""
+    n = projected.shape[0]
+    p = vertices.shape[0]
+    base = np.ones((p, p))
+    base[:, 1:] = vertices
+    batch = np.broadcast_to(base, (n, p, p)).copy()
+    batch[:, j, 1:] = projected
+    return np.abs(np.linalg.det(batch))
+
+
+def test_replacement_volumes_match_batched_determinants():
+    rng = np.random.default_rng(11)
+    for p in range(2, 7):
+        projected = rng.standard_normal((50, p - 1))
+        # The last p rows form a nearly flat simplex: their last coordinate
+        # is shrunk by 1e-4.
+        projected[-p:, -1] *= 1e-4
+        simplices = [rng.choice(50 - p, size=p, replace=False), np.arange(50 - p, 50)]
+        for indices in simplices:
+            for j in range(p):
+                got = _replacement_volumes(projected, projected[indices], j)
+                want = replacement_volumes_by_det(projected, projected[indices], j)
+                # A kept vertex as the candidate repeats a row: the volume is
+                # zero, and each form leaves its own rounding dust.
+                kept = np.isin(np.arange(50), np.delete(indices, j))
+                np.testing.assert_allclose(got[~kept], want[~kept], rtol=1e-10)
+                assert max(got[kept].max(), want[kept].max()) <= 1e-12 * want.max()
+
+
+def test_volume_ascent_warns_at_its_cycle_cap():
+    rng = np.random.default_rng(12)
+    projected = project_affine_pca(rng.uniform(size=(40, 5)), 3)
+    with pytest.warns(RuntimeWarning, match="cap of 1 cycles"):
+        _ascend_volume(projected, np.arange(4), max_cycles=1)
 
 
 # ---------------------------------------------------------------------------
