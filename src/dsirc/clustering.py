@@ -460,6 +460,11 @@ def _farthest_point_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> 
 
 
 def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 300) -> tuple[np.ndarray, float]:
+    """One k-means run from farthest-point seeds: ``(labels, objective)``.
+
+    Warns (``RuntimeWarning``) when ``max_iter`` iterations all changed the
+    assignment, so the run stopped at the cap rather than at a fixed point.
+    """
     n = x.shape[0]
     centers = _farthest_point_centers(x, k, rng)
     sq_x = np.einsum("ij,ij->i", x, x)
@@ -488,6 +493,12 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 300)
         labels_prev = labels
         for j in range(k):
             centers[j] = x[labels == j].mean(axis=0)
+    else:
+        warnings.warn(
+            f"k-means stopped at its cap of {max_iter} iterations before converging",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     objective = float(((x - centers[labels]) ** 2).sum())
     return labels, objective
 

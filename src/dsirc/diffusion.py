@@ -32,6 +32,12 @@ __all__ = [
 # convergence concerns.
 _DENSE_EIG_CUTOFF = 128
 
+# The KNN search's Gram product covers at most this many (row, column)
+# pairs per block.  Its row-local passes run on chunks of at most this many
+# pairs (2 MB), small enough to stay in cache from one pass to the next.
+_BLOCK_ELEMENTS = 4_000_000
+_CHUNK_ELEMENTS = 250_000
+
 
 class DisconnectedGraphError(RuntimeError):
     """Raised when the KNN graph splits into multiple components, so the
@@ -73,11 +79,17 @@ def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
     deterministically.  One search per cloud serves the bandwidth, the
     density and the graph.
 
-    Squared distances come from one Gram product per block of rows.  Each
-    row keeps its ``k_n`` smallest by a partial sort (``argpartition``) and
-    orders them by (squared distance, index): exactly the prefix of a stable
-    full sort.  A row where a column left outside the partition ties the
-    ``k_n``-th value is fully sorted instead.
+    Squared distances come from one Gram product per block of rows, written
+    into one ``(block, n)`` buffer that every block reuses.  The passes
+    after it run in place on chunks of a few rows, with one more
+    ``(chunk, n)`` buffer: ``(|x_i|^2 + |x_j|^2) - 2 g_ij`` in that
+    association, clipped at zero, with the diagonal set to infinity.  These
+    passes are row-local, so no result depends on where a chunk starts.
+    Each row then keeps its ``k_n`` smallest by one partial sort
+    (``argpartition`` at ``k_n``) and orders them by (squared distance,
+    index): exactly the prefix of a stable full sort.  A row whose
+    ``(k_n + 1)``-th smallest value equals its ``k_n``-th is fully sorted
+    instead.
     """
     x = np.ascontiguousarray(np.asarray(spectra, dtype=np.float64))
     if x.ndim != 2:
@@ -88,34 +100,43 @@ def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
     sq = np.einsum("ij,ij->i", x, x)
     idx_out = np.empty((n, k_n), dtype=np.intp)
     dist_out = np.empty((n, k_n))
-    block = max(1, int(4_000_000 // max(n, 1)))
+    block = min(n, max(1, _BLOCK_ELEMENTS // n))
+    chunk = min(block, max(1, _CHUNK_ELEMENTS // n))
+    gram = np.empty((block, n))
+    sums = np.empty((chunk, n))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        gram = x[start:stop] @ x.T
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * gram
-        np.clip(d2, 0.0, None, out=d2)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        order = _smallest_columns(d2, k_n)
-        idx_out[start:stop] = order
-        dist_out[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+        np.matmul(x[start:stop], x.T, out=gram[: stop - start])
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            d2, row_sums = gram[lo - start : hi - start], sums[: hi - lo]
+            np.multiply(d2, 2.0, out=d2)
+            np.add(sq[lo:hi, None], sq[None, :], out=row_sums)
+            np.subtract(row_sums, d2, out=d2)
+            np.maximum(d2, 0.0, out=d2)
+            d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            order = _smallest_columns(d2, k_n)
+            idx_out[lo:hi] = order
+            dist_out[lo:hi] = np.sqrt(np.take_along_axis(d2, order, axis=1))
     return idx_out, dist_out
 
 
 def _smallest_columns(d2: np.ndarray, k: int) -> np.ndarray:
     """Each row's first ``k`` columns in a stable ascending argsort.
 
-    A partial sort keeps ``k`` smallest columns per row, ordered by (value,
-    column).  Where a column left outside ties the ``k``-th value, the kept
-    set may hold the wrong one of the tied columns, so such rows alone are
-    fully sorted.  The partition's ``(rows, n)`` index array is freed on
-    return, before the caller's next block is built.
+    One partial sort at ``k`` puts each row's ``k`` smallest values first
+    and its ``(k + 1)``-th smallest at position ``k``; the first ``k`` are
+    kept and ordered by (value, column).  Where the ``(k + 1)``-th value
+    ties the ``k``-th, the kept set may hold the wrong one of the tied
+    columns, so such rows alone are fully sorted.  Only ``k + 1`` columns
+    of the partition's ``(rows, n)`` index array are kept, so it is freed
+    at once.
     """
-    kept = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    order = np.take_along_axis(
-        kept, np.lexsort((kept, np.take_along_axis(d2, kept, axis=1))), axis=1
-    )
-    kth = np.take_along_axis(d2, order[:, -1:], axis=1)
-    tied = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k)
+    part = np.argpartition(d2, k, axis=1)[:, : k + 1].copy()
+    values = np.take_along_axis(d2, part, axis=1)
+    kept, kept_values = part[:, :k], values[:, :k]
+    order = np.take_along_axis(kept, np.lexsort((kept, kept_values)), axis=1)
+    tied = np.flatnonzero(kept_values.max(axis=1) == values[:, k])
     order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
     return order
 
@@ -129,9 +150,9 @@ def knn_graph(neighbors: np.ndarray) -> KnnGraph:
     ``k_n`` and ``2 * k_n`` neighbors.
     """
     n, k_n = neighbors.shape
-    rows = np.repeat(np.arange(n, dtype=np.intp), k_n)
     directed = sparse.csr_matrix(
-        (np.ones(rows.shape[0]), (rows, neighbors.ravel())), shape=(n, n)
+        (np.ones(n * k_n), np.sort(neighbors, axis=1).ravel(), np.arange(0, n * k_n + 1, k_n)),
+        shape=(n, n),
     )
     symmetric = directed.maximum(directed.T).tocsr()
     symmetric.sort_indices()
@@ -214,9 +235,12 @@ def diffusion_system(graph: KnnGraph, n_eigenpairs: int) -> DiffusionSystem:
     degrees = np.asarray(adjacency.sum(axis=1)).ravel().astype(np.float64)
     pi = degrees / degrees.sum()
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    coo = adjacency.tocoo()
-    s_data = coo.data * (inv_sqrt[coo.row] * inv_sqrt[coo.col])
-    s_matrix = sparse.csr_matrix((s_data, (coo.row, coo.col)), shape=(n, n))
+    rows = np.repeat(np.arange(n), np.diff(adjacency.indptr))
+    s_data = adjacency.data * (inv_sqrt[rows] * inv_sqrt[adjacency.indices])
+    s_matrix = sparse.csr_matrix((s_data, adjacency.indices, adjacency.indptr), shape=(n, n))
+    # An adjacency built elsewhere may hold unsorted columns; S is summed in
+    # sorted column order either way.
+    s_matrix.sum_duplicates()
     if n_eigenpairs >= n - 1 or n <= _DENSE_EIG_CUTOFF:
         eigvals, eigvecs = np.linalg.eigh(s_matrix.toarray())
     else:

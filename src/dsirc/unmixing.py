@@ -272,22 +272,32 @@ def nnls(endmembers: np.ndarray, x: np.ndarray) -> np.ndarray:
     solution satisfies the KKT conditions: the residual gradient is
     non-negative everywhere and zero on the support.
     """
-    e = np.asarray(endmembers, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if e.ndim != 2 or x.ndim != 1 or e.shape[1] != x.shape[0]:
-        raise ValueError("endmembers must be (p, bands) and x a length-bands vector")
-    if e.shape[0] > e.shape[1]:
-        # more endmembers than bands is underdetermined
-        raise ValueError("need at least as many bands as endmembers")
-    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(x))):
-        raise ValueError("inputs must be finite")
-    return scipy.optimize.nnls(e.T, x)[0]
+    if x.ndim != 1:
+        raise ValueError("x must be a length-bands vector")
+    return abundances(endmembers, x[None, :])[0]
 
 
 def abundances(endmembers: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    """Row-wise NNLS abundances for a matrix of spectra."""
+    """Row-wise NNLS abundances (see :func:`nnls`) for a matrix of spectra.
+
+    The inputs are checked once, and every row is solved against one
+    C-ordered copy of ``endmembers.T``.
+    """
+    e = np.asarray(endmembers, dtype=np.float64)
     spectra = np.asarray(spectra, dtype=np.float64)
-    return np.array([nnls(endmembers, row) for row in spectra])
+    if e.ndim != 2 or spectra.ndim != 2 or e.shape[1] != spectra.shape[1]:
+        raise ValueError("endmembers must be (p, bands) and spectra (n, bands)")
+    if e.shape[0] > e.shape[1]:
+        # more endmembers than bands is underdetermined
+        raise ValueError("need at least as many bands as endmembers")
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(spectra))):
+        raise ValueError("inputs must be finite")
+    design = np.ascontiguousarray(e.T)
+    out = np.empty((spectra.shape[0], e.shape[0]))
+    for i, row in enumerate(spectra):
+        out[i] = scipy.optimize.nnls(design, row)[0]
+    return out
 
 
 def purity(model: UnmixingModel) -> PurityField:

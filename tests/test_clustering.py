@@ -17,6 +17,7 @@ from dsirc.clustering import (
     Clustering,
     DensityField,
     ZetaField,
+    _lloyd,
     _screen_predecessors,
     auto_sigma0,
     dsirc,
@@ -571,6 +572,19 @@ def test_kmeans_survives_duplicate_heavy_data():
     x = np.array([[0.0], [0.0], [0.0], [0.0], [10.0], [10.0]])
     labels = kmeans(cloud_of(x), 3, rng=0).labels.labels
     assert set(np.unique(labels)) == {1, 2, 3}
+
+
+def test_lloyd_warns_at_its_iteration_cap():
+    # Convergence is an assignment equal to the previous one, so one
+    # iteration never converges; at a cap of 2 the second iteration still
+    # moved a point, so this data does not converge in one step either.
+    x = np.random.default_rng(0).uniform(size=(60, 2))
+    for cap in (1, 2):
+        with pytest.warns(RuntimeWarning, match=f"cap of {cap} iterations"):
+            _lloyd(x, 3, np.random.default_rng(0), max_iter=cap)
+    # The suite turns warnings into errors, so the default cap is silent here.
+    labels, _ = _lloyd(x, 3, np.random.default_rng(0))
+    assert set(np.unique(labels)) == {0, 1, 2}
 
 
 def test_spectral_clustering_splits_two_blobs():

@@ -5,9 +5,13 @@ quantity: the stationary-weighted L2 distance between rows of the dense
 t-step transition matrix, computed by repeated matrix multiplication.
 """
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg
 
 from dsirc.diffusion import (
     DiffusionSystem,
@@ -52,6 +56,44 @@ def argsort_knn(x, k):
         idx[start:stop] = order
         dist[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
     return idx, dist
+
+
+def coo_knn_graph(neighbors):
+    """``knn_graph``'s adjacency built through COO, as it was before the
+    direct CSR construction."""
+    n, k_n = neighbors.shape
+    rows = np.repeat(np.arange(n, dtype=np.intp), k_n)
+    directed = sparse.csr_matrix(
+        (np.ones(rows.shape[0]), (rows, neighbors.ravel())), shape=(n, n)
+    )
+    symmetric = directed.maximum(directed.T).tocsr()
+    symmetric.sort_indices()
+    return symmetric
+
+
+def coo_s_matrix(adjacency):
+    """``diffusion_system``'s ``S = D^{-1/2} W D^{-1/2}`` built through COO,
+    as it was before the direct CSR construction."""
+    n = adjacency.shape[0]
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel().astype(np.float64)
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    coo = adjacency.tocoo()
+    s_data = coo.data * (inv_sqrt[coo.row] * inv_sqrt[coo.col])
+    return sparse.csr_matrix((s_data, (coo.row, coo.col)), shape=(n, n))
+
+
+def assert_csr_equal(got, want):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b)
+
+
+def use_small_blocks(monkeypatch, n, block_rows, chunk_rows):
+    # The search's Gram blocks and row chunks shrink to the given row counts.
+    diffusion = importlib.import_module("dsirc.diffusion")
+    monkeypatch.setattr(diffusion, "_BLOCK_ELEMENTS", block_rows * n)
+    monkeypatch.setattr(diffusion, "_CHUNK_ELEMENTS", chunk_rows * n)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +180,61 @@ def test_knn_partial_sort_equals_argsort_across_blocks():
     assert_knn_prefix(x, (1, 10, 40), 100)
 
 
+@pytest.mark.parametrize("block_rows, chunk_rows", [(7, 3), (5, 5), (4, 9), (1, 1)])
+def test_knn_small_blocks_and_chunks_equal_argsort(monkeypatch, block_rows, chunk_rows):
+    # Chunks that do not divide a block, a chunk equal to the block, a chunk
+    # clamped to the block, and one row per block.  The coordinates are
+    # small multiples of 1/8, so every Gram entry is exact whatever shape of
+    # product the BLAS runs, and the full-block oracle applies.
+    rng = np.random.default_rng(20)
+    lattice = rng.integers(0, 4, size=(300, 3)).astype(np.float64)
+    duplicates = (rng.integers(0, 16, size=(60, 5)) / 8.0)[rng.integers(0, 60, size=240)]
+    use_small_blocks(monkeypatch, 300, block_rows, chunk_rows)
+    assert_knn_equals_argsort(lattice, (1, 2, 7, 20, 299))
+    use_small_blocks(monkeypatch, 240, block_rows, chunk_rows)
+    assert_knn_equals_argsort(duplicates, (1, 3, 8, 239))
+
+
+def test_knn_small_chunks_equal_argsort_on_inexact_data(monkeypatch):
+    # Chunks only split the row-local passes after the Gram product, so
+    # they leave every value unchanged on any data.
+    rng = np.random.default_rng(21)
+    x = rng.uniform(size=(60, 5))[rng.integers(0, 60, size=240)]
+    monkeypatch.setattr(importlib.import_module("dsirc.diffusion"), "_CHUNK_ELEMENTS", 7 * 240)
+    assert_knn_equals_argsort(x, (1, 3, 8, 239))
+
+
+def test_knn_ties_at_k_on_both_sides_of_a_chunk_boundary(monkeypatch):
+    # Points 0, 1, ..., 39 on a line.  At k = 3 every row from 2 to 37 has
+    # its 3rd and 4th smallest squared distances equal (4 and 4), so it
+    # takes the full-sort path; at k = 2 (1 and 1, then 4) none does.
+    x = np.arange(40.0)[:, None]
+    use_small_blocks(monkeypatch, 40, block_rows=8, chunk_rows=3)
+    d2 = (x - x.T) ** 2
+    np.fill_diagonal(d2, np.inf)
+    ranked = np.sort(d2, axis=1)
+    tied = ranked[:, 2] == ranked[:, 3]
+    # Chunks start at rows 3, 6, 8, 11, ...: rows on each side are tied.
+    for boundary in (3, 6, 8, 11, 14, 16):
+        assert tied[boundary - 1] and tied[boundary]
+    assert not np.any(ranked[:, 1] == ranked[:, 2])
+    assert_knn_equals_argsort(x, (2, 3))
+
+
+def test_knn_search_holds_at_most_two_block_buffers():
+    # One Gram buffer of 4,000,000 values, one chunk buffer and the chunk's
+    # partition: at most two 4,000,000-value float64 buffers besides the
+    # outputs.
+    x = np.random.default_rng(24).uniform(size=(4096, 30))
+    tracemalloc.start()
+    try:
+        idx, dist = knn_indices(x, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - idx.nbytes - dist.nbytes <= 2 * 4_000_000 * 8
+
+
 def test_knn_indices_validation():
     x = np.zeros((5, 2))
     with pytest.raises(ValueError):
@@ -173,6 +270,16 @@ def test_knn_graph_validation():
     weighted = sparse.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         KnnGraph(weighted, 1)
+
+
+def test_knn_graph_equals_coo_construction():
+    rng = np.random.default_rng(25)
+    lattice = rng.integers(0, 4, size=(200, 3)).astype(np.float64)
+    duplicates = rng.uniform(size=(50, 4))[rng.integers(0, 50, size=200)]
+    for x in (rng.uniform(size=(200, 3)), lattice, duplicates):
+        for k in (1, 6, 40, 199):
+            neighbors = knn_indices(x, k)[0]
+            assert_csr_equal(knn_graph(neighbors).adjacency, coo_knn_graph(neighbors))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +354,36 @@ def test_sparse_solver_agrees_with_dense_reference():
             assert np.linalg.norm(got[i] - got[j]) == pytest.approx(
                 float(np.linalg.norm(want[i] - want[j])), rel=1e-6, abs=1e-9
             )
+
+
+def test_transition_matrix_equals_coo_construction(monkeypatch):
+    # Record the S each solver is given: the sparse path (n > 128, few
+    # pairs) and the dense one (n <= 128).
+    given = []
+    eigsh, eigh = scipy.sparse.linalg.eigsh, np.linalg.eigh
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "eigsh", lambda s, **kw: given.append(s) or eigsh(s, **kw)
+    )
+    monkeypatch.setattr(np.linalg, "eigh", lambda s: given.append(s) or eigh(s))
+    rng = np.random.default_rng(26)
+    for n, k in ((300, 8), (100, 5)):
+        graph = knn_graph(knn_indices(rng.uniform(size=(n, 3)), k)[0])
+        adj = graph.adjacency
+        # The same adjacency with each row's columns in reverse order.
+        reversed_columns = np.concatenate(
+            [adj.indices[a:b][::-1] for a, b in zip(adj.indptr[:-1], adj.indptr[1:])]
+        )
+        unsorted = KnnGraph(sparse.csr_matrix((adj.data, reversed_columns, adj.indptr), shape=adj.shape), k)
+        assert not unsorted.adjacency.has_sorted_indices
+        want = coo_s_matrix(adj)
+        for g in (graph, unsorted):
+            given.clear()
+            diffusion_system(g, 10)
+            (s_matrix,) = given
+            if n > 128:
+                assert_csr_equal(s_matrix, want)
+            else:
+                np.testing.assert_array_equal(s_matrix, want.toarray())
 
 
 def test_disconnected_graph_is_rejected():
