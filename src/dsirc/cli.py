@@ -37,6 +37,7 @@ from .core import (
     write_label_ppm,
     write_labels_csv,
 )
+from .diffusion import DisconnectedGraphError
 from .evaluation import align_labels, cohens_kappa, overall_accuracy
 from .synth import SynthConfig, synth_hsi
 
@@ -168,9 +169,10 @@ def _run_algorithm(cloud: PixelCloud, opts: dict[str, object], seed: int) -> Clu
 
 def _run_grid(
     cloud: PixelCloud, opts: dict[str, object], combos: list[dict[str, object]], seed: int
-) -> list[Clustering]:
+) -> list[Clustering | DisconnectedGraphError]:
     """The clustering of each combination (options overriding ``opts``) at
-    one seed, in ``combos`` order.
+    one seed, in ``combos`` order; a combination whose KNN graph splits
+    into components gets the error instead.
 
     ``dsirc`` and ``dvic`` run every combination in one :func:`mode_grid`
     call, so each stage runs once per distinct input; ``kmeans`` and ``sc``
@@ -179,7 +181,13 @@ def _run_grid(
     runs = [{**opts, **combo} for combo in combos]
     algorithm = opts["algorithm"]
     if algorithm not in ("dsirc", "dvic"):
-        return [_run_algorithm(cloud, run, seed) for run in runs]
+        results = []
+        for run in runs:
+            try:
+                results.append(_run_algorithm(cloud, run, seed))
+            except DisconnectedGraphError as exc:
+                results.append(exc)
+        return results
     reconstruct = algorithm == "dsirc"
     keys = [(run["kn"], run["t"], run["tau"] if reconstruct else None) for run in runs]
     k_ns, ts, taus = zip(*keys)
@@ -276,6 +284,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         [result] = _run_grid(cloud, opts, [{}], opts["seed"])
     except Exception as exc:  # algorithm failure on valid inputs
         return _fail("clustering", exc, 1)
+    if isinstance(result, DisconnectedGraphError):
+        return _fail("clustering", result, 1)
     labels = result.labels
     metrics: dict[str, float] | None = None
     if gt is not None:
@@ -347,18 +357,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError("sweep requires --gt to score combinations")
     except (OSError, ValueError) as exc:
         return _fail("input", exc, 2)
-    # scores[i][j]: the metrics of combination i at the j-th seed.
+    # scores[i][j]: the metrics of combination i at the j-th seed;
+    # failures[i]: the first error of a combination that failed at any seed.
     scores: list[list[dict[str, float]]] = [[] for _ in combos]
+    failures: dict[int, DisconnectedGraphError] = {}
     try:
         for offset in range(seeds):
             results = _run_grid(cloud, opts, combos, opts["seed"] + offset)
-            for runs, result in zip(scores, results):
-                runs.append(_score(result.labels, gt)[1])
+            for i, result in enumerate(results):
+                if isinstance(result, DisconnectedGraphError):
+                    failures.setdefault(i, result)
+                else:
+                    scores[i].append(_score(result.labels, gt)[1])
     except Exception as exc:
         return _fail("clustering", exc, 1)
     rows: list[dict[str, object]] = []
     best: dict[str, object] | None = None
-    for combo, runs in zip(combos, scores):
+    for i, (combo, runs) in enumerate(zip(combos, scores)):
+        if i in failures:
+            continue
         row: dict[str, object] = dict(combo)
         row["oa_median"] = statistics.median(m["oa"] for m in runs)
         row["kappa_median"] = statistics.median(m["kappa"] for m in runs)
@@ -374,10 +391,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 fh.write(",".join(str(row.get(k, "")) for k in keys) + "\n")
     except OSError as exc:
         return _fail("output", exc, 2)
-    assert best is not None
-    described = " ".join(f"{k}={best[k]}" for k in best)
-    print(f"best: {described}")
-    return 0
+    for i, exc in failures.items():
+        described = " ".join(f"{k}={v}" for k, v in combos[i].items())
+        print(f"dsirc: clustering failed for {described}: {exc}", file=sys.stderr)
+    if best is not None:
+        described = " ".join(f"{k}={best[k]}" for k in best)
+        print(f"best: {described}")
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from scipy.spatial import cKDTree
 from .core import LabelMap, PixelCloud
 from .diffusion import (
     DiffusionSystem,
+    DisconnectedGraphError,
     diffusion_system,
     knn_graph,
     knn_indices,
@@ -343,7 +344,7 @@ def mode_grid(
     k_ns: Sequence[int],
     ts: Sequence[float],
     taus: Sequence[float] | None = None,
-) -> dict[tuple[int, float, float | None], Clustering]:
+) -> dict[tuple[int, float, float | None], Clustering | DisconnectedGraphError]:
     """The mode-based pipeline for every ``(k_n, t, tau)`` of a grid.
 
     The grid's values replace ``config``'s ``k_n``, ``t`` and ``tau``.  With
@@ -358,6 +359,10 @@ def mode_grid(
     * each ``tau`` gets one reconstruction and one search of its spectra;
     * the graph and eigensystem run once per ``(k_n, tau)``, and the
       predecessor scan, mode choice and labelling once per ``t`` on them.
+
+    A ``(k_n, tau)`` graph that splits into components maps each of its
+    ``(k_n, t, tau)`` keys to the :class:`DisconnectedGraphError` it raised;
+    the rest of the grid still runs.
     """
     k_ns = list(dict.fromkeys(k_ns))
     ts = list(dict.fromkeys(ts))
@@ -402,7 +407,7 @@ def _reconstruct_and_diffuse(
     zetas: dict[int, ZetaField],
     ts: list[float],
     n_pairs: int,
-) -> dict[tuple[int, float, float | None], Clustering]:
+) -> dict[tuple[int, float, float | None], Clustering | DisconnectedGraphError]:
     """The grid's results for one ``tau``.  The reconstructed cloud and its
     neighbour lists are freed on return, before the next ``tau``'s."""
     working = sar(cloud, IciConfig(tau=tau, lengths=config.lengths))
@@ -417,12 +422,17 @@ def _diffuse(
     tau: float | None,
     n_pairs: int,
     n_clusters: int,
-) -> dict[tuple[int, float, float | None], Clustering]:
+) -> dict[tuple[int, float, float | None], Clustering | DisconnectedGraphError]:
     """Clusterings for each ``(k_n, t)`` on the graphs of one neighbour
-    search; ``k_n`` takes the first ``k_n`` columns of ``neighbors``."""
+    search; ``k_n`` takes the first ``k_n`` columns of ``neighbors``.  A
+    disconnected graph's keys get its error."""
     results = {}
     for k_n, zeta_field in zetas.items():
-        system = diffusion_system(knn_graph(neighbors[:, :k_n]), n_pairs)
+        try:
+            system = diffusion_system(knn_graph(neighbors[:, :k_n]), n_pairs)
+        except DisconnectedGraphError as exc:
+            results.update({(k_n, t, tau): exc for t in ts})
+            continue
         for t in ts:
             dt, parents = dt_values(system, zeta_field, t)
             modes = select_modes(zeta_field, dt, n_clusters)
@@ -436,12 +446,20 @@ def dsirc(cloud: PixelCloud, config: ClusterConfig) -> Clustering:
     """Mode-based diffusion clustering on shape-adaptively reconstructed
     spectra (density and purity still come from the originals)."""
     grid = mode_grid(cloud, config, [config.k_n], [config.t], [config.tau])
-    return grid[config.k_n, config.t, config.tau]
+    return _clustering(grid[config.k_n, config.t, config.tau])
 
 
 def dvic(cloud: PixelCloud, config: ClusterConfig) -> Clustering:
     """The same pipeline as :func:`dsirc` but on the raw spectra."""
-    return mode_grid(cloud, config, [config.k_n], [config.t])[config.k_n, config.t, None]
+    grid = mode_grid(cloud, config, [config.k_n], [config.t])
+    return _clustering(grid[config.k_n, config.t, None])
+
+
+def _clustering(result: Clustering | DisconnectedGraphError) -> Clustering:
+    """A grid result, raising the error a failed combination holds."""
+    if isinstance(result, DisconnectedGraphError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

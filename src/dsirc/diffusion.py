@@ -32,10 +32,12 @@ __all__ = [
 # convergence concerns.
 _DENSE_EIG_CUTOFF = 128
 
-# The KNN search's Gram product covers at most this many (row, column)
-# pairs per block.  Its row-local passes run on chunks of at most this many
+# The KNN search's Gram product covers this many rows per block: an 8 MB
+# buffer at 4,096 pixels, and enough rows for the GEMM to run at full speed
+# (36-row blocks took 1.7x as long per row at 110,889 pixels).
+# Its row-local passes run on chunks of at most this many (row, column)
 # pairs (2 MB), small enough to stay in cache from one pass to the next.
-_BLOCK_ELEMENTS = 4_000_000
+_BLOCK_ROWS = 256
 _CHUNK_ELEMENTS = 250_000
 
 
@@ -57,7 +59,7 @@ class KnnGraph:
             raise ValueError("adjacency must be square")
         if self.k_n < 1:
             raise ValueError("k_n must be at least 1")
-        if (adj != adj.T).nnz != 0:
+        if not _is_symmetric(adj):
             raise ValueError("adjacency must be symmetric")
         if adj.diagonal().any():
             raise ValueError("adjacency must have a zero diagonal")
@@ -70,6 +72,30 @@ class KnnGraph:
         return self.adjacency.shape[0]
 
 
+def _is_symmetric(adj: sparse.csr_matrix) -> bool:
+    """Whether ``adj`` equals its transpose as a matrix: duplicate entries
+    summed, explicit zeros ignored (what ``(adj != adj.T).nnz == 0`` tests).
+
+    A canonical matrix of ones is compared by structure alone, through a
+    one-byte pattern; its transpose comes out of the conversion to CSR with
+    sorted columns.  Any other matrix is first summed and cleared of zeros
+    in a copy, and its values are compared too.
+    """
+    if adj.has_canonical_format and np.all(adj.data == 1.0):
+        values = sparse.csr_matrix(
+            (np.ones(adj.nnz, dtype=bool), adj.indices, adj.indptr), shape=adj.shape
+        )
+    else:
+        values = adj.copy()
+        values.sum_duplicates()
+        values.eliminate_zeros()
+    transposed = values.T.tocsr()
+    return all(
+        np.array_equal(getattr(transposed, name), getattr(values, name))
+        for name in ("indptr", "indices", "data")
+    )
+
+
 def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's ``k_n`` nearest other rows by Euclidean distance.
 
@@ -79,9 +105,11 @@ def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
     deterministically.  One search per cloud serves the bandwidth, the
     density and the graph.
 
-    Squared distances come from one Gram product per block of rows, written
-    into one ``(block, n)`` buffer that every block reuses.  The passes
-    after it run in place on chunks of a few rows, with one more
+    Squared distances come from one Gram product per block of
+    ``_BLOCK_ROWS`` rows, written into one ``(block, n)`` buffer that every
+    block reuses.  A last block of one row joins the one before it: a
+    one-row product runs as a GEMV, whose rounding differs from the GEMM's.
+    The passes after it run in place on chunks of a few rows, with one more
     ``(chunk, n)`` buffer: ``(|x_i|^2 + |x_j|^2) - 2 g_ij`` in that
     association, clipped at zero, with the diagonal set to infinity.  These
     passes are row-local, so no result depends on where a chunk starts.
@@ -100,12 +128,15 @@ def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
     sq = np.einsum("ij,ij->i", x, x)
     idx_out = np.empty((n, k_n), dtype=np.intp)
     dist_out = np.empty((n, k_n))
-    block = min(n, max(1, _BLOCK_ELEMENTS // n))
+    starts = list(range(0, n, _BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    stops = starts[1:] + [n]
+    block = max(stop - start for start, stop in zip(starts, stops))
     chunk = min(block, max(1, _CHUNK_ELEMENTS // n))
     gram = np.empty((block, n))
     sums = np.empty((chunk, n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start, stop in zip(starts, stops):
         np.matmul(x[start:stop], x.T, out=gram[: stop - start])
         for lo in range(start, stop, chunk):
             hi = min(lo + chunk, stop)
@@ -147,16 +178,36 @@ def knn_graph(neighbors: np.ndarray) -> KnnGraph:
     ``neighbors`` is the index half of :func:`knn_indices`.  A directed edge
     goes to each of a pixel's ``k_n`` nearest others; the adjacency is the
     elementwise maximum with its transpose, so every row has between
-    ``k_n`` and ``2 * k_n`` neighbors.
+    ``k_n`` and ``2 * k_n`` neighbors.  The pattern is symmetrized with
+    one-byte entries and 32-bit columns where they fit; only the final CSR
+    gets its float ones.
     """
     n, k_n = neighbors.shape
+    pattern = _symmetric_pattern(neighbors)
+    adjacency = sparse.csr_matrix(
+        (np.ones(pattern.nnz), pattern.indices, pattern.indptr), shape=(n, n)
+    )
+    return KnnGraph(adjacency, k_n)
+
+
+def _symmetric_pattern(neighbors: np.ndarray) -> sparse.csr_matrix:
+    """The directed KNN pattern's union with its transpose: one-byte
+    entries, sorted columns, and 32-bit indices where they fit."""
+    n, k_n = neighbors.shape
+    index = np.int32 if 2 * n * k_n <= np.iinfo(np.int32).max else np.int64
+    columns = neighbors.astype(index)
+    columns.sort(axis=1)
     directed = sparse.csr_matrix(
-        (np.ones(n * k_n), np.sort(neighbors, axis=1).ravel(), np.arange(0, n * k_n + 1, k_n)),
+        (
+            np.ones(n * k_n, dtype=bool),
+            columns.reshape(-1),
+            np.arange(0, n * k_n + 1, k_n, dtype=index),
+        ),
         shape=(n, n),
     )
-    symmetric = directed.maximum(directed.T).tocsr()
-    symmetric.sort_indices()
-    return KnnGraph(symmetric, k_n)
+    pattern = directed.maximum(directed.T)
+    pattern.sort_indices()
+    return pattern
 
 
 @dataclass(frozen=True)
@@ -235,8 +286,10 @@ def diffusion_system(graph: KnnGraph, n_eigenpairs: int) -> DiffusionSystem:
     degrees = np.asarray(adjacency.sum(axis=1)).ravel().astype(np.float64)
     pi = degrees / degrees.sum()
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    rows = np.repeat(np.arange(n), np.diff(adjacency.indptr))
-    s_data = adjacency.data * (inv_sqrt[rows] * inv_sqrt[adjacency.indices])
+    # Each entry is (inv_sqrt[row] * inv_sqrt[column]) * value, formed in place.
+    s_data = np.repeat(inv_sqrt, np.diff(adjacency.indptr))
+    s_data *= inv_sqrt[adjacency.indices]
+    s_data *= adjacency.data
     s_matrix = sparse.csr_matrix((s_data, adjacency.indices, adjacency.indptr), shape=(n, n))
     # An adjacency built elsewhere may hold unsorted columns; S is summed in
     # sorted column order either way.

@@ -173,6 +173,16 @@ def test_cluster_disconnected_graph_exits_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("algorithm", ["dsirc", "dvic"])
+def test_cluster_mode_pipeline_disconnected_graph_exits_one(tmp_path, capsys, algorithm):
+    scene = make_scene(tmp_path, noise="0.005")
+    cube = [str(scene / "cube.hdr"), str(scene / "cube.raw")]
+    argv = ["cluster", *cube, "--out", str(tmp_path / "run"), "--algorithm", algorithm]
+    assert main([*argv, "--k", "3", "--kn", "3"]) == 1
+    assert capsys.readouterr().err.startswith("dsirc: clustering failed: KNN graph has ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_cluster_usage_errors(tmp_path):
     scene = make_scene(tmp_path)
     cube = [str(scene / "cube.hdr"), str(scene / "cube.raw")]
@@ -605,10 +615,18 @@ def test_sweep_runs_each_stage_once_per_distinct_input(tmp_path, monkeypatch, al
     assert tuple(calls.get(name, 0) for name in stages) == counts
 
 
+def sweep_rows(out):
+    lines = (out / "sweep.csv").read_text().splitlines()
+    keys = lines[0].split(",")
+    return [dict(zip(keys, line.split(","))) for line in lines[1:]]
+
+
 def test_sweep_disconnected_graph_exits_one(tmp_path, capsys):
     # kn 3 disconnects this scene's graph, as in the cluster test above; the
-    # sweep fails as a whole and writes no partial table.
+    # sweep scores the other combination, names the failed one with its
+    # cause, and exits 1.
     scene = make_scene(tmp_path, noise="0.005")
+    capsys.readouterr()
     out = tmp_path / "s"
     code = main(
         [
@@ -630,8 +648,59 @@ def test_sweep_disconnected_graph_exits_one(tmp_path, capsys):
         ]
     )
     assert code == 1
-    assert "clustering failed" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("dsirc: clustering failed for kn=3 t=10.0 tau=1.0: KNN graph has ")
+    assert [(row["kn"], row["t"], row["tau"]) for row in sweep_rows(out)] == [("40", "10.0", "1.0")]
+    assert captured.out.startswith("best: kn=40 ")
+
+
+def test_sweep_sc_skips_a_disconnected_combination(tmp_path, capsys):
+    scene = make_scene(tmp_path, noise="0.005")
+    out = tmp_path / "s"
+    cube = [str(scene / "cube.hdr"), str(scene / "cube.raw"), "--gt", str(scene / "gt.csv")]
+    argv = ["sweep", *cube, "--out", str(out), "--algorithm", "sc", "--k", "3", "--kn-grid", "3,40"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("dsirc: clustering failed for kn=3: KNN graph has ")
+    assert [row["kn"] for row in sweep_rows(out)] == ["40"]
+
+
+def test_sweep_default_grids_skip_the_disconnected_combination(tmp_path, capsys):
+    # The README's scene (synth defaults): at kn 20, tau 3 the reconstructed
+    # cloud's graph splits in two, so those three combinations fail and the
+    # other 33 rows are written.  The rows that share a kn or a tau with the
+    # failed graph (the kn 20 graphs at the other taus, and the other kn at
+    # tau 3, which run after it in the same grid) equal those of sweeps in
+    # which nothing fails.
+    scene = tmp_path / "scene"
+    assert main(["synth", "--out", str(scene)]) == 0
+    capsys.readouterr()
+    cube = [str(scene / "cube.hdr"), str(scene / "cube.raw"), "--gt", str(scene / "gt.csv")]
+    assert main(["sweep", *cube, "--out", str(tmp_path / "all"), "--k", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"dsirc: clustering failed for kn=20 t={t} tau=3.0: KNN graph has 2 connected "
+        "components; increase k_n to reconnect it"
+        for t in ("10.0", "30.0", "100.0")
+    ]
+    assert captured.out.startswith("best: ")
+    rows = sweep_rows(tmp_path / "all")
+    keys = [(row["kn"], row["t"], row["tau"]) for row in rows]
+    assert keys == [
+        (kn, t, tau)
+        for kn in ("20", "50", "100", "200")
+        for t in ("10.0", "30.0", "100.0")
+        for tau in ("1.0", "2.0", "3.0")
+        if (kn, tau) != ("20", "3.0")
+    ]
+    clean = []
+    for name, kn, tau in (("kn20", "20", "1,2"), ("tau3", "50,100,200", "3")):
+        argv = ["sweep", *cube, "--out", str(tmp_path / name), "--k", "4"]
+        assert main([*argv, "--kn-grid", kn, "--tau-grid", tau]) == 0
+        clean += sweep_rows(tmp_path / name)
+    assert len(clean) == 15
+    for row in clean:
+        assert row == rows[keys.index((row["kn"], row["t"], row["tau"]))]
 
 
 def test_sweep_configuration_errors(tmp_path, capsys):

@@ -7,6 +7,7 @@ partition search on tiny inputs.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from dsirc.clustering import (
     dvic,
     kde_density,
     kmeans,
+    mode_grid,
     propagate_labels,
     select_modes,
     spectral_clustering,
@@ -459,6 +461,24 @@ def test_saturated_pixel_is_floored_not_fatal(pipeline):
     with pytest.warns(RuntimeWarning, match="underflows for 1 pixel"):
         got = pipeline(PixelCloud(spectra, cloud.coords), ClusterConfig(n_clusters=4, seed=0))
     assert set(np.unique(got.labels.labels)) == {1, 2, 3, 4}
+
+
+def test_mode_grid_carries_on_past_a_disconnected_graph():
+    # Two far-apart blobs of 20: k_n = 4 keeps each blob's graph to itself,
+    # k_n = 25 joins them.  The grid maps both k_n = 4 keys to the error and
+    # still runs k_n = 25, equal to a dvic run; dvic at k_n = 4 raises.
+    rng = np.random.default_rng(16)
+    cloud = cloud_of(np.vstack([rng.uniform(size=(20, 3)), rng.uniform(size=(20, 3)) + 50.0]))
+    config = ClusterConfig(n_clusters=2, n_endmembers=2, seed=0)
+    grid = mode_grid(cloud, config, [4, 25], [10.0, 30.0])
+    assert list(grid) == [(4, 10.0, None), (4, 30.0, None), (25, 10.0, None), (25, 30.0, None)]
+    assert grid[4, 10.0, None] is grid[4, 30.0, None]
+    assert isinstance(grid[4, 10.0, None], DisconnectedGraphError)
+    for t in (10.0, 30.0):
+        want = dvic(cloud, replace(config, k_n=25, t=t))
+        np.testing.assert_array_equal(grid[25, t, None].labels.labels, want.labels.labels)
+    with pytest.raises(DisconnectedGraphError, match="2 connected components"):
+        dvic(cloud, replace(config, k_n=4))
 
 
 def test_one_knn_search_per_cloud(monkeypatch):

@@ -92,7 +92,7 @@ def assert_csr_equal(got, want):
 def use_small_blocks(monkeypatch, n, block_rows, chunk_rows):
     # The search's Gram blocks and row chunks shrink to the given row counts.
     diffusion = importlib.import_module("dsirc.diffusion")
-    monkeypatch.setattr(diffusion, "_BLOCK_ELEMENTS", block_rows * n)
+    monkeypatch.setattr(diffusion, "_BLOCK_ROWS", block_rows)
     monkeypatch.setattr(diffusion, "_CHUNK_ELEMENTS", chunk_rows * n)
 
 
@@ -172,8 +172,9 @@ def test_knn_partial_sort_equals_argsort_on_duplicate_rows():
 
 
 def test_knn_partial_sort_equals_argsort_across_blocks():
-    # Above 2,000 rows a block holds fewer rows than the cloud, so the
-    # search runs block by block; rounded coordinates add boundary ties.
+    # Above 2,000 rows the oracle's 4,000,000-value blocks, like the
+    # search's 256-row blocks, hold fewer rows than the cloud, so both run
+    # block by block; rounded coordinates add boundary ties.
     x = np.round(np.random.default_rng(22).uniform(size=(2100, 3)), 2)
     assert max(1, 4_000_000 // x.shape[0]) < x.shape[0]
     assert_knn_equals_argsort(x, (1, 10, 40))
@@ -222,17 +223,81 @@ def test_knn_ties_at_k_on_both_sides_of_a_chunk_boundary(monkeypatch):
 
 
 def test_knn_search_holds_at_most_two_block_buffers():
-    # One Gram buffer of 4,000,000 values, one chunk buffer and the chunk's
-    # partition: at most two 4,000,000-value float64 buffers besides the
-    # outputs.
-    x = np.random.default_rng(24).uniform(size=(4096, 30))
+    # One Gram buffer of 256 rows, then per chunk of at most 250,000 values
+    # a sums buffer, the partition's index array and one more: at most the
+    # Gram buffer plus three chunk buffers besides the outputs (14.4 MB, well
+    # under two of the 4,000,000-value blocks the search once used).
+    diffusion = importlib.import_module("dsirc.diffusion")
+    n = 4096
+    x = np.random.default_rng(24).uniform(size=(n, 30))
     tracemalloc.start()
     try:
         idx, dist = knn_indices(x, 100)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - idx.nbytes - dist.nbytes <= 2 * 4_000_000 * 8
+    gram = diffusion._BLOCK_ROWS * n * 8
+    assert peak - idx.nbytes - dist.nbytes <= gram + 3 * diffusion._CHUNK_ELEMENTS * 8
+
+
+def test_knn_one_row_remainder_joins_the_previous_block():
+    # n = 257 leaves one row after a 256-row block.  Alone it would run as a
+    # GEMV, whose rounding differs from the block product's on this data;
+    # joined to the block it gives the one-block oracle's values exactly.
+    diffusion = importlib.import_module("dsirc.diffusion")
+    n = diffusion._BLOCK_ROWS + 1
+    for bands in (3, 30):
+        x = np.random.default_rng(bands).uniform(size=(n, bands))
+        assert np.any(x[-1:] @ x.T != (x @ x.T)[-1:])
+        assert_knn_equals_argsort(x, (1, 10, 40, n - 1))
+
+
+@pytest.fixture(scope="module")
+def neighbors_4096():
+    # A 4,096-node k_n = 100 search, the size of the 64x64 scenes.
+    return knn_indices(np.random.default_rng(24).uniform(size=(4096, 30)), 100)[0]
+
+
+def test_knn_graph_holds_at_most_twice_its_adjacency(neighbors_4096):
+    # The pattern is symmetrized with one-byte entries and 32-bit columns,
+    # and validated against a one-byte transpose, so building and checking
+    # the graph takes at most as much again as the adjacency it returns.
+    tracemalloc.start()
+    try:
+        graph = knn_graph(neighbors_4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    adj = graph.adjacency
+    assert adj.indices.dtype == adj.indptr.dtype == np.int32
+    assert peak <= 2 * (adj.data.nbytes + adj.indices.nbytes + adj.indptr.nbytes)
+
+
+def test_transition_matrix_setup_holds_two_edge_arrays(monkeypatch, neighbors_4096):
+    # S's values are formed in one per-edge array, with one more for the
+    # column gather: the peak up to the solver is two per-edge float arrays
+    # plus a few per-node ones.
+    class Stop(Exception):
+        pass
+
+    seen = {}
+
+    def record(s_matrix, **kw):
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        seen["s"] = s_matrix
+        raise Stop
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", record)
+    graph = knn_graph(neighbors_4096)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            diffusion_system(graph, 50)
+    finally:
+        tracemalloc.stop()
+    n = graph.n
+    assert seen["s"].nnz == graph.adjacency.nnz
+    assert seen["peak"] <= 2 * seen["s"].data.nbytes + 16 * n * 8
 
 
 def test_knn_indices_validation():
@@ -262,14 +327,37 @@ def test_knn_graph_is_symmetrized_union():
 
 def test_knn_graph_validation():
     bad = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
         KnnGraph(bad, 1)
     with_diag = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero diagonal"):
         KnnGraph(with_diag, 1)
     weighted = sparse.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="0 or 1"):
         KnnGraph(weighted, 1)
+
+    def stored(data, columns, indptr):
+        # CSR arrays taken as given: explicit zeros and duplicates stay.
+        n = len(indptr) - 1
+        return sparse.csr_matrix((np.array(data, dtype=float), columns, indptr), shape=(n, n))
+
+    # An explicit zero counts as no edge for symmetry, on or off the
+    # diagonal, but is not a 0/1 entry of the pattern.
+    with pytest.raises(ValueError, match="0 or 1"):
+        KnnGraph(stored([1, 0, 1], [1, 2, 0], [0, 2, 3, 3]), 1)
+    with pytest.raises(ValueError, match="0 or 1"):
+        KnnGraph(stored([0, 1, 1], [0, 1, 0], [0, 2, 3, 3]), 1)
+    # Duplicate entries sum: (0, 1) stored twice is 2 against (1, 0)'s 1.
+    duplicated = stored([1, 1, 1], [1, 1, 0], [0, 2, 3, 3])
+    assert not duplicated.has_canonical_format
+    with pytest.raises(ValueError, match="symmetric"):
+        KnnGraph(duplicated, 1)
+    # Duplicates that cancel leave (0, 1) and (1, 0) at 0: symmetric, but
+    # the stored entries are not 0 or 1.
+    with pytest.raises(ValueError, match="0 or 1"):
+        KnnGraph(stored([1, -1, 1, -1], [1, 1, 0, 0], [0, 2, 4, 4]), 1)
+    # Unsorted columns of a symmetric 0/1 pattern are fine.
+    KnnGraph(stored([1, 1, 1, 1], [2, 1, 0, 0], [0, 2, 3, 4]), 1)
 
 
 def test_knn_graph_equals_coo_construction():
