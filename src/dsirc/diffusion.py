@@ -63,7 +63,12 @@ class KnnGraph:
             raise ValueError("adjacency must be symmetric")
         if adj.diagonal().any():
             raise ValueError("adjacency must have a zero diagonal")
-        if adj.nnz and not np.all(adj.data == 1.0):
+        summed = adj
+        if not adj.has_canonical_format:
+            summed = adj.copy()
+            summed.sum_duplicates()
+        # Checked as stored and as summed: two stored ones are an entry of 2.
+        if adj.nnz and not (np.all(adj.data == 1.0) and np.all(summed.data == 1.0)):
             raise ValueError("adjacency entries must be 0 or 1")
         object.__setattr__(self, "adjacency", adj)
 

@@ -150,14 +150,17 @@ def _region_offsets(dir_lengths: tuple[int, ...]) -> np.ndarray:
 
 def _offset_table(tuples: np.ndarray, h: int) -> np.ndarray:
     """:func:`_region_offsets` of each row of ``tuples`` (lengths per
-    direction), stacked into one ``(len(tuples), K, 2)`` array.
+    direction), stacked into one ``(len(tuples), K, 2)`` array of the
+    narrowest signed integer type that holds every entry.
 
     Shorter lists are padded with the offset ``(-h, 0)``, which lands above
     a grid of height ``h`` from every pixel, so it is clipped like any other
-    outside cell.
+    outside cell.  Every offset is smaller in magnitude than the longest
+    length.
     """
     offsets = [_region_offsets(tuple(t)) for t in tuples.tolist()]
-    table = np.zeros((len(offsets), max(len(o) for o in offsets), 2), dtype=np.intp)
+    dtype = np.promote_types(np.min_scalar_type(-h), np.min_scalar_type(-int(tuples.max())))
+    table = np.zeros((len(offsets), max(len(o) for o in offsets), 2), dtype=dtype)
     table[:, :, 0] = -h
     for k, o in enumerate(offsets):
         table[k, : len(o)] = o
@@ -184,21 +187,33 @@ def _region_members(pixels: np.ndarray, offsets: np.ndarray, shape: tuple[int, i
 # ---------------------------------------------------------------------------
 # Reconstruction
 
-# Elements one gather of region data may hold (as in ``knn_indices``), so
-# that memory stays bounded however many pixels share a member count.
-_GATHER_ELEMENTS = 4_000_000
+# Elements one working block of SaR may hold: pixel-by-offset entries of a
+# member pass, centre-by-member-by-band values of a region gather, or the
+# values of a chunk of spectra.  65,536 float64 values are 512 KiB, so a
+# block's temporaries stay in cache and none grows with the scene.  Every
+# pass over a block is row-local, so no result depends on the block size.
+_BLOCK_ELEMENTS = 65_536
+
+
+def _blocks(items: np.ndarray, per_item: int) -> list[np.ndarray]:
+    """``items`` split along the first axis into consecutive blocks of
+    ``_BLOCK_ELEMENTS // per_item`` items, and at least one."""
+    size = max(1, _BLOCK_ELEMENTS // per_item)
+    return np.split(items, range(size, len(items), size))
 
 
 def _centred_rows(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each spectrum minus its mean, with two norms of that centred row.
 
-    The member norm sums squares pairwise and the centre norm is BLAS's
-    ``dot`` (a 1×b by b×1 ``matmul``, the call ``np.linalg.norm`` makes);
-    the two can differ in the last bit, and each is the one the Pearson
-    weight of a per-pixel reconstruction takes for that role.
+    The member norm sums squares pairwise, one chunk of rows at a time, and
+    the centre norm is BLAS's ``dot`` (a 1×b by b×1 ``matmul``, the call
+    ``np.linalg.norm`` makes); the two can differ in the last bit, and each
+    is the one the Pearson weight of a per-pixel reconstruction takes for
+    that role.
     """
     centred = spectra - spectra.mean(axis=1, keepdims=True)
-    member_norm = np.sqrt((centred * centred).sum(axis=1))
+    squares = [(c * c).sum(axis=1) for c in _blocks(centred, centred.shape[1])]
+    member_norm = np.sqrt(np.concatenate(squares))
     centre_norm = np.sqrt(np.matmul(centred[:, None, :], centred[:, :, None]).ravel())
     return centred, member_norm, centre_norm
 
@@ -309,6 +324,20 @@ def _select_lengths(estimates: np.ndarray, sigma: float, config: IciConfig) -> n
     return np.asarray(config.lengths)[(lower <= upper).sum(axis=0) - 1]
 
 
+def _length_tuples(grid: np.ndarray, config: IciConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct tuples of per-direction lengths selected on the PC field
+    ``grid``, and the row of each pixel's tuple, pixels in row-major order.
+
+    The noise scale of the interval rule is estimated from ``grid`` itself.
+    """
+    estimates = np.stack(_directional_estimate_stacks(grid, config.lengths), axis=1)
+    selected = _select_lengths(estimates, estimate_noise_sigma(grid), config)
+    tuples, inverse = np.unique(
+        selected.reshape(len(DIRECTION_STEPS), -1).T, axis=0, return_inverse=True
+    )
+    return tuples, inverse.ravel()  # numpy 2.0.0 keeps an extra axis here
+
+
 def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     """Shape-adaptive reconstruction of every spectrum in a full-grid cloud.
 
@@ -317,8 +346,13 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     direction, convex-hull rasterization of the eight ray endpoints, and a
     correlation-weighted average of the member spectra.  The noise scale
     of the interval rule is estimated from the PC field itself.  Pixels
-    with the same number of region members are reconstructed together, in
-    blocks of at most ``_GATHER_ELEMENTS`` gathered values.
+    with the same number of region members are reconstructed together.
+
+    Working memory beyond the output, the centred spectra and a few values
+    per pixel is bounded: member counts and member lists are formed for
+    blocks of pixels of at most ``_BLOCK_ELEMENTS`` pixel-by-offset
+    entries, each region gather holds at most ``_BLOCK_ELEMENTS`` values
+    (or one centre's), and squares are summed in chunks of that size.
 
     A cloud whose spectra are all identical is returned unchanged: there is
     no principal axis to adapt to, and any neighborhood average of equal
@@ -331,22 +365,12 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
         raise ValueError("reconstruction requires a full-grid cloud")
     if np.all(cloud.spectra == cloud.spectra[0]):
         return PixelCloud(cloud.spectra.copy(), cloud.coords.copy())
-    grid = first_pc(cloud).reshape(shape)
-    sigma = estimate_noise_sigma(grid)
-    estimates = np.stack(_directional_estimate_stacks(grid, config.lengths), axis=1)
-    selected = _select_lengths(estimates, sigma, config)
-    # The cloud is in row-major order, as are the pixels' length tuples.
-    tuples, inverse = np.unique(
-        selected.reshape(len(DIRECTION_STEPS), -1).T, axis=0, return_inverse=True
-    )
+    tuples, inverse = _length_tuples(first_pc(cloud).reshape(shape), config)
     table = _offset_table(tuples, shape[0])
-    inverse = inverse.ravel()  # numpy 2.0.0 keeps an extra axis here
-    pixels = np.arange(cloud.n)
-    block = max(1, _GATHER_ELEMENTS // table.shape[1])
     counts = np.concatenate(
         [
             (_region_members(p, table[inverse[p]], shape) >= 0).sum(axis=1)
-            for p in np.split(pixels, range(block, cloud.n, block))
+            for p in _blocks(np.arange(cloud.n), table.shape[1])
         ]
     )
     row_stats = _centred_rows(cloud.spectra)
@@ -354,8 +378,7 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     order = np.argsort(counts, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
         m = int(counts[group[0]])
-        block = max(1, _GATHER_ELEMENTS // max(m * cloud.bands, table.shape[1]))
-        for centers in np.split(group, range(block, group.size, block)):
+        for centers in _blocks(group, max(m * cloud.bands, table.shape[1])):
             members = _region_members(centers, table[inverse[centers]], shape)
             members = members[members >= 0].reshape(centers.size, m)
             out[centers] = _reconstruct(cloud.spectra, row_stats, members, centers)

@@ -356,6 +356,10 @@ def test_knn_graph_validation():
     # the stored entries are not 0 or 1.
     with pytest.raises(ValueError, match="0 or 1"):
         KnnGraph(stored([1, -1, 1, -1], [1, 1, 0, 0], [0, 2, 4, 4]), 1)
+    # Duplicates on both sides sum to a symmetric entry of 2, which the
+    # transition matrix would count as two edges.
+    with pytest.raises(ValueError, match="0 or 1"):
+        KnnGraph(stored([1, 1, 1, 1], [1, 1, 0, 0], [0, 2, 4]), 1)
     # Unsorted columns of a symmetric 0/1 pattern are fine.
     KnnGraph(stored([1, 1, 1, 1], [2, 1, 0, 0], [0, 2, 3, 4]), 1)
 

@@ -11,11 +11,13 @@ oracles assembled around the per-pixel weighted average.
 """
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dsirc.core import PixelCloud, cube_to_cloud, first_pc, ImageCube
+from dsirc.synth import SynthConfig, synth_hsi
 from dsirc.sar import (
     DIRECTION_STEPS,
     IciConfig,
@@ -508,11 +510,31 @@ def test_sar_equals_scalar_assembly_bitwise():
 
 
 def test_sar_split_gathers_equal_one_gather(monkeypatch):
+    # Border pixels and 94 member counts; the default budget gathers each
+    # group, up to 32 centres of 289 members by 5 bands, in one block.
     cloud = noisy_cloud(np.random.default_rng(23), step_field(24, 24))
     whole = sar(cloud)
-    # Small enough that the larger member-count groups span several blocks.
-    monkeypatch.setattr(importlib.import_module("dsirc.sar"), "_GATHER_ELEMENTS", 3000)
-    np.testing.assert_array_equal(sar(cloud).spectra, whole.spectra)
+    # 1 takes one pixel per member pass, one centre per gather and one row
+    # per chunk of squares; 300 and 3000 split the passes, the groups and
+    # the chunks at other places.
+    for budget in (1, 300, 3000):
+        monkeypatch.setattr(importlib.import_module("dsirc.sar"), "_BLOCK_ELEMENTS", budget)
+        np.testing.assert_array_equal(sar(cloud).spectra, whole.spectra)
+
+
+def test_sar_working_memory_is_bounded():
+    # On this 64 x 64 x 30 scene the output is 0.94 MiB.  A member pass over
+    # every pixel and all 289 offsets at once held 59 MiB; blocks keep the
+    # whole call near 6 MiB.
+    cube = synth_hsi(SynthConfig(height=64, width=64, bands=30, seed=0)).cube
+    cloud = cube_to_cloud(cube)
+    tracemalloc.start()
+    try:
+        sar(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 def test_sar_constant_image_is_unchanged():
