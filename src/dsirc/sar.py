@@ -12,7 +12,6 @@ correlation-weighted average of the neighborhood spectra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,135 +62,15 @@ class IciConfig:
 
 
 # ---------------------------------------------------------------------------
-# Region geometry
+# Working blocks
 
-_HULL_TOL = 1e-9
-
-
-def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; expects >= 3 unique non-collinear points."""
-    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
-
-    def half(iterable):
-        chain: list[np.ndarray] = []
-        for p in iterable:
-            while len(chain) >= 2:
-                a, b = chain[-2], chain[-1]
-                cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-                if cross <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
-
-
-def _points_in_hull(candidates: np.ndarray, vertices: np.ndarray, tol: float = _HULL_TOL) -> np.ndarray:
-    """Boolean mask of candidate points inside the convex hull of ``vertices``.
-
-    Handles the degenerate cases (all vertices equal, all collinear) and uses
-    half-plane tests with an absolute tolerance otherwise.  Coordinates here
-    are small integers stored as floats, so the arithmetic is exact and the
-    tolerance only guards the phrasing of boundary inclusion.
-    """
-    cand = np.asarray(candidates, dtype=np.float64)
-    verts = np.unique(np.asarray(vertices, dtype=np.float64), axis=0)
-    if verts.shape[0] == 1:
-        return np.all(np.abs(cand - verts[0]) <= tol, axis=1)
-    base = verts[0]
-    dirs = verts[1:] - base
-    ref = dirs[np.argmax(np.abs(dirs).sum(axis=1))]
-    cross_to_ref = dirs[:, 0] * ref[1] - dirs[:, 1] * ref[0]
-    if np.all(np.abs(cross_to_ref) <= tol):
-        # Collinear vertex set: the hull is a segment along ref.
-        t_verts = dirs @ ref
-        t_lo, t_hi = float(t_verts.min()), float(t_verts.max())
-        t_lo = min(t_lo, 0.0)
-        t_hi = max(t_hi, 0.0)
-        rel = cand - base
-        off_line = np.abs(rel[:, 0] * ref[1] - rel[:, 1] * ref[0])
-        t = rel @ ref
-        return (off_line <= tol) & (t >= t_lo - tol) & (t <= t_hi + tol)
-    hull = _convex_hull_ccw(verts)
-    inside = np.ones(cand.shape[0], dtype=bool)
-    for i in range(hull.shape[0]):
-        a = hull[i]
-        b = hull[(i + 1) % hull.shape[0]]
-        cross = (b[0] - a[0]) * (cand[:, 1] - a[1]) - (b[1] - a[1]) * (cand[:, 0] - a[0])
-        inside &= cross >= -tol
-    return inside
-
-
-@lru_cache(maxsize=4096)
-def _region_offsets(dir_lengths: tuple[int, ...]) -> np.ndarray:
-    """Integer (row, col) offsets inside the hull of the 8 ray endpoints.
-
-    Translation-invariant, hence cached on the length tuple alone.  The
-    endpoint of direction m at length l sits at ``(l - 1) * step_m``; length
-    1 keeps the endpoint on the center.
-    """
-    endpoints = np.array(
-        [((l - 1) * dr, (l - 1) * dc) for l, (dr, dc) in zip(dir_lengths, DIRECTION_STEPS)],
-        dtype=np.float64,
-    )
-    r_lo, c_lo = np.floor(endpoints.min(axis=0)).astype(int)
-    r_hi, c_hi = np.ceil(endpoints.max(axis=0)).astype(int)
-    rr, cc = np.meshgrid(np.arange(r_lo, r_hi + 1), np.arange(c_lo, c_hi + 1), indexing="ij")
-    cand = np.column_stack((rr.ravel(), cc.ravel())).astype(np.float64)
-    mask = _points_in_hull(cand, endpoints)
-    offsets = cand[mask].astype(np.intp)
-    offsets.setflags(write=False)
-    return offsets
-
-
-def _offset_table(tuples: np.ndarray, h: int) -> np.ndarray:
-    """:func:`_region_offsets` of each row of ``tuples`` (lengths per
-    direction), stacked into one ``(len(tuples), K, 2)`` array of the
-    narrowest signed integer type that holds every entry.
-
-    Shorter lists are padded with the offset ``(-h, 0)``, which lands above
-    a grid of height ``h`` from every pixel, so it is clipped like any other
-    outside cell.  Every offset is smaller in magnitude than the longest
-    length.
-    """
-    offsets = [_region_offsets(tuple(t)) for t in tuples.tolist()]
-    dtype = np.promote_types(np.min_scalar_type(-h), np.min_scalar_type(-int(tuples.max())))
-    table = np.zeros((len(offsets), max(len(o) for o in offsets), 2), dtype=dtype)
-    table[:, :, 0] = -h
-    for k, o in enumerate(offsets):
-        table[k, : len(o)] = o
-    return table
-
-
-def _region_members(pixels: np.ndarray, offsets: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Region members of each pixel in ``pixels`` (flat row-major indices).
-
-    ``offsets[i]`` is the :func:`_offset_table` row of pixel ``pixels[i]``'s
-    selected lengths.  Row ``i`` of the result lists, ascending, the flat
-    indices of the in-bounds cells inside the closed convex hull of that
-    pixel's eight ray endpoints; ``-1`` fills the rest of the row.  The
-    offsets are in (row, col) order, and in-bounds cells keep that order as
-    flat indices.
-    """
-    h, w = shape
-    rows = (pixels // w)[:, None] + offsets[:, :, 0]
-    cols = (pixels % w)[:, None] + offsets[:, :, 1]
-    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    return np.where(inside, rows * w + cols, -1)
-
-
-# ---------------------------------------------------------------------------
-# Reconstruction
-
-# Elements one working block of SaR may hold: pixel-by-offset entries of a
-# member pass, centre-by-member-by-band values of a region gather, or the
-# values of a chunk of spectra.  65,536 float64 values are 512 KiB, so a
-# block's temporaries stay in cache and none grows with the scene.  Every
-# pass over a block is row-local, so no result depends on the block size.
+# Elements one working block of SaR may hold: pair-by-row entries of the
+# span pass, pixel-by-row entries of a count pass, member entries of a
+# group's member lists, centre-by-member-by-band values of a region gather,
+# or the values of a chunk of spectra.  65,536 float64 values are 512 KiB,
+# so a block's temporaries stay in cache and none grows with the scene.
+# Every pass over a block is row-local, so no result depends on the block
+# size.
 _BLOCK_ELEMENTS = 65_536
 
 
@@ -199,7 +78,84 @@ def _blocks(items: np.ndarray, per_item: int) -> list[np.ndarray]:
     """``items`` split along the first axis into consecutive blocks of
     ``_BLOCK_ELEMENTS // per_item`` items, and at least one."""
     size = max(1, _BLOCK_ELEMENTS // per_item)
-    return np.split(items, range(size, len(items), size))
+    return [items[i : i + size] for i in range(0, max(len(items), 1), size)]
+
+
+# ---------------------------------------------------------------------------
+# Region geometry
+
+
+def _row_spans(tuples: np.ndarray) -> np.ndarray:
+    """Column interval of each region row, for every length tuple at once.
+
+    Row ``k`` of ``tuples`` holds a length per direction; the endpoint of
+    direction m at length l sits at ``(l - 1) * step_m``, so length 1 keeps
+    it on the centre.  Entry ``[k, j]`` of the result is ``(lo, hi)``: the
+    integer columns of the closed convex hull of the eight endpoints in row
+    offset ``j - L``, with ``L`` the longest length minus 1, are ``lo`` to
+    ``hi``, and ``lo > hi`` in a row the hull does not reach.
+
+    A horizontal line meets a convex hull in the segment spanned by where
+    it meets the segments between pairs of vertices, so each bound is the
+    floor or ceiling of an exact rational taken over the eight endpoints
+    (the pairs ``a == b``) and their 28 pairs.  All arithmetic is integer.
+    """
+    longest = int(tuples.max()) - 1
+    # Every product and sum below is at most 6 * longest**2 in magnitude.
+    dtype = np.min_scalar_type(-6 * longest**2 - 1)
+    reach = tuples.astype(dtype) - 1
+    offsets = np.arange(-longest, longest + 1, dtype=dtype)
+    steps = np.array(DIRECTION_STEPS, dtype=dtype)
+    a, b = np.triu_indices(len(DIRECTION_STEPS))
+    spans = np.empty((len(tuples), offsets.size, 2), dtype=dtype)
+    for block in _blocks(np.arange(len(tuples)), a.size * offsets.size):
+        rows = reach[block][:, :, None] * steps[:, 0, None]
+        cols = reach[block][:, :, None] * steps[:, 1, None]
+        ra, rb, ca, cb = rows[:, a], rows[:, b], cols[:, a], cols[:, b]
+        # Row offset d meets the segment from a to b at column num / den;
+        # a horizontal pair only meets its own row, at a.
+        den = np.where(ra == rb, 1, rb - ra)
+        num = ca * den + (offsets - ra) * (cb - ca)
+        meets = (offsets - ra) * (offsets - rb) <= 0
+        floor, remainder = np.divmod(num, den)
+        spans[block, :, 1] = np.where(meets, floor, -longest - 1).max(axis=1)
+        floor += remainder != 0
+        spans[block, :, 0] = np.where(meets, floor, longest + 1).min(axis=1)
+    return spans
+
+
+def _clipped_spans(
+    pixels: np.ndarray, spans: np.ndarray, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each region row of ``pixels`` clipped to the grid: its first member
+    as a flat row-major index, and its member count (0 in a row off the
+    grid or outside the hull).
+
+    ``spans[i]`` is the :func:`_row_spans` entry of pixel ``pixels[i]``'s
+    selected lengths.
+    """
+    h, w = shape
+    longest = (spans.shape[1] - 1) // 2
+    rows = (pixels // w)[:, None] + np.arange(-longest, longest + 1)
+    cols = (pixels % w)[:, None]
+    first = np.maximum(spans[:, :, 0] + cols, 0)
+    last = np.minimum(spans[:, :, 1] + cols, w - 1)
+    counts = np.where((rows >= 0) & (rows < h), np.maximum(last - first + 1, 0), 0)
+    return rows * w + first, counts
+
+
+def _span_members(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Region members from :func:`_clipped_spans` of regions that all have
+    the same number of members: row ``i`` lists, ascending, the flat
+    indices of region ``i``'s members."""
+    counts = counts.ravel()
+    ends = np.cumsum(counts)
+    members = np.repeat(starts.ravel() - ends + counts, counts) + np.arange(ends[-1])
+    return members.reshape(len(starts), -1)
+
+
+# ---------------------------------------------------------------------------
+# Reconstruction
 
 
 def _centred_rows(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -343,15 +299,17 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
 
     Pipeline per pixel: directional local averages of the first-PC field at
     each candidate length, confidence-interval length selection per
-    direction, convex-hull rasterization of the eight ray endpoints, and a
-    correlation-weighted average of the member spectra.  The noise scale
-    of the interval rule is estimated from the PC field itself.  Pixels
-    with the same number of region members are reconstructed together.
+    direction, the convex hull of the eight ray endpoints as one column
+    interval per row, and a correlation-weighted average of the member
+    spectra.  The noise scale of the interval rule is estimated from the
+    PC field itself.  Pixels with the same number of region members are
+    reconstructed together.
 
-    Working memory beyond the output, the centred spectra and a few values
-    per pixel is bounded: member counts and member lists are formed for
-    blocks of pixels of at most ``_BLOCK_ELEMENTS`` pixel-by-offset
-    entries, each region gather holds at most ``_BLOCK_ELEMENTS`` values
+    Working memory beyond the output, the centred spectra, a few values
+    per pixel and one column interval per region row of each distinct
+    length tuple is bounded: row spans, member counts and member lists are
+    formed in blocks of at most ``_BLOCK_ELEMENTS`` entries (or one
+    region's), each region gather holds at most ``_BLOCK_ELEMENTS`` values
     (or one centre's), and squares are summed in chunks of that size.
 
     A cloud whose spectra are all identical is returned unchanged: there is
@@ -366,11 +324,11 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     if np.all(cloud.spectra == cloud.spectra[0]):
         return PixelCloud(cloud.spectra.copy(), cloud.coords.copy())
     tuples, inverse = _length_tuples(first_pc(cloud).reshape(shape), config)
-    table = _offset_table(tuples, shape[0])
+    spans = _row_spans(tuples)
     counts = np.concatenate(
         [
-            (_region_members(p, table[inverse[p]], shape) >= 0).sum(axis=1)
-            for p in _blocks(np.arange(cloud.n), table.shape[1])
+            _clipped_spans(p, spans[inverse[p]], shape)[1].sum(axis=1)
+            for p in _blocks(np.arange(cloud.n), spans.shape[1])
         ]
     )
     row_stats = _centred_rows(cloud.spectra)
@@ -378,8 +336,9 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     order = np.argsort(counts, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
         m = int(counts[group[0]])
-        for centers in _blocks(group, max(m * cloud.bands, table.shape[1])):
-            members = _region_members(centers, table[inverse[centers]], shape)
-            members = members[members >= 0].reshape(centers.size, m)
-            out[centers] = _reconstruct(cloud.spectra, row_stats, members, centers)
+        for block in _blocks(group, m):
+            members = _span_members(*_clipped_spans(block, spans[inverse[block]], shape))
+            gathers = m * cloud.bands
+            for centers, lists in zip(_blocks(block, gathers), _blocks(members, gathers)):
+                out[centers] = _reconstruct(cloud.spectra, row_stats, lists, centers)
     return PixelCloud(out, cloud.coords.copy())

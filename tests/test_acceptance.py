@@ -25,10 +25,11 @@ from dsirc.evaluation import align_labels, cohens_kappa, overall_accuracy
 from dsirc.sar import (
     DIRECTION_STEPS,
     IciConfig,
+    _clipped_spans,
     _directional_estimate_stacks,
-    _offset_table,
-    _region_members,
+    _row_spans,
     _select_lengths,
+    _span_members,
     sar,
 )
 from dsirc.synth import SynthConfig, synth_hsi
@@ -185,9 +186,9 @@ def test_criterion_2_sar_component_oracles():
         h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         center = (int(rng.integers(0, h)), int(rng.integers(0, w)))
         dir_lengths = tuple(int(l) for l in rng.integers(1, 5, size=8))
-        table = _offset_table(np.array([dir_lengths]), h)
-        members = _region_members(np.array([center[0] * w + center[1]]), table, (h, w))[0]
-        members = members[members >= 0]
+        spans = _row_spans(np.array([dir_lengths]))
+        pixel = np.array([center[0] * w + center[1]])
+        members = _span_members(*_clipped_spans(pixel, spans, (h, w)))[0]
         vertices = [
             (center[0] + (l - 1) * dr, center[1] + (l - 1) * dc)
             for l, (dr, dc) in zip(dir_lengths, DIRECTION_STEPS)

@@ -22,12 +22,12 @@ from dsirc.sar import (
     DIRECTION_STEPS,
     IciConfig,
     _centred_rows,
+    _clipped_spans,
     _directional_estimate_stacks,
-    _offset_table,
     _reconstruct,
-    _region_members,
-    _region_offsets,
+    _row_spans,
     _select_lengths,
+    _span_members,
     estimate_noise_sigma,
     sar,
 )
@@ -224,25 +224,69 @@ def region_by_oracle(center, dir_lengths, shape):
 
 def library_region(center, dir_lengths, shape):
     """The members ``sar`` gathers for one pixel."""
-    table = _offset_table(np.array([dir_lengths]), shape[0])
-    members = _region_members(np.array([center[0] * shape[1] + center[1]]), table, shape)[0]
-    return members[members >= 0]
+    pixel = np.array([center[0] * shape[1] + center[1]])
+    return _span_members(*_clipped_spans(pixel, _row_spans(np.array([dir_lengths])), shape))[0]
 
 
 def region_members_per_pixel(r, c, lengths, shape):
     """Sorted flat row-major indices of the in-bounds pixels inside the
     closed convex hull of the eight ray endpoints of pixel ``(r, c)``, with
     ``lengths`` the selected length per direction of :data:`DIRECTION_STEPS`."""
-    h, w = shape
-    offsets = _region_offsets(lengths)
-    rows = r + offsets[:, 0]
-    cols = c + offsets[:, 1]
-    keep = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    return np.sort(rows[keep] * w + cols[keep])
+    return np.array(region_by_oracle((r, c), lengths, shape), dtype=np.intp)
+
+
+# A ladder longer than the default one, so rows reach past offset 8.
+LONG_LADDER = (1, 2, 4, 8, 12)
+
+
+def hull_tuples(rng):
+    """Length tuples of the shapes a hull computation can get wrong: all
+    ones (a single point), each single long ray and each pair of opposite
+    rays (segments), tuples of lengths 1 and 2 only (slivers), then random
+    tuples of the default and of the long ladder."""
+    ones = np.ones(8, dtype=np.intp)
+    single = [ones + (l - 1) * np.eye(8, dtype=np.intp)[m] for m in range(8) for l in LADDER[1:]]
+    opposite = [
+        ones + (l - 1) * (np.eye(8, dtype=np.intp)[m] + np.eye(8, dtype=np.intp)[m + 4])
+        for m in range(4)
+        for l in LADDER[1:]
+    ]
+    return np.concatenate(
+        [
+            ones[None],
+            single,
+            opposite,
+            rng.choice((1, 2), size=(16, 8)),
+            rng.choice(LADDER, size=(160, 8)),
+            rng.choice(LONG_LADDER, size=(24, 8)),
+        ]
+    )
 
 
 def test_sa_region_matches_exact_hull_oracle():
     rng = np.random.default_rng(12)
+    tuples = hull_tuples(rng)
+    # One call for every tuple, as ``sar`` makes: rows are padded to the
+    # longest length of all.
+    spans = _row_spans(tuples)
+    for k, dir_lengths in enumerate(tuples.tolist()):
+        reach = max(dir_lengths) - 1
+        # Centre on each corner and each border in turn, on a grid that
+        # clips the region there, and in the middle of a grid that just
+        # holds it.
+        h, w = (int(x) for x in rng.integers(1, 2 * reach + 2, size=2))
+        corners_and_borders = [
+            (0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1),
+            (0, w // 2), (h - 1, w // 2), (h // 2, 0), (h // 2, w - 1),
+        ]
+        if k % 9 == 8:
+            h = w = 2 * reach + 1
+            r0 = c0 = reach
+        else:
+            r0, c0 = corners_and_borders[k % 9]
+        members = _span_members(*_clipped_spans(np.array([r0 * w + c0]), spans[[k]], (h, w)))[0]
+        assert members.tolist() == region_by_oracle((r0, c0), dir_lengths, (h, w)), dir_lengths
+    # Random grids and centres, lengths 1 to 4.
     for trial in range(120):
         h = int(rng.integers(1, 9))
         w = int(rng.integers(1, 9))
@@ -274,19 +318,43 @@ def test_sa_region_clips_to_grid():
     assert rows.max() <= 2 and cols.max() <= 2
 
 
+def pixel_spans(lengths, shape):
+    """:func:`_clipped_spans` of every pixel of a grid, ``lengths`` holding
+    each pixel's tuple, with the row spans formed once per distinct tuple as
+    ``sar`` forms them."""
+    tuples, inverse = np.unique(lengths, axis=0, return_inverse=True)
+    pixels = np.arange(shape[0] * shape[1])
+    return _clipped_spans(pixels, _row_spans(tuples)[inverse.ravel()], shape)
+
+
+def test_span_member_counts_equal_oracle_counts():
+    rng = np.random.default_rng(24)
+    # Grids thinner than a region, and one that holds a full 17 x 17 hull.
+    for h, w in ((1, 1), (1, 12), (12, 1), (2, 19), (19, 3), (17, 17)):
+        lengths = rng.choice(LADDER, size=(h * w, 8))
+        counts = pixel_spans(lengths, (h, w))[1].sum(axis=1)
+        want = [
+            len(region_by_oracle(divmod(i, w), tuple(lengths[i].tolist()), (h, w)))
+            for i in range(h * w)
+        ]
+        assert counts.tolist() == want
+
+
 def test_grouped_region_members_equal_per_pixel_reference():
     rng = np.random.default_rng(22)
     for trial in range(20):
         h = int(rng.integers(1, 13))
         w = int(rng.integers(1, 13))
         lengths = rng.choice(LADDER, size=(h * w, 8))
-        tuples, inverse = np.unique(lengths, axis=0, return_inverse=True)
-        table = _offset_table(tuples, h)[inverse.ravel()]
-        members = _region_members(np.arange(h * w), table, (h, w))
-        for i, row in enumerate(members):
-            want = region_members_per_pixel(*divmod(i, w), tuple(lengths[i].tolist()), (h, w))
-            np.testing.assert_array_equal(row[row >= 0], want)
-            assert np.all(row[row < 0] == -1)
+        starts, counts = pixel_spans(lengths, (h, w))
+        totals = counts.sum(axis=1)
+        # Member lists are formed per group of equal member counts.
+        for m in np.unique(totals):
+            group = np.flatnonzero(totals == m)
+            members = _span_members(starts[group], counts[group])
+            for i, row in zip(group, members):
+                want = region_members_per_pixel(*divmod(i, w), tuple(lengths[i].tolist()), (h, w))
+                np.testing.assert_array_equal(row, want)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +443,11 @@ def test_batched_reconstruction_equals_per_pixel_reference_bitwise():
     pixels = np.arange(h * w)
     row_stats = _centred_rows(spectra)
     for lengths in (rng.choice((1, 2, 3, 5), size=(h * w, 8)), np.full((h * w, 8), 3)):
-        tuples, inverse = np.unique(lengths, axis=0, return_inverse=True)
-        members = _region_members(pixels, _offset_table(tuples, h)[inverse.ravel()], (h, w))
-        counts = (members >= 0).sum(axis=1)
-        for m in np.unique(counts):
-            group = pixels[counts == m]
-            batch = members[group]
-            batch = batch[batch >= 0].reshape(group.size, m)
+        starts, counts = pixel_spans(lengths, (h, w))
+        totals = counts.sum(axis=1)
+        for m in np.unique(totals):
+            group = pixels[totals == m]
+            batch = _span_members(starts[group], counts[group])
             got = _reconstruct(spectra, row_stats, batch, group)
             want = [reconstruct_per_pixel(spectra, row, i) for row, i in zip(batch, group)]
             np.testing.assert_array_equal(got, want)
