@@ -22,6 +22,7 @@ from .core import LabelMap, PixelCloud
 from .diffusion import (
     DiffusionSystem,
     DisconnectedGraphError,
+    KnnGraph,
     diffusion_system,
     knn_graph,
     knn_indices,
@@ -360,6 +361,12 @@ def mode_grid(
     * the graph and eigensystem run once per ``(k_n, tau)``, and the
       predecessor scan, mode choice and labelling once per ``t`` on them.
 
+    Each stage's input is released once consumed: the raw distances once
+    the zetas are built, a reconstructed cloud once its search returns, a
+    search's neighbour array once its last graph is built (before that
+    graph's eigensolve), and each graph and eigensystem before the next
+    graph is built.
+
     A ``(k_n, tau)`` graph that splits into components maps each of its
     ``(k_n, t, tau)`` keys to the :class:`DisconnectedGraphError` it raised;
     the rest of the grid still runs.
@@ -386,59 +393,54 @@ def mode_grid(
         prefix = distances[:, :k_n]
         sigma0 = config.sigma0 if config.sigma0 is not None else auto_sigma0(prefix)
         zetas[k_n] = zeta(kde_density(prefix, sigma0), pur)
+    # Inputs are dropped once consumed (see the docstring); ``prefix`` views
+    # the distances, and with ``taus`` the raw neighbours are not used.
+    del distances, prefix
+    if taus is not None:
+        del neighbors
     n_pairs = config.n_eigenpairs
     if n_pairs is None:
         n_pairs = min(n, max(2 * config.n_clusters, 50))
-    if taus is None:
-        return _diffuse(neighbors, zetas, ts, None, n_pairs, config.n_clusters)
     results = {}
     for tau in grid_taus:
-        results.update(
-            _reconstruct_and_diffuse(cloud, config, tau, k_max, zetas, ts, n_pairs)
-        )
+        if tau is not None:
+            neighbors = knn_indices(
+                sar(cloud, IciConfig(tau=tau, lengths=config.lengths)).spectra, k_max
+            )[0]
+        for k_n in k_ns:
+            graph = knn_graph(neighbors[:, :k_n])
+            if k_n == k_ns[-1]:
+                del neighbors
+            results.update(
+                _diffuse(graph, zetas[k_n], k_n, ts, tau, n_pairs, config.n_clusters)
+            )
+            del graph
     return results
 
 
-def _reconstruct_and_diffuse(
-    cloud: PixelCloud,
-    config: ClusterConfig,
-    tau: float,
-    k_max: int,
-    zetas: dict[int, ZetaField],
-    ts: list[float],
-    n_pairs: int,
-) -> dict[tuple[int, float, float | None], Clustering | DisconnectedGraphError]:
-    """The grid's results for one ``tau``.  The reconstructed cloud and its
-    neighbour lists are freed on return, before the next ``tau``'s."""
-    working = sar(cloud, IciConfig(tau=tau, lengths=config.lengths))
-    neighbors, _ = knn_indices(working.spectra, k_max)
-    return _diffuse(neighbors, zetas, ts, tau, n_pairs, config.n_clusters)
-
-
 def _diffuse(
-    neighbors: np.ndarray,
-    zetas: dict[int, ZetaField],
+    graph: KnnGraph,
+    zeta_field: ZetaField,
+    k_n: int,
     ts: list[float],
     tau: float | None,
     n_pairs: int,
     n_clusters: int,
 ) -> dict[tuple[int, float, float | None], Clustering | DisconnectedGraphError]:
-    """Clusterings for each ``(k_n, t)`` on the graphs of one neighbour
-    search; ``k_n`` takes the first ``k_n`` columns of ``neighbors``.  A
-    disconnected graph's keys get its error."""
+    """Clusterings for each ``t`` on one graph, keyed ``(k_n, t, tau)``.  A
+    disconnected graph's keys get its error, without the traceback whose
+    frames would keep the graph alive."""
+    try:
+        system = diffusion_system(graph, n_pairs)
+    except DisconnectedGraphError as exc:
+        return dict.fromkeys([(k_n, t, tau) for t in ts], exc.with_traceback(None))
     results = {}
-    for k_n, zeta_field in zetas.items():
-        try:
-            system = diffusion_system(knn_graph(neighbors[:, :k_n]), n_pairs)
-        except DisconnectedGraphError as exc:
-            results.update({(k_n, t, tau): exc for t in ts})
-            continue
-        for t in ts:
-            dt, parents = dt_values(system, zeta_field, t)
-            modes = select_modes(zeta_field, dt, n_clusters)
-            results[k_n, t, tau] = propagate_labels(
-                system, zeta_field, modes, t, parents, scores=zeta_field.zeta * dt
-            )
+    for t in ts:
+        dt, parents = dt_values(system, zeta_field, t)
+        modes = select_modes(zeta_field, dt, n_clusters)
+        results[k_n, t, tau] = propagate_labels(
+            system, zeta_field, modes, t, parents, scores=zeta_field.zeta * dt
+        )
     return results
 
 

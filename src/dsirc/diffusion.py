@@ -48,7 +48,12 @@ class DisconnectedGraphError(RuntimeError):
 
 @dataclass(frozen=True)
 class KnnGraph:
-    """Symmetric unweighted adjacency (CSR, 0/1 entries, zero diagonal)."""
+    """Symmetric unweighted adjacency, held as its pattern: a CSR matrix of
+    one-byte ``True`` entries with sorted columns and a zero diagonal.
+
+    A 0/1 matrix of any dtype is checked as a matrix (duplicates summed,
+    explicit zeros rejected), then stored as that pattern.
+    """
 
     adjacency: sparse.csr_matrix
     k_n: int
@@ -65,11 +70,16 @@ class KnnGraph:
             raise ValueError("adjacency must have a zero diagonal")
         summed = adj
         if not adj.has_canonical_format:
-            summed = adj.copy()
+            summed = adj.astype(np.float64)
             summed.sum_duplicates()
         # Checked as stored and as summed: two stored ones are an entry of 2.
         if adj.nnz and not (np.all(adj.data == 1.0) and np.all(summed.data == 1.0)):
             raise ValueError("adjacency entries must be 0 or 1")
+        # Valid entries are single ones, so the stored columns are the pattern.
+        if adj.dtype != np.bool_:
+            adj = _pattern(adj)
+        if not adj.has_sorted_indices:
+            adj = adj.sorted_indices()
         object.__setattr__(self, "adjacency", adj)
 
     @property
@@ -77,21 +87,26 @@ class KnnGraph:
         return self.adjacency.shape[0]
 
 
+def _pattern(adj: sparse.csr_matrix) -> sparse.csr_matrix:
+    """``adj``'s stored positions as one-byte ``True`` entries."""
+    return sparse.csr_matrix(
+        (np.ones(adj.nnz, dtype=bool), adj.indices, adj.indptr), shape=adj.shape
+    )
+
+
 def _is_symmetric(adj: sparse.csr_matrix) -> bool:
     """Whether ``adj`` equals its transpose as a matrix: duplicate entries
     summed, explicit zeros ignored (what ``(adj != adj.T).nnz == 0`` tests).
 
-    A canonical matrix of ones is compared by structure alone, through a
+    A canonical matrix of ones is compared by structure alone, through its
     one-byte pattern; its transpose comes out of the conversion to CSR with
     sorted columns.  Any other matrix is first summed and cleared of zeros
-    in a copy, and its values are compared too.
+    in a float copy, and its values are compared too.
     """
     if adj.has_canonical_format and np.all(adj.data == 1.0):
-        values = sparse.csr_matrix(
-            (np.ones(adj.nnz, dtype=bool), adj.indices, adj.indptr), shape=adj.shape
-        )
+        values = adj if adj.dtype == np.bool_ else _pattern(adj)
     else:
-        values = adj.copy()
+        values = adj.astype(np.float64)
         values.sum_duplicates()
         values.eliminate_zeros()
     transposed = values.T.tocsr()
@@ -183,16 +198,10 @@ def knn_graph(neighbors: np.ndarray) -> KnnGraph:
     ``neighbors`` is the index half of :func:`knn_indices`.  A directed edge
     goes to each of a pixel's ``k_n`` nearest others; the adjacency is the
     elementwise maximum with its transpose, so every row has between
-    ``k_n`` and ``2 * k_n`` neighbors.  The pattern is symmetrized with
-    one-byte entries and 32-bit columns where they fit; only the final CSR
-    gets its float ones.
+    ``k_n`` and ``2 * k_n`` neighbors.  The pattern is symmetrized and kept
+    with one-byte entries and 32-bit columns where they fit.
     """
-    n, k_n = neighbors.shape
-    pattern = _symmetric_pattern(neighbors)
-    adjacency = sparse.csr_matrix(
-        (np.ones(pattern.nnz), pattern.indices, pattern.indptr), shape=(n, n)
-    )
-    return KnnGraph(adjacency, k_n)
+    return KnnGraph(_symmetric_pattern(neighbors), neighbors.shape[1])
 
 
 def _symmetric_pattern(neighbors: np.ndarray) -> sparse.csr_matrix:
@@ -282,23 +291,26 @@ def diffusion_system(graph: KnnGraph, n_eigenpairs: int) -> DiffusionSystem:
         raise ValueError("need at least two nodes")
     if not 1 <= n_eigenpairs <= n:
         raise ValueError(f"n_eigenpairs must be in [1, {n}]")
-    n_components, _ = csgraph.connected_components(adjacency, directed=False)
+    # A degree is a row length of the pattern.  An isolated node's inverse
+    # square root is left at 0; its row of S is empty and it is a component.
+    row_lengths = np.diff(adjacency.indptr)
+    degrees = row_lengths.astype(np.float64)
+    inv_sqrt = np.zeros(n)
+    np.divide(1.0, np.sqrt(degrees), out=inv_sqrt, where=row_lengths > 0)
+    # Each entry is inv_sqrt[row] * inv_sqrt[column], formed in place.
+    s_data = np.repeat(inv_sqrt, row_lengths)
+    s_data *= inv_sqrt[adjacency.indices]
+    s_matrix = sparse.csr_matrix((s_data, adjacency.indices, adjacency.indptr), shape=(n, n))
+    # S is symmetric, so its strong components are the graph's components.
+    n_components, _ = csgraph.connected_components(
+        s_matrix, directed=True, connection="strong"
+    )
     if n_components > 1:
         raise DisconnectedGraphError(
             f"KNN graph has {n_components} connected components; "
             "increase k_n to reconnect it"
         )
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel().astype(np.float64)
     pi = degrees / degrees.sum()
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    # Each entry is (inv_sqrt[row] * inv_sqrt[column]) * value, formed in place.
-    s_data = np.repeat(inv_sqrt, np.diff(adjacency.indptr))
-    s_data *= inv_sqrt[adjacency.indices]
-    s_data *= adjacency.data
-    s_matrix = sparse.csr_matrix((s_data, adjacency.indices, adjacency.indptr), shape=(n, n))
-    # An adjacency built elsewhere may hold unsorted columns; S is summed in
-    # sorted column order either way.
-    s_matrix.sum_duplicates()
     if n_eigenpairs >= n - 1 or n <= _DENSE_EIG_CUTOFF:
         eigvals, eigvecs = np.linalg.eigh(s_matrix.toarray())
     else:

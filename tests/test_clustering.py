@@ -7,12 +7,15 @@ partition search on tiny inputs.
 """
 
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg
 
+from dsirc import clustering
 from dsirc.clustering import (
     ClusterConfig,
     Clustering,
@@ -481,6 +484,25 @@ def test_mode_grid_carries_on_past_a_disconnected_graph():
         dvic(cloud, replace(config, k_n=4))
 
 
+def test_disconnected_graph_error_holds_no_graph(monkeypatch):
+    # The grid's stored error carries no traceback, whose frames would keep
+    # that graph, and the last system's, alive for as long as the results.
+    graphs = []
+    build = clustering.knn_graph
+
+    def built(neighbors):
+        graph = build(neighbors)
+        graphs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(clustering, "knn_graph", built)
+    rng = np.random.default_rng(16)
+    cloud = cloud_of(np.vstack([rng.uniform(size=(20, 3)), rng.uniform(size=(20, 3)) + 50.0]))
+    grid = mode_grid(cloud, ClusterConfig(n_clusters=2, n_endmembers=2, seed=0), [4, 25], [10.0])
+    assert isinstance(grid[4, 10.0, None], DisconnectedGraphError)
+    assert len(graphs) == 2 and all(ref() is None for ref in graphs)
+
+
 def test_one_knn_search_per_cloud(monkeypatch):
     calls = []
 
@@ -496,6 +518,64 @@ def test_one_knn_search_per_cloud(monkeypatch):
     assert len(calls) == 1  # raw cloud: sigma0, density and graph
     dsirc(cloud, config)
     assert len(calls) == 3  # raw cloud, then the reconstructed cloud's graph
+
+
+@pytest.mark.parametrize(
+    "run, k_ns, last_ks, n_clouds",
+    [
+        (dvic, [50], [True], 0),
+        (dsirc, [50], [True], 1),
+        (lambda cloud, config: mode_grid(cloud, config, [50, 60], [10.0, 30.0], [1.0, 2.0]),
+         [50, 60], [False, True, False, True], 2),
+    ],
+    ids=["dvic", "dsirc", "mode_grid"],
+)
+def test_eigensolve_holds_no_consumed_input(monkeypatch, run, k_ns, last_ks, n_clouds):
+    # Weak references to every search's outputs, reconstructed cloud and
+    # graph.  At each eigsh entry no distance array and no reconstructed
+    # cloud is alive, one graph is, and a neighbour array only while a
+    # larger k_n of its search is still to come.
+    searches, clouds, graphs, last_k, entered = [], [], [], [], []
+    search, reconstruct, build = clustering.knn_indices, clustering.sar, clustering.knn_graph
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def searched(spectra, k_n):
+        neighbors, distances = search(spectra, k_n)
+        searches.append((weakref.ref(neighbors), weakref.ref(distances)))
+        return neighbors, distances
+
+    def reconstructed(cloud, config):
+        out = reconstruct(cloud, config)
+        clouds.append(weakref.ref(out))
+        clouds.append(weakref.ref(out.spectra))
+        return out
+
+    def built(neighbors):
+        graph = build(neighbors)
+        graphs.append(weakref.ref(graph))
+        last_k.append(neighbors.shape[1] == k_ns[-1])
+        return graph
+
+    def solve(s_matrix, **kw):
+        def alive(refs):
+            return sum(ref() is not None for ref in refs)
+
+        assert alive(distances for _, distances in searches) == 0
+        assert alive(clouds) == 0
+        assert alive(graphs) == 1
+        assert alive(neighbors for neighbors, _ in searches) == (0 if last_k[-1] else 1)
+        entered.append(last_k[-1])
+        return eigsh(s_matrix, **kw)
+
+    monkeypatch.setattr(clustering, "knn_indices", searched)
+    monkeypatch.setattr(clustering, "sar", reconstructed)
+    monkeypatch.setattr(clustering, "knn_graph", built)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", solve)
+    cloud, _ = grid_cloud(np.random.default_rng(17))
+    config = ClusterConfig(n_clusters=3, k_n=50, t=10.0, n_endmembers=3, seed=0)
+    run(cloud, config)
+    assert entered == last_k == last_ks
+    assert len(clouds) == 2 * n_clouds
 
 
 def test_pipeline_validation():

@@ -260,8 +260,10 @@ def neighbors_4096():
 
 def test_knn_graph_holds_at_most_twice_its_adjacency(neighbors_4096):
     # The pattern is symmetrized with one-byte entries and 32-bit columns,
-    # and validated against a one-byte transpose, so building and checking
-    # the graph takes at most as much again as the adjacency it returns.
+    # validated as it stands and kept as the adjacency: building and
+    # checking the graph takes at most 15 bytes per stored edge (14.4 at
+    # this size), plus two row-pointer arrays.  Twice a float64 CSR of the
+    # same graph would be 24 bytes per edge.
     tracemalloc.start()
     try:
         graph = knn_graph(neighbors_4096)
@@ -269,8 +271,9 @@ def test_knn_graph_holds_at_most_twice_its_adjacency(neighbors_4096):
     finally:
         tracemalloc.stop()
     adj = graph.adjacency
+    assert adj.data.dtype == np.bool_
     assert adj.indices.dtype == adj.indptr.dtype == np.int32
-    assert peak <= 2 * (adj.data.nbytes + adj.indices.nbytes + adj.indptr.nbytes)
+    assert peak <= 15 * adj.nnz + 2 * adj.indptr.nbytes
 
 
 def test_transition_matrix_setup_holds_two_edge_arrays(monkeypatch, neighbors_4096):
@@ -371,7 +374,42 @@ def test_knn_graph_equals_coo_construction():
     for x in (rng.uniform(size=(200, 3)), lattice, duplicates):
         for k in (1, 6, 40, 199):
             neighbors = knn_indices(x, k)[0]
-            assert_csr_equal(knn_graph(neighbors).adjacency, coo_knn_graph(neighbors))
+            got, want = knn_graph(neighbors).adjacency, coo_knn_graph(neighbors)
+            for name in ("indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype, name
+                np.testing.assert_array_equal(a, b)
+            # The graph keeps the pattern: one-byte True where the oracle has 1.0.
+            assert got.data.dtype == np.bool_
+            np.testing.assert_array_equal(got.data, want.data == 1.0)
+            assert got.data.all()
+
+
+def test_float_adjacency_is_stored_as_its_pattern():
+    # A 0/1 float CSR built elsewhere is kept as one-byte True entries with
+    # the same row pointers and columns, sorted in a copy where they are not.
+    def assert_pattern_of(got, want):
+        assert got.data.dtype == np.bool_ and got.data.all()
+        assert got.has_sorted_indices and got.shape == want.shape
+        for name in ("indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b)
+
+    rng = np.random.default_rng(27)
+    ones = coo_knn_graph(knn_indices(rng.uniform(size=(60, 3)), 4)[0])
+    assert_pattern_of(KnnGraph(ones, 4).adjacency, ones)
+    reversed_columns = np.concatenate(
+        [ones.indices[a:b][::-1] for a, b in zip(ones.indptr[:-1], ones.indptr[1:])]
+    )
+    given = reversed_columns.copy()
+    unsorted = sparse.csr_matrix((ones.data, given, ones.indptr), shape=ones.shape)
+    assert not unsorted.has_sorted_indices
+    assert_pattern_of(KnnGraph(unsorted, 4).adjacency, ones)
+    # The caller's column array is not sorted in place.
+    np.testing.assert_array_equal(given, reversed_columns)
+    empty = sparse.csr_matrix((1, 1))
+    assert_pattern_of(KnnGraph(empty, 1).adjacency, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +503,12 @@ def test_transition_matrix_equals_coo_construction(monkeypatch):
         reversed_columns = np.concatenate(
             [adj.indices[a:b][::-1] for a, b in zip(adj.indptr[:-1], adj.indptr[1:])]
         )
-        unsorted = KnnGraph(sparse.csr_matrix((adj.data, reversed_columns, adj.indptr), shape=adj.shape), k)
-        assert not unsorted.adjacency.has_sorted_indices
+        given_unsorted = sparse.csr_matrix(
+            (np.ones(adj.nnz), reversed_columns, adj.indptr), shape=adj.shape
+        )
+        assert not given_unsorted.has_sorted_indices
+        unsorted = KnnGraph(given_unsorted, k)
+        assert_csr_equal(unsorted.adjacency, adj)
         want = coo_s_matrix(adj)
         for g in (graph, unsorted):
             given.clear()
@@ -485,6 +527,17 @@ def test_disconnected_graph_is_rejected():
     graph = knn_graph(knn_indices(np.vstack([blob_a, blob_b]), 3)[0])
     with pytest.raises(DisconnectedGraphError):
         diffusion_system(graph, 5)
+
+
+def test_isolated_node_is_rejected_without_a_warning():
+    # Degree 0 gives no 1/sqrt(0) and no 0/0 (warnings are errors here): the
+    # node is its own component, and the message is the usual one.
+    message = "^KNN graph has {} connected components; increase k_n to reconnect it$"
+    pair_and_isolated = sparse.csr_matrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
+    with pytest.raises(DisconnectedGraphError, match=message.format(2)):
+        diffusion_system(KnnGraph(pair_and_isolated, 1), 2)
+    with pytest.raises(DisconnectedGraphError, match=message.format(2)):
+        diffusion_system(KnnGraph(sparse.csr_matrix((2, 2)), 1), 1)
 
 
 def test_diffusion_system_validation():
