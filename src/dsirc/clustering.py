@@ -22,7 +22,6 @@ from .core import LabelMap, PixelCloud
 from .diffusion import (
     DiffusionSystem,
     DisconnectedGraphError,
-    KnnGraph,
     diffusion_system,
     knn_graph,
     knn_indices,
@@ -364,8 +363,9 @@ def mode_grid(
     Each stage's input is released once consumed: the raw distances once
     the zetas are built, a reconstructed cloud once its search returns, a
     search's neighbour array once its last graph is built (before that
-    graph's eigensolve), and each graph and eigensystem before the next
-    graph is built.
+    graph's eigensolve), each graph once its eigensystem is solved (the
+    scan and labelling read only the eigenpairs), and each eigensystem
+    before the next graph is built.
 
     A ``(k_n, tau)`` graph that splits into components maps each of its
     ``(k_n, t, tau)`` keys to the :class:`DisconnectedGraphError` it raised;
@@ -411,29 +411,29 @@ def mode_grid(
             graph = knn_graph(neighbors[:, :k_n])
             if k_n == k_ns[-1]:
                 del neighbors
-            results.update(
-                _diffuse(graph, zetas[k_n], k_n, ts, tau, n_pairs, config.n_clusters)
-            )
-            del graph
+            try:
+                system = diffusion_system(graph, n_pairs)
+            except DisconnectedGraphError as exc:
+                # Stored without the traceback, whose frames hold the graph.
+                error = exc.with_traceback(None)
+                results.update(dict.fromkeys([(k_n, t, tau) for t in ts], error))
+                continue
+            finally:
+                del graph
+            results.update(_diffuse(system, zetas[k_n], k_n, ts, tau, config.n_clusters))
+            del system
     return results
 
 
 def _diffuse(
-    graph: KnnGraph,
+    system: DiffusionSystem,
     zeta_field: ZetaField,
     k_n: int,
     ts: list[float],
     tau: float | None,
-    n_pairs: int,
     n_clusters: int,
-) -> dict[tuple[int, float, float | None], Clustering | DisconnectedGraphError]:
-    """Clusterings for each ``t`` on one graph, keyed ``(k_n, t, tau)``.  A
-    disconnected graph's keys get its error, without the traceback whose
-    frames would keep the graph alive."""
-    try:
-        system = diffusion_system(graph, n_pairs)
-    except DisconnectedGraphError as exc:
-        return dict.fromkeys([(k_n, t, tau) for t in ts], exc.with_traceback(None))
+) -> dict[tuple[int, float, float | None], Clustering]:
+    """Clusterings for each ``t`` on one eigensystem, keyed ``(k_n, t, tau)``."""
     results = {}
     for t in ts:
         dt, parents = dt_values(system, zeta_field, t)

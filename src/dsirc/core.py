@@ -387,7 +387,10 @@ def read_labels_csv(path: str) -> tuple[LabelMap, np.ndarray]:
             parts = line.split(",")
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            rows.append(tuple(int(p) for p in parts))  # type: ignore[arg-type]
+            try:
+                rows.append(tuple(int(p) for p in parts))  # type: ignore[arg-type]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: fields must be integers, got {line!r}") from None
     if not rows:
         raise ValueError(f"{path}: no label rows")
     rows.sort(key=lambda r: r[0])

@@ -56,14 +56,11 @@ class KnnGraph:
     """
 
     adjacency: sparse.csr_matrix
-    k_n: int
 
     def __post_init__(self) -> None:
         adj = self.adjacency.tocsr()
         if adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be square")
-        if self.k_n < 1:
-            raise ValueError("k_n must be at least 1")
         if not _is_symmetric(adj):
             raise ValueError("adjacency must be symmetric")
         if adj.diagonal().any():
@@ -201,7 +198,7 @@ def knn_graph(neighbors: np.ndarray) -> KnnGraph:
     ``k_n`` and ``2 * k_n`` neighbors.  The pattern is symmetrized and kept
     with one-byte entries and 32-bit columns where they fit.
     """
-    return KnnGraph(_symmetric_pattern(neighbors), neighbors.shape[1])
+    return KnnGraph(_symmetric_pattern(neighbors))
 
 
 def _symmetric_pattern(neighbors: np.ndarray) -> sparse.csr_matrix:
@@ -230,34 +227,25 @@ class DiffusionSystem:
 
     ``eigenvalues`` are sorted by decreasing magnitude (the leading one is
     1); ``eigenvectors`` columns are the matching right eigenvectors of
-    ``P = D^{-1} W``, orthonormal under the stationary distribution ``pi``
-    and signed so each column's largest-magnitude entry is positive.
+    ``P = D^{-1} W``, one row per node, orthonormal under the stationary
+    distribution ``pi = deg / sum(deg)`` and signed so each column's
+    largest-magnitude entry is positive.
     """
 
-    graph: KnnGraph
-    degrees: np.ndarray
-    pi: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self) -> None:
-        degrees = np.ascontiguousarray(np.asarray(self.degrees, dtype=np.float64))
-        pi = np.ascontiguousarray(np.asarray(self.pi, dtype=np.float64))
         eigenvalues = np.ascontiguousarray(np.asarray(self.eigenvalues, dtype=np.float64))
         eigenvectors = np.ascontiguousarray(np.asarray(self.eigenvectors, dtype=np.float64))
-        n = self.graph.n
-        if degrees.shape != (n,) or pi.shape != (n,):
-            raise ValueError("degrees and pi must have one entry per node")
-        if eigenvectors.shape != (n, eigenvalues.shape[0]):
+        if eigenvalues.ndim != 1 or eigenvectors.shape[1:] != eigenvalues.shape:
             raise ValueError("eigenvectors must be (n, n_pairs)")
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "eigenvectors", eigenvectors)
 
     @property
     def n(self) -> int:
-        return self.graph.n
+        return self.eigenvectors.shape[0]
 
     def embedding(self, t: float) -> np.ndarray:
         """Eigenvectors scaled by ``|lambda|^t``; Euclidean distances in this
@@ -310,7 +298,6 @@ def diffusion_system(graph: KnnGraph, n_eigenpairs: int) -> DiffusionSystem:
             f"KNN graph has {n_components} connected components; "
             "increase k_n to reconnect it"
         )
-    pi = degrees / degrees.sum()
     if n_eigenpairs >= n - 1 or n <= _DENSE_EIG_CUTOFF:
         eigvals, eigvecs = np.linalg.eigh(s_matrix.toarray())
     else:
@@ -328,7 +315,7 @@ def diffusion_system(graph: KnnGraph, n_eigenpairs: int) -> DiffusionSystem:
     # every other weight underflows, that rounding would be all of d_t.
     eigvals[0] = 1.0
     psi[:, 0] = 1.0
-    return DiffusionSystem(graph, degrees, pi, eigvals, psi)
+    return DiffusionSystem(eigvals, psi)
 
 
 def nearest_in_diffusion(

@@ -84,17 +84,16 @@ def hysime(cloud: PixelCloud) -> int:
     """Estimate the signal subspace dimension of a pixel cloud.
 
     Per-band noise is estimated by ridge-regularized regression of each band
-    on all others; signal and noise second-moment matrices (uncentered,
-    ``X.T @ X / n``) then rank the eigenvectors of the signal moment, and a
-    direction is kept while its signal energy exceeds twice its noise
-    energy.  The count is clamped to ``[1, bands - 1]``.
+    on all others, with one ridge shared by every band (see
+    :func:`_noise_moment`); signal and noise second-moment matrices
+    (uncentered, ``X.T @ X / n``) then rank the eigenvectors of the signal
+    moment, and a direction is kept while its signal energy exceeds twice
+    its noise energy.  The count is clamped to ``[1, bands - 1]``.
 
     Raises
     ------
     DegenerateCovarianceError
-        If the spectra carry no energy at all, or a band regression is
-        singular even with ridge regularization (remove constant/duplicate
-        bands first).
+        If the spectra carry no energy at all.
     """
     x = cloud.spectra
     n, bands = x.shape
@@ -108,21 +107,7 @@ def hysime(cloud: PixelCloud) -> int:
         raise DegenerateCovarianceError(
             "spectra carry no energy; remove degenerate bands or rescale"
         )
-    residuals = np.empty_like(x)
-    idx = np.arange(bands)
-    for k in range(bands):
-        others = idx != k
-        sub = gram[np.ix_(others, others)]
-        rhs = gram[others, k]
-        ridge = 1e-6 * float(np.trace(sub))
-        try:
-            beta = np.linalg.solve(sub + ridge * np.eye(bands - 1), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateCovarianceError(
-                f"band {k} regression is singular; remove degenerate bands"
-            ) from exc
-        residuals[:, k] = x[:, k] - x[:, others] @ beta
-    noise_moment = (residuals.T @ residuals) / n
+    noise_moment = _noise_moment(gram, n)
     data_moment = gram / n
     signal_moment = data_moment - noise_moment
     eigvals, eigvecs = np.linalg.eigh(signal_moment)
@@ -138,6 +123,24 @@ def hysime(cloud: PixelCloud) -> int:
     keep = (signal_energy > 2.0 * noise_energy) & (signal_energy > floor)
     count = int(np.sum(keep))
     return max(1, min(count, bands - 1))
+
+
+def _noise_moment(gram: np.ndarray, n: int) -> np.ndarray:
+    """Second moment ``R.T @ R / n`` of the band-regression residuals ``R``.
+
+    Band ``k`` is regressed on all other bands by ridge least squares, with
+    one ridge ``r = 1e-6 * trace(G)`` for every band, where ``G = X.T @ X``.
+    By block inversion, column ``k`` of ``inv(G + r I)`` divided by its
+    diagonal entry is ``e_k - beta_k``, band ``k``'s residual map, so with
+    ``M`` those columns ``R = X M`` and the moment is ``M.T @ G @ M / n``
+    (Bioucas-Dias & Nascimento, IEEE TGRS 2008).  ``G + r I`` is positive
+    definite with a condition number below about ``1e6``, so the inverse
+    always exists, and nothing is formed per pixel.
+    """
+    ridge = 1e-6 * float(np.trace(gram))
+    inverse = np.linalg.inv(gram + ridge * np.eye(gram.shape[0]))
+    residual_map = inverse / np.diag(inverse)
+    return residual_map.T @ gram @ residual_map / n
 
 
 def project_affine_pca(spectra: np.ndarray, dim: int) -> np.ndarray:

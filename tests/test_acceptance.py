@@ -69,12 +69,13 @@ def test_criterion_1_diffusion_distance_oracle():
         graphs += 1
         adj = graph.adjacency.toarray()
         p_matrix = adj / adj.sum(axis=1, keepdims=True)
+        pi = adj.sum(axis=1) / adj.sum()
         for t in (1, 2, 5):
             p_t = np.linalg.matrix_power(p_matrix, t)
             embedding = system.embedding(t)
             for i in range(n):
                 for j in range(i + 1, n):
-                    want = float(np.sqrt(np.sum((p_t[i] - p_t[j]) ** 2 / system.pi)))
+                    want = float(np.sqrt(np.sum((p_t[i] - p_t[j]) ** 2 / pi)))
                     got = float(np.linalg.norm(embedding[i] - embedding[j]))
                     if want < 1e-12:
                         assert got < 1e-9

@@ -12,7 +12,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sparse
 import scipy.sparse.linalg
 
 from dsirc import clustering
@@ -39,7 +38,6 @@ from dsirc.core import ImageCube, PixelCloud, cube_to_cloud
 from dsirc.diffusion import (
     DiffusionSystem,
     DisconnectedGraphError,
-    KnnGraph,
     diffusion_system,
     knn_graph,
     knn_indices,
@@ -180,8 +178,7 @@ def test_dt_values_match_naive_loop():
 
 
 def test_dt_values_single_pixel():
-    graph = KnnGraph(sparse.csr_matrix((1, 1)), 1)
-    system = DiffusionSystem(graph, np.ones(1), np.ones(1), np.ones(1), np.ones((1, 1)))
+    system = DiffusionSystem(np.ones(1), np.ones((1, 1)))
     dt, parents = dt_values(system, ZetaField(np.array([0.5])), 30.0)
     np.testing.assert_array_equal(dt, [0.0])
     np.testing.assert_array_equal(parents, [-1])
@@ -296,10 +293,9 @@ def tied_system(seed=12, n=40, span=3, dims=2):
     """A system whose embedding rows are small integer points, many of them
     duplicated, so exact diffusion-distance ties are everywhere."""
     rng = np.random.default_rng(seed)
-    graph = knn_graph(knn_indices(rng.uniform(size=(n, 3)), 5)[0])
-    degrees = np.asarray(graph.adjacency.sum(axis=1)).ravel()
+    rng.uniform(size=(n, 3))  # unused spectra draw; the points follow it in the stream
     points = rng.integers(0, span, size=(n, dims)).astype(np.float64)
-    return DiffusionSystem(graph, degrees, degrees / degrees.sum(), np.ones(dims), points), rng
+    return DiffusionSystem(np.ones(dims), points), rng
 
 
 def test_parents_break_exact_ties_by_smaller_index():
@@ -412,7 +408,7 @@ def test_screened_scan_equals_push_scan_on_collapsed_embedding():
     system, rng = screen_system(seed=5)
     vectors = system.eigenvectors.copy()
     vectors[:, 0] = 1.0
-    constant = DiffusionSystem(system.graph, system.degrees, system.pi, system.eigenvalues, vectors)
+    constant = DiffusionSystem(system.eigenvalues, vectors)
     assert np.all(constant.embedding(1e9) == constant.embedding(1e9)[0])
     assert_screened_scan_equals_push_scan(
         constant, 1e9, rng, lambda count: count == system.n - 1
@@ -501,6 +497,31 @@ def test_disconnected_graph_error_holds_no_graph(monkeypatch):
     grid = mode_grid(cloud, ClusterConfig(n_clusters=2, n_endmembers=2, seed=0), [4, 25], [10.0])
     assert isinstance(grid[4, 10.0, None], DisconnectedGraphError)
     assert len(graphs) == 2 and all(ref() is None for ref in graphs)
+
+
+@pytest.mark.parametrize("taus", [None, [1.0, 2.0]], ids=["dvic", "dsirc"])
+def test_scan_holds_no_graph(monkeypatch, taus):
+    # The scan and labelling read only the eigenpairs, so every graph is
+    # gone by the time each predecessor scan starts.
+    graphs, scans = [], []
+    build, scan = clustering.knn_graph, clustering.dt_values
+
+    def built(neighbors):
+        graph = build(neighbors)
+        graphs.append(weakref.ref(graph))
+        return graph
+
+    def scanned(*args):
+        assert all(ref() is None for ref in graphs)
+        scans.append(len(graphs))
+        return scan(*args)
+
+    monkeypatch.setattr(clustering, "knn_graph", built)
+    monkeypatch.setattr(clustering, "dt_values", scanned)
+    cloud, _ = grid_cloud(np.random.default_rng(17))
+    config = ClusterConfig(n_clusters=3, n_endmembers=3, seed=0)
+    mode_grid(cloud, config, [50, 60], [10.0, 30.0], taus)
+    assert scans == ([1, 1, 2, 2] if taus is None else [1, 1, 2, 2, 3, 3, 4, 4])
 
 
 def test_one_knn_search_per_cloud(monkeypatch):

@@ -1,5 +1,7 @@
 """Container invariants, ENVI round trips, first-PC projection, label I/O."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -317,6 +319,19 @@ def test_read_labels_csv_rejects_bad_index_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("index,row,col,label\n0,0,0,1\n2,0,1,1\n")
     with pytest.raises(ValueError):
+        read_labels_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "row, lineno",
+    [("0,0,0,x", 2), ("0,0,0,1\n1,0,1,1.5", 3), ("0,0,0,1\n\n1,a,1,1", 4)],
+)
+def test_read_labels_csv_names_line_of_non_integer_field(tmp_path, row, lineno):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"index,row,col,label\n{row}\n")
+    bad = row.splitlines()[-1]
+    message = f"{path}:{lineno}: fields must be integers, got '{bad}'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_labels_csv(str(path))
 
 

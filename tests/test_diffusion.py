@@ -331,13 +331,13 @@ def test_knn_graph_is_symmetrized_union():
 def test_knn_graph_validation():
     bad = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="symmetric"):
-        KnnGraph(bad, 1)
+        KnnGraph(bad)
     with_diag = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="zero diagonal"):
-        KnnGraph(with_diag, 1)
+        KnnGraph(with_diag)
     weighted = sparse.csr_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
     with pytest.raises(ValueError, match="0 or 1"):
-        KnnGraph(weighted, 1)
+        KnnGraph(weighted)
 
     def stored(data, columns, indptr):
         # CSR arrays taken as given: explicit zeros and duplicates stay.
@@ -347,24 +347,24 @@ def test_knn_graph_validation():
     # An explicit zero counts as no edge for symmetry, on or off the
     # diagonal, but is not a 0/1 entry of the pattern.
     with pytest.raises(ValueError, match="0 or 1"):
-        KnnGraph(stored([1, 0, 1], [1, 2, 0], [0, 2, 3, 3]), 1)
+        KnnGraph(stored([1, 0, 1], [1, 2, 0], [0, 2, 3, 3]))
     with pytest.raises(ValueError, match="0 or 1"):
-        KnnGraph(stored([0, 1, 1], [0, 1, 0], [0, 2, 3, 3]), 1)
+        KnnGraph(stored([0, 1, 1], [0, 1, 0], [0, 2, 3, 3]))
     # Duplicate entries sum: (0, 1) stored twice is 2 against (1, 0)'s 1.
     duplicated = stored([1, 1, 1], [1, 1, 0], [0, 2, 3, 3])
     assert not duplicated.has_canonical_format
     with pytest.raises(ValueError, match="symmetric"):
-        KnnGraph(duplicated, 1)
+        KnnGraph(duplicated)
     # Duplicates that cancel leave (0, 1) and (1, 0) at 0: symmetric, but
     # the stored entries are not 0 or 1.
     with pytest.raises(ValueError, match="0 or 1"):
-        KnnGraph(stored([1, -1, 1, -1], [1, 1, 0, 0], [0, 2, 4, 4]), 1)
+        KnnGraph(stored([1, -1, 1, -1], [1, 1, 0, 0], [0, 2, 4, 4]))
     # Duplicates on both sides sum to a symmetric entry of 2, which the
     # transition matrix would count as two edges.
     with pytest.raises(ValueError, match="0 or 1"):
-        KnnGraph(stored([1, 1, 1, 1], [1, 1, 0, 0], [0, 2, 4]), 1)
+        KnnGraph(stored([1, 1, 1, 1], [1, 1, 0, 0], [0, 2, 4]))
     # Unsorted columns of a symmetric 0/1 pattern are fine.
-    KnnGraph(stored([1, 1, 1, 1], [2, 1, 0, 0], [0, 2, 3, 4]), 1)
+    KnnGraph(stored([1, 1, 1, 1], [2, 1, 0, 0], [0, 2, 3, 4]))
 
 
 def test_knn_graph_equals_coo_construction():
@@ -398,29 +398,37 @@ def test_float_adjacency_is_stored_as_its_pattern():
 
     rng = np.random.default_rng(27)
     ones = coo_knn_graph(knn_indices(rng.uniform(size=(60, 3)), 4)[0])
-    assert_pattern_of(KnnGraph(ones, 4).adjacency, ones)
+    assert_pattern_of(KnnGraph(ones).adjacency, ones)
     reversed_columns = np.concatenate(
         [ones.indices[a:b][::-1] for a, b in zip(ones.indptr[:-1], ones.indptr[1:])]
     )
     given = reversed_columns.copy()
     unsorted = sparse.csr_matrix((ones.data, given, ones.indptr), shape=ones.shape)
     assert not unsorted.has_sorted_indices
-    assert_pattern_of(KnnGraph(unsorted, 4).adjacency, ones)
+    assert_pattern_of(KnnGraph(unsorted).adjacency, ones)
     # The caller's column array is not sorted in place.
     np.testing.assert_array_equal(given, reversed_columns)
     empty = sparse.csr_matrix((1, 1))
-    assert_pattern_of(KnnGraph(empty, 1).adjacency, empty)
+    assert_pattern_of(KnnGraph(empty).adjacency, empty)
 
 
 # ---------------------------------------------------------------------------
 # eigensystem
 
 
+def connected_graph(n=25, k_n=5, seed=4):
+    x = np.random.default_rng(seed).uniform(size=(n, 3))
+    return knn_graph(knn_indices(x, k_n)[0])
+
+
 def connected_system(n=25, k_n=5, seed=4, n_eigenpairs=None):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(size=(n, 3))
-    graph = knn_graph(knn_indices(x, k_n)[0])
-    return diffusion_system(graph, n_eigenpairs if n_eigenpairs else n)
+    return diffusion_system(connected_graph(n, k_n, seed), n_eigenpairs if n_eigenpairs else n)
+
+
+def stationary(graph):
+    """``pi = deg / sum(deg)``, the degrees summed off the adjacency."""
+    degrees = np.asarray(graph.adjacency.sum(axis=1), dtype=np.float64).ravel()
+    return degrees / degrees.sum()
 
 
 def test_stationary_pair_comes_first():
@@ -444,14 +452,17 @@ def test_stationary_pair_is_exact():
 
 
 def test_eigenvectors_orthonormal_under_stationary_weights():
-    system = connected_system()
-    gram = system.eigenvectors.T @ (system.pi[:, None] * system.eigenvectors)
+    graph = connected_graph()
+    system = diffusion_system(graph, graph.n)
+    gram = system.eigenvectors.T @ (stationary(graph)[:, None] * system.eigenvectors)
     np.testing.assert_allclose(gram, np.eye(system.n), atol=1e-9)
 
 
 def test_diffusion_distance_matches_transition_matrix_power():
-    system = connected_system()
-    adj = system.graph.adjacency.toarray()
+    graph = connected_graph()
+    system = diffusion_system(graph, graph.n)
+    pi = stationary(graph)
+    adj = graph.adjacency.toarray()
     p_matrix = adj / adj.sum(axis=1, keepdims=True)
     rng = np.random.default_rng(5)
     for t in (1, 2, 3, 6):
@@ -459,7 +470,7 @@ def test_diffusion_distance_matches_transition_matrix_power():
         embedding = system.embedding(t)
         for _ in range(8):
             i, j = rng.integers(0, system.n, size=2)
-            want = np.sqrt(np.sum((p_t[i] - p_t[j]) ** 2 / system.pi))
+            want = np.sqrt(np.sum((p_t[i] - p_t[j]) ** 2 / pi))
             got = np.linalg.norm(embedding[i] - embedding[j])
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -507,7 +518,7 @@ def test_transition_matrix_equals_coo_construction(monkeypatch):
             (np.ones(adj.nnz), reversed_columns, adj.indptr), shape=adj.shape
         )
         assert not given_unsorted.has_sorted_indices
-        unsorted = KnnGraph(given_unsorted, k)
+        unsorted = KnnGraph(given_unsorted)
         assert_csr_equal(unsorted.adjacency, adj)
         want = coo_s_matrix(adj)
         for g in (graph, unsorted):
@@ -535,17 +546,18 @@ def test_isolated_node_is_rejected_without_a_warning():
     message = "^KNN graph has {} connected components; increase k_n to reconnect it$"
     pair_and_isolated = sparse.csr_matrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
     with pytest.raises(DisconnectedGraphError, match=message.format(2)):
-        diffusion_system(KnnGraph(pair_and_isolated, 1), 2)
+        diffusion_system(KnnGraph(pair_and_isolated), 2)
     with pytest.raises(DisconnectedGraphError, match=message.format(2)):
-        diffusion_system(KnnGraph(sparse.csr_matrix((2, 2)), 1), 1)
+        diffusion_system(KnnGraph(sparse.csr_matrix((2, 2))), 1)
 
 
 def test_diffusion_system_validation():
-    system = connected_system()
+    graph = connected_graph()
+    system = diffusion_system(graph, graph.n)
     with pytest.raises(ValueError):
-        diffusion_system(system.graph, 0)
+        diffusion_system(graph, 0)
     with pytest.raises(ValueError):
-        diffusion_system(system.graph, system.n + 1)
+        diffusion_system(graph, system.n + 1)
     with pytest.raises(ValueError):
         system.embedding(-1.0)
 

@@ -10,12 +10,14 @@ import itertools
 import numpy as np
 import pytest
 
-from dsirc.core import DegenerateCovarianceError, PixelCloud
+from dsirc.core import DegenerateCovarianceError, PixelCloud, cube_to_cloud, load_envi, write_envi
+from dsirc.synth import SynthConfig, synth_hsi
 from dsirc.unmixing import (
     PurityField,
     RankDeficientDataError,
     UnmixingModel,
     _ascend_volume,
+    _noise_moment,
     _replacement_volumes,
     abundances,
     avmax,
@@ -87,6 +89,60 @@ def test_hysime_never_exceeds_bands_minus_one():
     rng = np.random.default_rng(2)
     cloud = cloud_of(rng.uniform(0.1, 1.0, size=(50, 4)))
     assert 1 <= hysime(cloud) <= 3
+
+
+def test_hysime_one_nonzero_band_is_one():
+    # The only energy is in band 2, so every other band's regression has an
+    # all-zero design; the shared ridge keeps the inverse defined.
+    x = np.zeros((50, 6))
+    x[:, 2] = np.random.default_rng(0).uniform(0.1, 1.0, 50)
+    assert hysime(cloud_of(x)) == 1
+
+
+@pytest.mark.parametrize("side", [40, 64])
+def test_hysime_p_on_bench_scene_shapes(side, tmp_path):
+    # The benchmark's 40x40x30 and 64x64x30 scenes, read back through its
+    # float32 ENVI files.  These p were recorded from the per-band residual
+    # form: 4 on 99 of seeds 0-99 and 3 on seed 80, for both shapes.
+    seeds = [*range(10), 80]
+    got = []
+    for seed in seeds:
+        config = SynthConfig(height=side, width=side, bands=30, seed=seed)
+        header, data = str(tmp_path / "cube.hdr"), str(tmp_path / "cube.raw")
+        write_envi(synth_hsi(config).cube, header, data)
+        got.append(hysime(cube_to_cloud(load_envi(header, data))))
+    assert got == [4] * 10 + [3]
+
+
+def residual_noise_moment(x):
+    """Oracle: each band's ridge regression on the others, with the shared
+    ridge ``1e-6 * trace(G)``, residuals formed over the pixels, ``R.T @ R / n``."""
+    n, bands = x.shape
+    gram = x.T @ x
+    ridge = 1e-6 * np.trace(gram)
+    residuals = np.empty_like(x)
+    for k in range(bands):
+        others = np.arange(bands) != k
+        beta = np.linalg.solve(gram[np.ix_(others, others)] + ridge * np.eye(bands - 1), gram[others, k])
+        residuals[:, k] = x[:, k] - x[:, others] @ beta
+    return residuals.T @ residuals / n
+
+
+@pytest.mark.parametrize(
+    "bands, n, snr_db", [(30, 500, 20.0), (200, 1000, 20.0), (30, 500, None)]
+)
+def test_noise_moment_equals_residual_oracle(bands, n, snr_db):
+    # Measured over 20 seeds each of 30 and 200 bands, noisy and noise-free:
+    # the gap was at most 1.1e-16 * trace(G) / n.  That is 4e-11 of the
+    # largest entry on noisy clouds but up to 1.3e-6 on noise-free ones,
+    # where the moment is rounding noise itself, so the bound scales with
+    # the data's energy, at 100 times the worst gap.
+    cloud, _, _ = simplex_cloud(np.random.default_rng(7), p=5, bands=bands, n=n, snr_db=snr_db)
+    x = cloud.spectra
+    gram = x.T @ x
+    np.testing.assert_allclose(
+        _noise_moment(gram, n), residual_noise_moment(x), rtol=0, atol=1e-14 * np.trace(gram) / n
+    )
 
 
 def test_hysime_zero_data_raises():
