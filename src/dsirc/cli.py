@@ -150,6 +150,26 @@ def _cluster_config(opts: dict[str, object], seed: int) -> ClusterConfig:
     return ClusterConfig(seed=seed, **fields)
 
 
+def _check_cloud_supports(cloud: PixelCloud, opts: dict[str, object], k_ns: list) -> None:
+    """Raise ValueError, naming the key, when a value the algorithm reads
+    asks more of ``cloud`` than it has: more clusters than pixels, a k_n
+    (any of ``k_ns``) not below the pixel count, more endmembers than bands
+    or pixels, or more eigenpairs than pixels."""
+    n, bands = cloud.n, cloud.bands
+    algorithm = opts["algorithm"]
+    limits = [("k", [opts["k"]], n, f"more clusters than the {n} pixels")]
+    if algorithm != "kmeans":
+        limits.append(("kn", k_ns, n - 1, f"not below the pixel count {n}"))
+    if algorithm in ("dsirc", "dvic"):
+        endmembers = f"more endmembers than the {bands} bands or the {n} pixels"
+        limits.append(("p", [opts["p"]], min(n, bands), endmembers))
+        limits.append(("eigenpairs", [opts["eigenpairs"]], n, f"more eigenpairs than the {n} pixels"))
+    for key, values, most, reason in limits:
+        for value in values:
+            if value is not None and value > most:
+                raise ValueError(f"bad {key} value {value}: {reason}")
+
+
 def _normalized(cloud: PixelCloud, mode: str) -> PixelCloud:
     if mode == "none":
         return cloud
@@ -281,6 +301,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail("input", exc, 2)
     try:
+        _check_cloud_supports(cloud, opts, [opts["kn"]])
+    except ValueError as exc:
+        return _fail("configuration", exc, 2)
+    try:
         [result] = _run_grid(cloud, opts, [{}], opts["seed"])
     except Exception as exc:  # algorithm failure on valid inputs
         return _fail("clustering", exc, 1)
@@ -357,6 +381,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError("sweep requires --gt to score combinations")
     except (OSError, ValueError) as exc:
         return _fail("input", exc, 2)
+    try:
+        _check_cloud_supports(cloud, opts, [combo.get("kn", opts["kn"]) for combo in combos])
+    except ValueError as exc:
+        return _fail("configuration", exc, 2)
     # scores[i][j]: the metrics of combination i at the j-th seed;
     # failures[i]: the first error of a combination that failed at any seed.
     scores: list[list[dict[str, float]]] = [[] for _ in combos]

@@ -184,7 +184,8 @@ def _rank_order(zeta_values: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(n), -zeta_values))
 
 
-# Tree neighbours queried per pixel by :func:`dt_values` (self included).
+# Tree neighbours first queried per pixel by :func:`dt_values` (self
+# included); also the per-pixel share of a query block's entry budget.
 _TREE_K = 32
 
 
@@ -203,14 +204,14 @@ def dt_values(
 
     The search is exact and keeps that tie rule: every distance it returns
     is ``np.linalg.norm(rows - row, axis=1)`` over embedding rows, as a scan
-    of all predecessors would compute it.  A k-d tree on the embedding
-    settles most pixels from their ``_TREE_K`` nearest rows (the
-    dependent-point search of Amagata & Hara, "Fast density-peaks
-    clustering", SIGMOD 2021; see :func:`_screen_predecessors`).  A pixel
-    falls back to the scan of all its predecessors when none of its tree
-    neighbours is higher-ranked, or when a predecessor beyond them could
-    still tie or win; on an embedding collapsed to a constant, every pixel
-    does.
+    of all predecessors would compute it.  It is one k-d tree search on the
+    embedding (the dependent-point search of Amagata & Hara, "Fast
+    density-peaks clustering", SIGMOD 2021; see
+    :func:`_nearest_predecessors`) whose query widens, ``_TREE_K``
+    neighbours first and four times as many each round, until every pixel
+    below the top has settled.  Most pixels settle in the first round; on an
+    embedding collapsed to a constant, none settles before the query holds
+    all ``n`` rows, so that case costs quadratic time.
     """
     z = zeta_field.zeta
     n = z.shape[0]
@@ -222,14 +223,7 @@ def dt_values(
     rank[order] = np.arange(n)
     dt = np.empty(n)
     parents = np.full(n, -1, dtype=np.intp)
-    fallback = _screen_predecessors(embedding, rank, dt, parents)
-    ranked = embedding[order]
-    for pixel in fallback:
-        r = rank[pixel]
-        dist = np.linalg.norm(ranked[:r] - ranked[r], axis=1)
-        best = dist.min()
-        dt[pixel] = best
-        parents[pixel] = order[:r][dist == best].min()
+    _nearest_predecessors(embedding, rank, dt, parents)
     for special in {int(np.argmin(z)), int(order[0])}:
         dt[special] = float(
             np.linalg.norm(embedding - embedding[special], axis=1).max()
@@ -237,29 +231,28 @@ def dt_values(
     return dt, parents
 
 
-def _screen_predecessors(
+def _nearest_predecessors(
     embedding: np.ndarray, rank: np.ndarray, dt: np.ndarray, parents: np.ndarray
-) -> np.ndarray:
-    """Fill ``dt`` and ``parents`` for the pixels a k-d tree settles, and
-    return the other pixels below the top of the rank order.
+) -> None:
+    """Fill ``dt`` and ``parents`` for every pixel below the top of the
+    rank order, from k-d tree queries that widen until each pixel settles.
 
-    Each pixel's ``_TREE_K`` tree neighbours come back in order of tree
-    distance.  The first higher-ranked one bounds the true nearest
-    predecessor's distance by ``d*``, so every predecessor that can win lies
-    within ``d*`` times a rounding slack.  The candidates there get their
-    distances recomputed exactly.  That settles the pixel when the slack
-    bound stays below the farthest tree neighbour's distance; otherwise a
-    predecessor outside the query could tie or win, and the pixel is
-    returned for the full scan, as is a pixel with no higher-ranked tree
-    neighbour.  A pixel is never its own predecessor, so it drops out by
-    index even where a duplicate row comes back before it.
+    Each round queries the pixels still pending at ``k`` tree neighbours,
+    in order of tree distance: ``_TREE_K`` in the first round, then
+    ``min(4 k, n)``.  The first higher-ranked neighbour bounds the true
+    nearest predecessor's distance by ``d*``, so every predecessor that can
+    win lies within ``d*`` times a rounding slack.  The candidates there get
+    their distances recomputed exactly.  That settles the pixel when the
+    slack bound stays below the farthest tree neighbour's distance, or when
+    ``k = n`` and the query holds every predecessor; otherwise a predecessor
+    outside the query could tie or win, and the pixel waits for the next
+    round, as does a pixel with no higher-ranked tree neighbour.  A pixel is
+    never its own predecessor, so it drops out by index even where a
+    duplicate row comes back before it.  Each query holds at most
+    ``n * _TREE_K`` neighbours, so a wider round runs in more blocks.
     """
     n, dims = embedding.shape
-    # A k sequence keeps the results 2-D even for a one-pixel cloud.
-    tree_dist, neighbors = cKDTree(embedding).query(
-        embedding, k=range(1, min(_TREE_K, n) + 1)
-    )
-    higher = rank[neighbors] < rank[:, None]
+    tree = cKDTree(embedding)
     # Tree and norm distances are square roots of dims-term sums of squares,
     # each with relative rounding error below (dims + 2) * eps while the
     # squares stay normal; the floor covers subnormal squares.  The slack
@@ -267,18 +260,28 @@ def _screen_predecessors(
     # its tree distance), and once more the rounding in the tree's pruning.
     finfo = np.finfo(np.float64)
     slack = 1.0 + max(1e-12, 4 * (dims + 2) * finfo.eps)
-    bound = tree_dist[np.arange(n), np.argmax(higher, axis=1)] * slack + np.sqrt(
-        (dims + 2) * finfo.tiny
-    )
-    settled = higher.any(axis=1) & (bound * slack < tree_dist[:, -1])
-    pixel, col = np.nonzero(higher & (tree_dist <= bound[:, None]) & settled[:, None])
-    cand = neighbors[pixel, col]
-    dist = np.linalg.norm(embedding[cand] - embedding[pixel], axis=1)
-    pick = np.lexsort((cand, dist, pixel))
-    pick = pick[np.diff(pixel[pick], prepend=-1) != 0]
-    dt[pixel[pick]] = dist[pick]
-    parents[pixel[pick]] = cand[pick]
-    return np.flatnonzero(~settled & (rank > 0))
+    floor = np.sqrt((dims + 2) * finfo.tiny)
+    pending = np.flatnonzero(rank > 0)
+    k = min(_TREE_K, n)
+    while pending.size:
+        rows = n * _TREE_K // k
+        unsettled = []
+        for start in range(0, pending.size, rows):
+            block = pending[start : start + rows]
+            tree_dist, neighbors = tree.query(embedding[block], k=k)
+            higher = rank[neighbors] < rank[block, None]
+            bound = tree_dist[np.arange(block.size), np.argmax(higher, axis=1)] * slack + floor
+            settled = higher.any(axis=1) & ((k == n) | (bound * slack < tree_dist[:, -1]))
+            row, col = np.nonzero(higher & (tree_dist <= bound[:, None]) & settled[:, None])
+            pixel, cand = block[row], neighbors[row, col]
+            dist = np.linalg.norm(embedding[cand] - embedding[pixel], axis=1)
+            pick = np.lexsort((cand, dist, row))
+            pick = pick[np.diff(row[pick], prepend=-1) != 0]
+            dt[pixel[pick]] = dist[pick]
+            parents[pixel[pick]] = cand[pick]
+            unsettled.append(block[~settled])
+        pending = np.concatenate(unsettled)
+        k = min(4 * k, n)
 
 
 def select_modes(zeta_field: ZetaField, dt: np.ndarray, n_clusters: int) -> np.ndarray:

@@ -391,6 +391,8 @@ def read_labels_csv(path: str) -> tuple[LabelMap, np.ndarray]:
                 rows.append(tuple(int(p) for p in parts))  # type: ignore[arg-type]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: fields must be integers, got {line!r}") from None
+            if rows[-1][3] < 0:
+                raise ValueError(f"{path}:{lineno}: labels must be non-negative, got {line!r}")
     if not rows:
         raise ValueError(f"{path}: no label rows")
     rows.sort(key=lambda r: r[0])

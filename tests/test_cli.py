@@ -771,6 +771,32 @@ def test_sweep_rejects_infinite_t(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["cluster", "sweep"])
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        ("--kn 200", "kn"),
+        ("--k 500 --algorithm dsirc", "k"),
+        ("--k 500 --algorithm dvic", "k"),
+        ("--k 500 --algorithm kmeans", "k"),
+        ("--k 500 --algorithm sc", "k"),
+        ("--p 50", "p"),
+        ("--eigenpairs 500", "eigenpairs"),
+    ],
+)
+def test_value_the_cube_cannot_support_is_configuration_error(tmp_path, capsys, command, flags, key):
+    scene = make_scene(tmp_path, height="12", width="12", bands="10")  # 144 pixels
+    out = tmp_path / "out"
+    cube = [str(scene / "cube.hdr"), str(scene / "cube.raw")]
+    argv = [command, *cube, "--gt", str(scene / "gt.csv"), "--out", str(out), "--k", "3"]
+    if command == "sweep":
+        argv += ["--kn-grid", "20,300" if key == "kn" else "20"]
+    assert main([*argv, *flags.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"dsirc: configuration failed: bad {key} value ")
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

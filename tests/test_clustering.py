@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from scipy.spatial import cKDTree
 
 from dsirc import clustering
 from dsirc.clustering import (
@@ -20,8 +21,8 @@ from dsirc.clustering import (
     Clustering,
     DensityField,
     ZetaField,
+    _TREE_K,
     _lloyd,
-    _screen_predecessors,
     auto_sigma0,
     dsirc,
     dt_values,
@@ -355,13 +356,27 @@ def test_dt_values_equal_push_scan():
             np.testing.assert_array_equal(parents, want_parents)
 
 
-def fallback_count(system, z, t):
-    """How many pixels the k-d tree screen of ``dt_values`` leaves to the
-    full predecessor scan."""
-    n = system.n
-    rank = np.empty(n, dtype=np.intp)
-    rank[ranked(z)] = np.arange(n)
-    return _screen_predecessors(system.embedding(t), rank, np.empty(n), np.full(n, -1)).size
+def tree_queries(monkeypatch):
+    """Make the k-d tree of ``dt_values`` log each query's ``(rows, k)``;
+    returns the log."""
+    log = []
+
+    class RecordingTree(cKDTree):
+        def query(self, x, k, **kwargs):
+            log.append((len(x), k))
+            return super().query(x, k=k, **kwargs)
+
+    monkeypatch.setattr(clustering, "cKDTree", RecordingTree)
+    return log
+
+
+def pending_per_round(log):
+    """``(k, pixels queried)`` for each round of a ``dt_values`` call, whose
+    rounds widen k and may split their pixels over several queries."""
+    rounds = {}
+    for rows, k in log:
+        rounds[k] = rounds.get(k, 0) + rows
+    return list(rounds.items())
 
 
 def screen_system(seed=4, n=300):
@@ -372,51 +387,65 @@ def screen_system(seed=4, n=300):
     return diffusion_system(knn_graph(knn_indices(x, 5)[0]), 50), rng
 
 
-def assert_screened_scan_equals_push_scan(system, t, rng, fallbacks, trials=3):
+def assert_screened_scan_equals_push_scan(monkeypatch, system, t, rng, rounds_ok, trials=3):
+    log = tree_queries(monkeypatch)
     for _ in range(trials):
         z = rng.uniform(0.05, 1.0, size=system.n)
+        log.clear()
         dt, parents = dt_values(system, ZetaField(z), t)
         want_dt, want_parents = push_scan(system, z, t)
         np.testing.assert_array_equal(dt, want_dt)
         np.testing.assert_array_equal(parents, want_parents)
-        assert fallbacks(fallback_count(system, z, t))
+        rounds = pending_per_round(log)
+        # Round 1 queries every pixel below the top at _TREE_K neighbours.
+        assert rounds[0] == (_TREE_K, system.n - 1)
+        assert all(rows * k <= system.n * _TREE_K for rows, k in log)
+        assert rounds_ok(rounds)
 
 
-def test_screened_scan_equals_push_scan_beyond_tree_reach():
+def test_screened_scan_equals_push_scan_beyond_tree_reach(monkeypatch):
     system, rng = screen_system()
     for t in (1.0, 4.0, 30.0):
         assert_screened_scan_equals_push_scan(
-            system, t, rng, lambda count: 0 < count < system.n // 4
+            monkeypatch,
+            system,
+            t,
+            rng,
+            lambda rounds: len(rounds) > 1 and 0 < rounds[1][1] < system.n // 4,
         )
 
 
-def test_screened_scan_equals_push_scan_on_duplicate_lattice():
+def test_screened_scan_equals_push_scan_on_duplicate_lattice(monkeypatch):
     # 300 points on a 4x4x4 lattice: every row has twins, which the tree can
     # return before the row itself, and exact ties sit on the d* bound.
     system, rng = tied_system(seed=12, n=300, span=4, dims=3)
     embedding = system.embedding(1.0)
     assert np.unique(embedding, axis=0).shape[0] < system.n // 4
     assert_screened_scan_equals_push_scan(
-        system, 1.0, rng, lambda count: 0 < count < system.n // 2, trials=5
+        monkeypatch,
+        system,
+        1.0,
+        rng,
+        lambda rounds: len(rounds) > 1 and 0 < rounds[1][1] < system.n // 2,
+        trials=5,
     )
 
 
-def test_screened_scan_equals_push_scan_on_collapsed_embedding():
+def test_screened_scan_equals_push_scan_on_collapsed_embedding(monkeypatch):
     # At a large enough t every weight but the stationary one underflows to
-    # 0, so the embedding is the constant stationary column: no pixel can
-    # be settled from 32 neighbours, all at distance 0.
+    # 0, so the embedding is the constant stationary column: every tree
+    # distance is 0, and no pixel settles before its query holds all n rows.
+    def widens_to_n(rounds):
+        return rounds[-1][0] == system.n and all(rows == system.n - 1 for _, rows in rounds)
+
     system, rng = screen_system(seed=5)
     vectors = system.eigenvectors.copy()
     vectors[:, 0] = 1.0
     constant = DiffusionSystem(system.eigenvalues, vectors)
     assert np.all(constant.embedding(1e9) == constant.embedding(1e9)[0])
-    assert_screened_scan_equals_push_scan(
-        constant, 1e9, rng, lambda count: count == system.n - 1
-    )
+    assert_screened_scan_equals_push_scan(monkeypatch, constant, 1e9, rng, widens_to_n)
     # The computed system's stationary pair is exact, so it collapses too.
-    assert_screened_scan_equals_push_scan(
-        system, 1e9, rng, lambda count: count == system.n - 1
-    )
+    assert_screened_scan_equals_push_scan(monkeypatch, system, 1e9, rng, widens_to_n)
 
 
 # ---------------------------------------------------------------------------

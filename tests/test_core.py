@@ -324,13 +324,20 @@ def test_read_labels_csv_rejects_bad_index_column(tmp_path):
 
 @pytest.mark.parametrize(
     "row, lineno",
-    [("0,0,0,x", 2), ("0,0,0,1\n1,0,1,1.5", 3), ("0,0,0,1\n\n1,a,1,1", 4)],
+    [
+        ("0,0,0,x", 2),
+        ("0,0,0,1\n1,0,1,1.5", 3),
+        ("0,0,0,1\n\n1,a,1,1", 4),
+        ("0,0,0,1\n1,0,1,-2", 3),
+    ],
 )
 def test_read_labels_csv_names_line_of_non_integer_field(tmp_path, row, lineno):
     path = tmp_path / "bad.csv"
     path.write_text(f"index,row,col,label\n{row}\n")
     bad = row.splitlines()[-1]
-    message = f"{path}:{lineno}: fields must be integers, got '{bad}'"
+    # A minus sign marks the row whose label is an integer but negative.
+    problem = "labels must be non-negative" if "-" in bad else "fields must be integers"
+    message = f"{path}:{lineno}: {problem}, got '{bad}'"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_labels_csv(str(path))
 
