@@ -187,6 +187,8 @@ def _rank_order(zeta_values: np.ndarray) -> np.ndarray:
 # Tree neighbours first queried per pixel by :func:`dt_values` (self
 # included); also the per-pixel share of a query block's entry budget.
 _TREE_K = 32
+# Embedding values the exact recompute of :func:`dt_values` gathers at once.
+_GATHER_ELEMENTS = 65_536
 
 
 def dt_values(
@@ -249,7 +251,8 @@ def _nearest_predecessors(
     round, as does a pixel with no higher-ranked tree neighbour.  A pixel is
     never its own predecessor, so it drops out by index even where a
     duplicate row comes back before it.  Each query holds at most
-    ``n * _TREE_K`` neighbours, so a wider round runs in more blocks.
+    ``n * _TREE_K`` neighbours, so a wider round runs in more blocks, and the
+    recompute gathers at most ``_GATHER_ELEMENTS`` embedding values at once.
     """
     n, dims = embedding.shape
     tree = cKDTree(embedding)
@@ -274,7 +277,12 @@ def _nearest_predecessors(
             settled = higher.any(axis=1) & ((k == n) | (bound * slack < tree_dist[:, -1]))
             row, col = np.nonzero(higher & (tree_dist <= bound[:, None]) & settled[:, None])
             pixel, cand = block[row], neighbors[row, col]
-            dist = np.linalg.norm(embedding[cand] - embedding[pixel], axis=1)
+            # Norms are row-local, so slicing the gather leaves them as they are.
+            dist = np.empty(row.size)
+            step = max(1, _GATHER_ELEMENTS // dims)
+            for lo in range(0, row.size, step):
+                diff = embedding[cand[lo : lo + step]] - embedding[pixel[lo : lo + step]]
+                dist[lo : lo + step] = np.linalg.norm(diff, axis=1)
             pick = np.lexsort((cand, dist, row))
             pick = pick[np.diff(row[pick], prepend=-1) != 0]
             dt[pixel[pick]] = dist[pick]

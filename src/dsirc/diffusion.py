@@ -32,13 +32,17 @@ __all__ = [
 # convergence concerns.
 _DENSE_EIG_CUTOFF = 128
 
-# The KNN search's Gram product covers this many rows per block: an 8 MB
-# buffer at 4,096 pixels, and enough rows for the GEMM to run at full speed
-# (36-row blocks took 1.7x as long per row at 110,889 pixels).
-# Its row-local passes run on chunks of at most this many (row, column)
-# pairs (2 MB), small enough to stay in cache from one pass to the next.
+# The KNN search's float32 Gram product covers this many rows per block: a
+# 4 MB buffer at 4,096 pixels, and enough rows for the GEMM to run at full
+# speed (36-row blocks took 1.7x as long per row at 110,889 pixels).
 _BLOCK_ROWS = 256
-_CHUNK_ELEMENTS = 250_000
+# Every other transient array of the search holds at most this many values
+# (a whole row where one row is longer): 512 KiB of float64, small enough to
+# stay in cache from one pass to the next.
+_BUDGET_ELEMENTS = 65_536
+# Unit roundoff of float32, and the screen's absolute floor.
+_U32 = 2.0**-24
+_FLOOR = 2.0**-100
 
 
 class DisconnectedGraphError(RuntimeError):
@@ -122,71 +126,149 @@ def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
     deterministically.  One search per cloud serves the bandwidth, the
     density and the graph.
 
-    Squared distances come from one Gram product per block of
-    ``_BLOCK_ROWS`` rows, written into one ``(block, n)`` buffer that every
-    block reuses.  A last block of one row joins the one before it: a
-    one-row product runs as a GEMV, whose rounding differs from the GEMM's.
-    The passes after it run in place on chunks of a few rows, with one more
-    ``(chunk, n)`` buffer: ``(|x_i|^2 + |x_j|^2) - 2 g_ij`` in that
-    association, clipped at zero, with the diagonal set to infinity.  These
-    passes are row-local, so no result depends on where a chunk starts.
-    Each row then keeps its ``k_n`` smallest by one partial sort
-    (``argpartition`` at ``k_n``) and orders them by (squared distance,
-    index): exactly the prefix of a stable full sort.  A row whose
-    ``(k_n + 1)``-th smallest value equals its ``k_n``-th is fully sorted
-    instead.
+    Each squared distance is ``sum((x_i - x_j) ** 2)`` in float64, summed
+    over the bands by one reduction per pair, so its bits do not depend on
+    how rows are grouped, on the BLAS or on its threads.  The indices are
+    the first ``k_n`` columns of a stable argsort of those values.  (Before,
+    distances came from the Gram identity ``|x_i|^2 + |x_j|^2 - 2 x_i.x_j``
+    in float64; the two forms differ in the last bits, by up to about 1e-13
+    relative on raw clouds and more where the identity cancels.)  A float32
+    screen picks the few columns of each row that need that exact step.
+
+    The screen.  The spectra are centred on their column mean and scaled by
+    a power of two, so that their largest magnitude is below 1, and
+    converted once to a float32 copy ``y``; distances change only by that
+    scale ``s``.  Each block of ``_BLOCK_ROWS`` rows has its float32 Gram
+    product ``2 g_ij = 2 y_i . y_j`` written into one reused buffer, where
+    it becomes in place ``lo_ij = a_i + a_j - 2 g_ij`` with
+    ``a_i = (1 - c) q_i - f / 2``; ``q_i = |y_i|^2`` in float64 (its
+    products are exact), ``f = 2^-100`` and ``hi_ij = lo_ij + r_i + r_j``
+    with ``r_i = 2 c q_i + f``.  With ``N = q_i + q_j``, ``u = 2^-24``, ``b``
+    bands and ``D`` the float64 squared distance times ``s^2``, to first
+    order in ``u``:
+
+    * converting to float32 moves each centred value by at most
+      ``(u + 2^-53)`` of itself, so ``|y_i - y_j|^2`` by at most ``4 u N``;
+    * Higham's dot-product bound (*Accuracy and Stability of Numerical
+      Algorithms*, section 3.1) puts ``g`` within ``gamma_b sum|y_ik y_jk|
+      <= gamma_b N / 2`` of ``y_i . y_j`` in any summation order, with
+      ``gamma_b = b u / (1 - b u)``;
+    * ``D`` is within ``(b + 2) 2^-53`` of the true value relatively, and
+      below ``2 N (1 + 3u)``;
+    * ``lo`` rounds three times in float32 (``a``, the subtraction, the
+      addition), by ``5 u N`` in all, and ``hi``'s float32 addition once
+      more, by ``2 u N``.
+
+    So ``lo`` and ``hi`` are within ``(gamma_b + 11.2 u) N`` of
+    ``D -/+ (c N + f)`` for ``b <= 16,384``, and ``c = gamma_b + 16 u``
+    gives ``lo_ij <= D_ij <= hi_ij``.  The floor ``f`` covers float32
+    underflow, which moves a value by at most ``11 b 2^-149`` at this scale.
+    The bound holds while float64 squares of differences neither underflow
+    nor overflow, for centred magnitudes from about 1e-140 to 1e150.
+
+    Row ``i`` keeps column ``j`` iff ``lo_ij <= U_i``, where ``U_i`` is the
+    ``k_n``-th smallest ``hi_ij`` from one values-only partition of the row.
+    As ``hi >= D``, ``U_i`` is at least the ``k_n``-th smallest ``D_ij``; as
+    ``lo <= D``, the kept columns hold the true ``k_n`` nearest and every
+    column tied with the ``k_n``-th.  The test reads the whole row, so a row
+    keeps any number of columns with no fallback: about ``k_n`` on raw
+    clouds, and more on SaR clouds, whose reconstructed neighbours lie far
+    closer than their norms.
+
+    The exact step computes the kept pairs' float64 squared distances and
+    ranks each row's by (squared distance, column).  Besides the output, the
+    float32 copy, the Gram buffer and three values per row, every array the
+    search forms holds at most ``_BUDGET_ELEMENTS`` values (a row of ``n``
+    where that is more): the float64 spectra are centred and gathered in
+    blocks of rows under it, and each block's rows are screened in chunks
+    under it.  Spectra with NaN or infinite values raise ``ValueError``.
     """
     x = np.ascontiguousarray(np.asarray(spectra, dtype=np.float64))
     if x.ndim != 2:
         raise ValueError("spectra must be 2-D (n, bands)")
-    n = x.shape[0]
+    n, bands = x.shape
     if not 1 <= k_n < n:
         raise ValueError(f"k_n must be in [1, {n - 1}] for {n} pixels")
-    sq = np.einsum("ij,ij->i", x, x)
+    y, q = _screen_copy(x)
+    c = bands * _U32 / (1.0 - bands * _U32) + 16 * _U32
+    a = ((1.0 - c) * q - _FLOOR / 2).astype(np.float32)
+    r = (2.0 * c * q + _FLOOR).astype(np.float32)
     idx_out = np.empty((n, k_n), dtype=np.intp)
     dist_out = np.empty((n, k_n))
-    starts = list(range(0, n, _BLOCK_ROWS))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    stops = starts[1:] + [n]
-    block = max(stop - start for start, stop in zip(starts, stops))
-    chunk = min(block, max(1, _CHUNK_ELEMENTS // n))
-    gram = np.empty((block, n))
-    sums = np.empty((chunk, n))
-    for start, stop in zip(starts, stops):
-        np.matmul(x[start:stop], x.T, out=gram[: stop - start])
-        for lo in range(start, stop, chunk):
-            hi = min(lo + chunk, stop)
-            d2, row_sums = gram[lo - start : hi - start], sums[: hi - lo]
-            np.multiply(d2, 2.0, out=d2)
-            np.add(sq[lo:hi, None], sq[None, :], out=row_sums)
-            np.subtract(row_sums, d2, out=d2)
-            np.maximum(d2, 0.0, out=d2)
-            d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-            order = _smallest_columns(d2, k_n)
-            idx_out[lo:hi] = order
-            dist_out[lo:hi] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    block = min(n, _BLOCK_ROWS)
+    chunk = min(block, max(1, _BUDGET_ELEMENTS // n))
+    gram = np.empty((block, n), dtype=np.float32)
+    upper = np.empty((chunk, n), dtype=np.float32)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        lo = gram[: stop - start]
+        np.matmul(2 * y[start:stop], y.T, out=lo)
+        np.subtract(a[start:stop, None], lo, out=lo)
+        np.add(lo, a, out=lo)
+        lo[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        for first in range(start, stop, chunk):
+            last = min(first + chunk, stop)
+            rows = lo[first - start : last - start]
+            hi = np.add(rows, r, out=upper[: last - first])
+            hi.partition(k_n - 1, axis=1)
+            # U_i, rounded up to a float32 so one float32 comparison tests it.
+            bound = np.nextafter(hi[:, k_n - 1] + r[first:last], np.float32(np.inf))
+            pair_row, pair_col = np.divmod(np.flatnonzero(rows <= bound[:, None]), n)
+            # Each row's kept columns, ascending and padded to the widest
+            # row; a stable sort of each row then ranks by (d2, column).
+            counts = np.bincount(pair_row, minlength=last - first)
+            slot = np.arange(pair_row.size) - (np.cumsum(counts) - counts)[pair_row]
+            cols = np.zeros((last - first, counts.max()), dtype=np.intp)
+            cols[pair_row, slot] = pair_col
+            d2 = _squared_distances(x, first, cols)
+            d2[np.arange(cols.shape[1]) >= counts[:, None]] = np.inf
+            order = np.argsort(d2, axis=1, kind="stable")[:, :k_n]
+            idx_out[first:last] = np.take_along_axis(cols, order, axis=1)
+            dist_out[first:last] = np.sqrt(np.take_along_axis(d2, order, axis=1))
     return idx_out, dist_out
 
 
-def _smallest_columns(d2: np.ndarray, k: int) -> np.ndarray:
-    """Each row's first ``k`` columns in a stable ascending argsort.
+def _screen_copy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` centred on its column mean, scaled by a power of two below a
+    largest magnitude of 1, as float32; and its rows' squared norms in
+    float64, which hold them exactly up to the sum's rounding.  Raises
+    ``ValueError`` on non-finite values."""
+    n, bands = x.shape
+    top, bottom = x.max(axis=0), x.min(axis=0)
+    # NaN and infinities show in the column extremes; the bound needs
+    # finite values.
+    if not np.all(np.isfinite(top) & np.isfinite(bottom)):
+        raise ValueError("spectra contain non-finite values")
+    mean = x.mean(axis=0)
+    spread = max(np.max(top - mean), np.max(mean - bottom))
+    scale = np.ldexp(1.0, -int(np.frexp(spread)[1]))
+    y = np.empty((n, bands), dtype=np.float32)
+    q = np.empty(n)
+    step = max(1, _BUDGET_ELEMENTS // bands)
+    for start in range(0, n, step):
+        rows = x[start : start + step] - mean
+        rows *= scale
+        y[start : start + step] = rows
+        exact = y[start : start + step].astype(np.float64)
+        q[start : start + step] = np.einsum("ij,ij->i", exact, exact)
+    return y, q
 
-    One partial sort at ``k`` puts each row's ``k`` smallest values first
-    and its ``(k + 1)``-th smallest at position ``k``; the first ``k`` are
-    kept and ordered by (value, column).  Where the ``(k + 1)``-th value
-    ties the ``k``-th, the kept set may hold the wrong one of the tied
-    columns, so such rows alone are fully sorted.  Only ``k + 1`` columns
-    of the partition's ``(rows, n)`` index array are kept, so it is freed
-    at once.
-    """
-    part = np.argpartition(d2, k, axis=1)[:, : k + 1].copy()
-    values = np.take_along_axis(d2, part, axis=1)
-    kept, kept_values = part[:, :k], values[:, :k]
-    order = np.take_along_axis(kept, np.lexsort((kept, kept_values)), axis=1)
-    tied = np.flatnonzero(kept_values.max(axis=1) == values[:, k])
-    order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-    return order
+
+def _squared_distances(x: np.ndarray, first: int, cols: np.ndarray) -> np.ndarray:
+    """``sum((x[first + i] - x[cols[i, j]]) ** 2)`` for every entry of
+    ``cols`` in float64, for rows in slices of at most ``_BUDGET_ELEMENTS``
+    gathered values (one row where that is more).  Each pair's squares are
+    summed by one ``einsum`` over its differences, whose order depends only
+    on the band count, not on the slice or its alignment."""
+    rows, width = cols.shape
+    out = np.empty((rows, width))
+    step = max(1, _BUDGET_ELEMENTS // (width * x.shape[1]))
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        diff = x.take(cols[start:stop], axis=0)
+        diff -= x[first + start : first + stop, None]
+        out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
 
 
 def knn_graph(neighbors: np.ndarray) -> KnnGraph:

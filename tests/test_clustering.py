@@ -7,6 +7,7 @@ partition search on tiny inputs.
 """
 
 import itertools
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from dsirc.clustering import (
     Clustering,
     DensityField,
     ZetaField,
+    _GATHER_ELEMENTS,
     _TREE_K,
     _lloyd,
     auto_sigma0,
@@ -446,6 +448,32 @@ def test_screened_scan_equals_push_scan_on_collapsed_embedding(monkeypatch):
     assert_screened_scan_equals_push_scan(monkeypatch, constant, 1e9, rng, widens_to_n)
     # The computed system's stationary pair is exact, so it collapses too.
     assert_screened_scan_equals_push_scan(monkeypatch, system, 1e9, rng, widens_to_n)
+
+
+def test_screened_scan_gathers_in_slices_on_collapsed_embedding():
+    # On a collapsed embedding every predecessor in a query block is a
+    # candidate, up to n * _TREE_K of them.  Their exact distances are
+    # gathered a slice at a time: the peak is three embedding-sized arrays
+    # (the embedding and the special pixels' distances), 64 bytes per query
+    # entry, and three gathered slices, well under one unsliced gather.
+    system, rng = screen_system(seed=5, n=1000)
+    vectors = system.eigenvectors.copy()
+    vectors[:, 0] = 1.0
+    constant = DiffusionSystem(system.eigenvalues, vectors)
+    n, dims = vectors.shape
+    z = rng.uniform(0.05, 1.0, size=n)
+    tracemalloc.start()
+    try:
+        dt, parents = dt_values(constant, ZetaField(z), 1e9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want_dt, want_parents = push_scan(constant, z, 1e9)
+    np.testing.assert_array_equal(dt, want_dt)
+    np.testing.assert_array_equal(parents, want_parents)
+    bound = 3 * n * dims * 8 + 64 * n * _TREE_K + 3 * 8 * _GATHER_ELEMENTS
+    assert bound < n * _TREE_K * dims * 8
+    assert peak <= bound
 
 
 # ---------------------------------------------------------------------------

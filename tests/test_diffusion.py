@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg
 
+from dsirc.core import cube_to_cloud
 from dsirc.diffusion import (
     DiffusionSystem,
     DisconnectedGraphError,
@@ -22,6 +23,8 @@ from dsirc.diffusion import (
     knn_indices,
     nearest_in_diffusion,
 )
+from dsirc.sar import IciConfig, sar
+from dsirc.synth import SynthConfig, synth_hsi
 
 
 def brute_knn(x, k):
@@ -39,22 +42,20 @@ def brute_knn(x, k):
 
 
 def argsort_knn(x, k):
-    """``knn_indices`` with a full stable argsort of each block's squared
-    distances, as it was written before the partial sort."""
-    x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    """``knn_indices`` by its definition: each row's float64 squared
+    distances to every row, one ``einsum`` over each row of differences,
+    and the first k columns of a stable argsort with the row itself last."""
+    x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    sq = np.einsum("ij,ij->i", x, x)
     idx = np.empty((n, k), dtype=np.intp)
     dist = np.empty((n, k))
-    block = max(1, int(4_000_000 // max(n, 1)))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (x[start:stop] @ x.T)
-        np.clip(d2, 0.0, None, out=d2)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        idx[start:stop] = order
-        dist[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    for i in range(n):
+        diff = x - x[i]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2[i] = np.inf
+        order = np.argsort(d2, kind="stable")[:k]
+        idx[i] = order
+        dist[i] = np.sqrt(d2[order])
     return idx, dist
 
 
@@ -90,10 +91,11 @@ def assert_csr_equal(got, want):
 
 
 def use_small_blocks(monkeypatch, n, block_rows, chunk_rows):
-    # The search's Gram blocks and row chunks shrink to the given row counts.
+    # The search's Gram blocks and screened row chunks shrink to the given
+    # row counts, and its element budget with them.
     diffusion = importlib.import_module("dsirc.diffusion")
     monkeypatch.setattr(diffusion, "_BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(diffusion, "_CHUNK_ELEMENTS", chunk_rows * n)
+    monkeypatch.setattr(diffusion, "_BUDGET_ELEMENTS", chunk_rows * n)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +133,8 @@ def test_knn_duplicate_rows_find_each_other():
     x[7] = x[2]
     idx, dist = knn_indices(x, 1)
     assert idx[2, 0] == 7 and idx[7, 0] == 2
-    # the blocked gram-product distance leaves sqrt-of-rounding residue
-    assert dist[2, 0] <= 1e-6 and dist[7, 0] <= 1e-6
+    # Distances come from differences, which are exactly zero here.
+    assert dist[2, 0] == 0.0 and dist[7, 0] == 0.0
 
 
 def assert_knn_equals_argsort(x, ks):
@@ -172,11 +174,12 @@ def test_knn_partial_sort_equals_argsort_on_duplicate_rows():
 
 
 def test_knn_partial_sort_equals_argsort_across_blocks():
-    # Above 2,000 rows the oracle's 4,000,000-value blocks, like the
-    # search's 256-row blocks, hold fewer rows than the cloud, so both run
-    # block by block; rounded coordinates add boundary ties.
+    # The search's 256-row blocks and its budget's row chunks split this
+    # cloud many times; rounded coordinates add boundary ties.
+    diffusion = importlib.import_module("dsirc.diffusion")
     x = np.round(np.random.default_rng(22).uniform(size=(2100, 3)), 2)
-    assert max(1, 4_000_000 // x.shape[0]) < x.shape[0]
+    assert diffusion._BLOCK_ROWS < x.shape[0]
+    assert diffusion._BUDGET_ELEMENTS // x.shape[0] < diffusion._BLOCK_ROWS
     assert_knn_equals_argsort(x, (1, 10, 40))
     assert_knn_prefix(x, (1, 10, 40), 100)
 
@@ -184,9 +187,9 @@ def test_knn_partial_sort_equals_argsort_across_blocks():
 @pytest.mark.parametrize("block_rows, chunk_rows", [(7, 3), (5, 5), (4, 9), (1, 1)])
 def test_knn_small_blocks_and_chunks_equal_argsort(monkeypatch, block_rows, chunk_rows):
     # Chunks that do not divide a block, a chunk equal to the block, a chunk
-    # clamped to the block, and one row per block.  The coordinates are
-    # small multiples of 1/8, so every Gram entry is exact whatever shape of
-    # product the BLAS runs, and the full-block oracle applies.
+    # clamped to the block, and one row per block, on clouds whose distances
+    # tie at almost every k: integer lattice points, and small multiples of
+    # 1/8 with every row repeated.
     rng = np.random.default_rng(20)
     lattice = rng.integers(0, 4, size=(300, 3)).astype(np.float64)
     duplicates = (rng.integers(0, 16, size=(60, 5)) / 8.0)[rng.integers(0, 60, size=240)]
@@ -197,18 +200,19 @@ def test_knn_small_blocks_and_chunks_equal_argsort(monkeypatch, block_rows, chun
 
 
 def test_knn_small_chunks_equal_argsort_on_inexact_data(monkeypatch):
-    # Chunks only split the row-local passes after the Gram product, so
-    # they leave every value unchanged on any data.
+    # Chunks only split the screen's row-local passes and the exact step's
+    # gathers, so they leave every value unchanged on any data.
     rng = np.random.default_rng(21)
     x = rng.uniform(size=(60, 5))[rng.integers(0, 60, size=240)]
-    monkeypatch.setattr(importlib.import_module("dsirc.diffusion"), "_CHUNK_ELEMENTS", 7 * 240)
+    monkeypatch.setattr(importlib.import_module("dsirc.diffusion"), "_BUDGET_ELEMENTS", 7 * 240)
     assert_knn_equals_argsort(x, (1, 3, 8, 239))
 
 
 def test_knn_ties_at_k_on_both_sides_of_a_chunk_boundary(monkeypatch):
     # Points 0, 1, ..., 39 on a line.  At k = 3 every row from 2 to 37 has
-    # its 3rd and 4th smallest squared distances equal (4 and 4), so it
-    # takes the full-sort path; at k = 2 (1 and 1, then 4) none does.
+    # its 3rd and 4th smallest squared distances equal (4 and 4), so the
+    # screen must keep both and the tie rule pick one; at k = 2 (1 and 1,
+    # then 4) none is tied at the k-th.
     x = np.arange(40.0)[:, None]
     use_small_blocks(monkeypatch, 40, block_rows=8, chunk_rows=3)
     d2 = (x - x.T) ** 2
@@ -223,33 +227,117 @@ def test_knn_ties_at_k_on_both_sides_of_a_chunk_boundary(monkeypatch):
 
 
 def test_knn_search_holds_at_most_two_block_buffers():
-    # One Gram buffer of 256 rows, then per chunk of at most 250,000 values
-    # a sums buffer, the partition's index array and one more: at most the
-    # Gram buffer plus three chunk buffers besides the outputs (14.4 MB, well
-    # under two of the 4,000,000-value blocks the search once used).
+    # Besides the outputs: the float32 Gram buffer of 256 rows, the float32
+    # copy of the spectra, three per-row vectors, the float32 chunk buffer
+    # and at most six more arrays of the 65,536-value budget (kept pairs'
+    # rows and columns, their padded columns and distances, and the exact
+    # step's gather and sums): 8.2 MB at this size, where the float64
+    # search's bound was 14.4 MB.
     diffusion = importlib.import_module("dsirc.diffusion")
-    n = 4096
-    x = np.random.default_rng(24).uniform(size=(n, 30))
+    n, bands = 4096, 30
+    x = np.random.default_rng(24).uniform(size=(n, bands))
     tracemalloc.start()
     try:
         idx, dist = knn_indices(x, 100)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    gram = diffusion._BLOCK_ROWS * n * 8
-    assert peak - idx.nbytes - dist.nbytes <= gram + 3 * diffusion._CHUNK_ELEMENTS * 8
+    budget = diffusion._BUDGET_ELEMENTS
+    gram = diffusion._BLOCK_ROWS * n * 4
+    bound = gram + n * bands * 4 + 16 * n + 4 * budget + 6 * 8 * budget
+    assert bound < 14_400_000
+    assert peak - idx.nbytes - dist.nbytes <= bound
 
 
-def test_knn_one_row_remainder_joins_the_previous_block():
-    # n = 257 leaves one row after a 256-row block.  Alone it would run as a
-    # GEMV, whose rounding differs from the block product's on this data;
-    # joined to the block it gives the one-block oracle's values exactly.
+@pytest.mark.parametrize("n", [257, 2049, 2100])
+def test_knn_distances_equal_across_blocks_and_budgets(monkeypatch, n):
+    # With n not a multiple of 8, a Gram product rounds its last columns
+    # differently with the block's row count, and a one-row block (the
+    # 257th row here) runs as a GEMV: distances from the Gram identity moved
+    # with the partition.  Differences do not, so every partition gives the
+    # oracle's values exactly; the screen only has to be safe in each.
     diffusion = importlib.import_module("dsirc.diffusion")
-    n = diffusion._BLOCK_ROWS + 1
+    assert n % 8
     for bands in (3, 30):
         x = np.random.default_rng(bands).uniform(size=(n, bands))
-        assert np.any(x[-1:] @ x.T != (x @ x.T)[-1:])
-        assert_knn_equals_argsort(x, (1, 10, 40, n - 1))
+        want_idx, want_dist = argsort_knn(x, 40)
+        for block_rows, budget in [(256, 65_536), (7, 3 * n + 5), (1, n - 1), (64, 1200)]:
+            monkeypatch.setattr(diffusion, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(diffusion, "_BUDGET_ELEMENTS", budget)
+            for k in (1, 40):
+                idx, dist = knn_indices(x, k)
+                np.testing.assert_array_equal(idx, want_idx[:, :k])
+                np.testing.assert_array_equal(dist, want_dist[:, :k])
+
+
+def screened_widths(monkeypatch):
+    """Make the search log the widest row of kept columns in each chunk;
+    returns the log."""
+    diffusion = importlib.import_module("dsirc.diffusion")
+    exact, log = diffusion._squared_distances, []
+
+    def logged(x, first, cols):
+        log.append(cols.shape[1])
+        return exact(x, first, cols)
+
+    monkeypatch.setattr(diffusion, "_squared_distances", logged)
+    return log
+
+
+def test_knn_screen_is_centred_on_offset_data(monkeypatch):
+    # A cloud 1e4 from the origin, as integer radiances sit: uncentred, the
+    # float32 bound would exceed every distance and keep every column.
+    x = np.random.default_rng(30).uniform(size=(400, 30)) + 1e4
+    widths = screened_widths(monkeypatch)
+    assert_knn_equals_argsort(x, (1, 10, 40))
+    assert max(widths) < 2 * 40
+
+
+def test_knn_screen_keeps_near_duplicates():
+    # Copies 1e-7 apart relatively: float32 cannot tell them apart, so the
+    # screen keeps them all and the float64 step orders them.
+    rng = np.random.default_rng(31)
+    base = rng.uniform(1.0, 2.0, size=(50, 30))[rng.integers(0, 50, size=300)]
+    x = base * (1.0 + 1e-7 * rng.standard_normal(base.shape))
+    assert_knn_equals_argsort(x, (1, 5, 40, 299))
+
+
+def test_knn_screen_holds_on_sar_cloud():
+    # Reconstructed spectra lie far closer to their neighbours than their
+    # norms, where the screen keeps the most columns per row.
+    scene = synth_hsi(SynthConfig(height=24, width=24, bands=10, seed=3))
+    x = sar(cube_to_cloud(scene.cube), IciConfig(tau=1.0)).spectra
+    assert_knn_equals_argsort(x, (1, 10, 100))
+
+
+def test_knn_screen_keeps_exactly_k_on_separated_distances(monkeypatch):
+    # Points at powers of 1.1 on a line: each row's distances differ by far
+    # more than the screen's bound, so it keeps exactly k columns per row.
+    x = 1.1 ** np.arange(50.0)[:, None]
+    widths = screened_widths(monkeypatch)
+    for k in (1, 2, 10, 30):
+        widths.clear()
+        assert_knn_equals_argsort(x, (k,))
+        assert widths and set(widths) == {k}
+
+
+def test_knn_screen_floor_covers_spectra_scaled_below_float32():
+    # Two spectra at +-1e21 set the scale but not the mean, which leaves the
+    # others near 1e-21 after scaling: their float32 products are subnormal,
+    # with rounding only the floor covers.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x = np.vstack([np.full((1, 4), 1e21), np.full((1, 4), -1e21), rng.uniform(size=(80, 4))])
+        assert_knn_equals_argsort(x, (1, 10, 40))
+
+
+def test_knn_screen_holds_on_lattice_ties_and_at_every_neighbour():
+    # Integer points in 8 bands tie at almost every k; k = n - 1 keeps
+    # every other row.
+    x = np.random.default_rng(32).integers(0, 3, size=(200, 8)).astype(np.float64)
+    assert_knn_equals_argsort(x, (1, 7, 50, 199))
+    y = np.random.default_rng(33).uniform(size=(60, 5))
+    assert_knn_equals_argsort(y, (59,))
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +399,10 @@ def test_knn_indices_validation():
         knn_indices(x, 5)
     with pytest.raises(ValueError):
         knn_indices(np.zeros(5), 1)
+    for bad in (np.nan, np.inf):
+        x[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            knn_indices(x, 1)
 
 
 def test_knn_graph_is_symmetrized_union():
