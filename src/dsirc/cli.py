@@ -2,6 +2,9 @@
 
 Exit codes: 0 on success, 1 when an algorithm fails on valid inputs
 (e.g. a disconnected KNN graph), 2 on usage, configuration, or I/O errors.
+Each subcommand runs its steps as named stages (:func:`_stage`) that raise
+:class:`_Failed`; ``main`` is the one place that turns a failure into the
+line ``dsirc: <stage> failed: <cause>`` on stderr and its exit code.
 Options may also be supplied via ``--config FILE`` holding flat
 ``key = value`` lines; explicit command-line flags win over the file.
 """
@@ -9,6 +12,7 @@ Options may also be supplied via ``--config FILE`` holding flat
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -100,9 +104,19 @@ _GRIDS = {"kn": "20,50,100,200", "t": "10,30,100", "tau": "1,2,3"}
 _SWEPT = {"kmeans": (), "sc": ("kn",), "dvic": ("kn", "t"), "dsirc": ("kn", "t", "tau")}
 
 
-def _fail(stage: str, message, code: int) -> int:
-    print(f"dsirc: {stage} failed: {message}", file=sys.stderr)
-    return code
+class _Failed(Exception):
+    """Stage ``args[0]`` failed with cause ``args[1]``; the run exits with
+    code ``args[2]``."""
+
+
+@contextlib.contextmanager
+def _stage(name: str, code: int, errors=(OSError, ValueError)):
+    """Run the body as stage ``name``: an ``errors`` exception fails the run
+    with exit code ``code``."""
+    try:
+        yield
+    except errors as exc:
+        raise _Failed(name, exc, code) from exc
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -150,22 +164,25 @@ def _cluster_config(opts: dict[str, object], seed: int) -> ClusterConfig:
     return ClusterConfig(seed=seed, **fields)
 
 
-def _check_cloud_supports(cloud: PixelCloud, opts: dict[str, object], k_ns: list) -> None:
-    """Raise ValueError, naming the key, when a value the algorithm reads
-    asks more of ``cloud`` than it has: more clusters than pixels, a k_n
-    (any of ``k_ns``) not below the pixel count, more endmembers than bands
-    or pixels, or more eigenpairs than pixels."""
+def _check_cloud_supports(
+    cloud: PixelCloud, opts: dict[str, object], combos: list[dict[str, object]]
+) -> None:
+    """Raise ValueError, naming the key, when a value the algorithm reads in
+    any combination (options overriding ``opts``) asks more of ``cloud``
+    than it has: more clusters than pixels, a k_n not below the pixel count,
+    more endmembers than bands or pixels, or more eigenpairs than pixels."""
     n, bands = cloud.n, cloud.bands
     algorithm = opts["algorithm"]
-    limits = [("k", [opts["k"]], n, f"more clusters than the {n} pixels")]
+    limits = [("k", n, f"more clusters than the {n} pixels")]
     if algorithm != "kmeans":
-        limits.append(("kn", k_ns, n - 1, f"not below the pixel count {n}"))
+        limits.append(("kn", n - 1, f"not below the pixel count {n}"))
     if algorithm in ("dsirc", "dvic"):
         endmembers = f"more endmembers than the {bands} bands or the {n} pixels"
-        limits.append(("p", [opts["p"]], min(n, bands), endmembers))
-        limits.append(("eigenpairs", [opts["eigenpairs"]], n, f"more eigenpairs than the {n} pixels"))
-    for key, values, most, reason in limits:
-        for value in values:
+        limits.append(("p", min(n, bands), endmembers))
+        limits.append(("eigenpairs", n, f"more eigenpairs than the {n} pixels"))
+    for key, most, reason in limits:
+        for combo in combos:
+            value = combo.get(key, opts[key])
             if value is not None and value > most:
                 raise ValueError(f"bad {key} value {value}: {reason}")
 
@@ -176,15 +193,6 @@ def _normalized(cloud: PixelCloud, mode: str) -> PixelCloud:
     norms = np.linalg.norm(cloud.spectra, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return PixelCloud(cloud.spectra / norms, cloud.coords)
-
-
-def _run_algorithm(cloud: PixelCloud, opts: dict[str, object], seed: int) -> Clustering:
-    """One ``kmeans`` or ``sc`` clustering."""
-    if opts["algorithm"] == "kmeans":
-        return kmeans(cloud, opts["k"], restarts=opts["restarts"], rng=seed)
-    return spectral_clustering(
-        cloud, opts["k"], opts["kn"], restarts=opts["restarts"], rng=seed
-    )
 
 
 def _run_grid(
@@ -204,7 +212,13 @@ def _run_grid(
         results = []
         for run in runs:
             try:
-                results.append(_run_algorithm(cloud, run, seed))
+                if algorithm == "kmeans":
+                    result = kmeans(cloud, run["k"], restarts=run["restarts"], rng=seed)
+                else:
+                    result = spectral_clustering(
+                        cloud, run["k"], run["kn"], restarts=run["restarts"], rng=seed
+                    )
+                results.append(result)
             except DisconnectedGraphError as exc:
                 results.append(exc)
         return results
@@ -228,17 +242,13 @@ def _write_params(path: str, opts: dict[str, object]) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    try:
+    with _stage("configuration", 2):
         config = SynthConfig(
             **{field.name: getattr(args, field.name) for field in dataclasses.fields(SynthConfig)}
         )
-    except ValueError as exc:
-        return _fail("configuration", exc, 2)
-    try:
+    with _stage("generation", 1, RuntimeError):
         scene = synth_hsi(config)
-    except RuntimeError as exc:
-        return _fail("generation", exc, 1)
-    try:
+    with _stage("output", 2, OSError):
         os.makedirs(args.out, exist_ok=True)
         write_envi(
             scene.cube,
@@ -250,8 +260,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         write_label_ppm(os.path.join(args.out, "gt.ppm"), scene.gt, config.height, config.width)
         np.savetxt(os.path.join(args.out, "endmembers.csv"), scene.endmembers, delimiter=",")
         np.savetxt(os.path.join(args.out, "abundances.csv"), scene.abundances, delimiter=",")
-    except OSError as exc:
-        return _fail("output", exc, 2)
     print(
         f"wrote {config.height}x{config.width}x{config.bands} scene "
         f"({config.n_endmembers} endmembers, noise {config.noise}) to {args.out}"
@@ -282,39 +290,49 @@ def _score(labels, gt: LabelMap) -> tuple[LabelMap, dict[str, float]]:
     }
 
 
-def _load_inputs(args, opts) -> tuple[PixelCloud, tuple[int, int], LabelMap | None]:
-    cube = load_envi(args.header, args.data)
-    cloud = _normalized(cube_to_cloud(cube), opts["normalize"])
-    gt = None
-    if getattr(args, "gt", None):
-        gt = _read_ground_truth(args.gt, cloud.coords, "cube")
-    return cloud, (cube.height, cube.width), gt
+def _prepare(args: argparse.Namespace, grids: dict[str, list] | None = None):
+    """The set-up of ``cluster`` and of ``sweep``: its options, its
+    combinations, the loaded cloud, the cube's ``(height, width)`` and the
+    ground truth (or None).
+
+    Stages run in order: configuration (the options, and each combination's
+    :class:`ClusterConfig`), input, then configuration again for the values
+    the cloud cannot support.  ``grids`` (a sweep's) maps each key to its
+    values; the combinations are the product of the keys the algorithm
+    sweeps, and ground truth is required to score them.  Without ``grids``
+    the one combination is ``{}``: the options alone.
+    """
+    with _stage("configuration", 2):
+        opts = _parse_options(args)
+        swept = _SWEPT[opts["algorithm"]] if grids else ()
+        combos = [
+            dict(zip(swept, values))
+            for values in itertools.product(*(grids[key] for key in swept))
+        ]
+        for combo in combos:
+            _cluster_config({**opts, **combo}, opts["seed"])
+    with _stage("input", 2):
+        cube = load_envi(args.header, args.data)
+        cloud = _normalized(cube_to_cloud(cube), opts["normalize"])
+        gt = _read_ground_truth(args.gt, cloud.coords, "cube") if args.gt else None
+        if grids and gt is None:
+            raise ValueError("sweep requires --gt to score combinations")
+    with _stage("configuration", 2):
+        _check_cloud_supports(cloud, opts, combos)
+    return opts, combos, cloud, (cube.height, cube.width), gt
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    try:
-        opts = _parse_options(args)
-    except (OSError, ValueError) as exc:
-        return _fail("configuration", exc, 2)
-    try:
-        cloud, (height, width), gt = _load_inputs(args, opts)
-    except (OSError, ValueError) as exc:
-        return _fail("input", exc, 2)
-    try:
-        _check_cloud_supports(cloud, opts, [opts["kn"]])
-    except ValueError as exc:
-        return _fail("configuration", exc, 2)
-    try:
-        [result] = _run_grid(cloud, opts, [{}], opts["seed"])
-    except Exception as exc:  # algorithm failure on valid inputs
-        return _fail("clustering", exc, 1)
-    if isinstance(result, DisconnectedGraphError):
-        return _fail("clustering", result, 1)
+    opts, combos, cloud, (height, width), gt = _prepare(args)
+    with _stage("clustering", 1, Exception):  # algorithm failure on valid inputs
+        [result] = _run_grid(cloud, opts, combos, opts["seed"])
+        if isinstance(result, DisconnectedGraphError):
+            raise result
     labels = result.labels
     metrics: dict[str, float] | None = None
     if gt is not None:
         labels, metrics = _score(labels, gt)
-    try:
+    with _stage("output", 2, OSError):
         os.makedirs(args.out, exist_ok=True)
         _write_params(os.path.join(args.out, "params.txt"), opts)
         write_labels_csv(os.path.join(args.out, "labels.csv"), labels, cloud.coords)
@@ -324,8 +342,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
                 json.dump(metrics, fh, indent=2)
                 fh.write("\n")
-    except OSError as exc:
-        return _fail("output", exc, 2)
     summary = f"{opts['algorithm']} k={opts['k']} seed={opts['seed']}"
     if metrics is not None:
         summary += f" oa={metrics['oa']:.4f} kappa={metrics['kappa']:.4f}"
@@ -334,29 +350,21 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    try:
+    with _stage("input", 2):
         pred, pred_coords = read_labels_csv(args.pred)
         gt = _read_ground_truth(args.gt, pred_coords, "prediction")
-    except (OSError, ValueError) as exc:
-        return _fail("input", exc, 2)
-    try:
+    with _stage("evaluation", 1, ValueError):
         _, metrics = _score(pred, gt)
-    except ValueError as exc:
-        return _fail("evaluation", exc, 1)
     text = json.dumps(metrics, indent=2)
     print(text)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            return _fail("output", exc, 2)
+        with _stage("output", 2, OSError), open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        opts = _parse_options(args)
+    with _stage("configuration", 2):
         grids = {}
         for key in _GRIDS:
             text = getattr(args, f"{key}_grid")
@@ -366,30 +374,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seeds = _parse_value("seeds", args.seeds, int)
         if seeds < 1:
             raise ValueError("--seeds must be at least 1")
-        swept = _SWEPT[opts["algorithm"]]
-        combos = [
-            dict(zip(swept, values))
-            for values in itertools.product(*(grids[key] for key in swept))
-        ]
-        for combo in combos:
-            _cluster_config({**opts, **combo}, opts["seed"])
-    except (OSError, ValueError) as exc:
-        return _fail("configuration", exc, 2)
-    try:
-        cloud, _, gt = _load_inputs(args, opts)
-        if gt is None:
-            raise ValueError("sweep requires --gt to score combinations")
-    except (OSError, ValueError) as exc:
-        return _fail("input", exc, 2)
-    try:
-        _check_cloud_supports(cloud, opts, [combo.get("kn", opts["kn"]) for combo in combos])
-    except ValueError as exc:
-        return _fail("configuration", exc, 2)
+    opts, combos, cloud, _, gt = _prepare(args, grids)
     # scores[i][j]: the metrics of combination i at the j-th seed;
     # failures[i]: the first error of a combination that failed at any seed.
     scores: list[list[dict[str, float]]] = [[] for _ in combos]
     failures: dict[int, DisconnectedGraphError] = {}
-    try:
+    with _stage("clustering", 1, Exception):
         for offset in range(seeds):
             results = _run_grid(cloud, opts, combos, opts["seed"] + offset)
             for i, result in enumerate(results):
@@ -397,8 +387,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     failures.setdefault(i, result)
                 else:
                     scores[i].append(_score(result.labels, gt)[1])
-    except Exception as exc:
-        return _fail("clustering", exc, 1)
     rows: list[dict[str, object]] = []
     best: dict[str, object] | None = None
     for i, (combo, runs) in enumerate(zip(combos, scores)):
@@ -410,15 +398,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows.append(row)
         if best is None or row["oa_median"] > best["oa_median"]:
             best = row
-    try:
+    with _stage("output", 2, OSError):
         os.makedirs(args.out, exist_ok=True)
         keys = ["kn", "t", "tau", "oa_median", "kappa_median"]
         with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8") as fh:
             fh.write(",".join(keys) + "\n")
             for row in rows:
                 fh.write(",".join(str(row.get(k, "")) for k in keys) + "\n")
-    except OSError as exc:
-        return _fail("output", exc, 2)
     for i, exc in failures.items():
         described = " ".join(f"{k}={v}" for k, v in combos[i].items())
         print(f"dsirc: clustering failed for {described}: {exc}", file=sys.stderr)
@@ -486,9 +472,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _Failed as failed:
+        stage, cause, code = failed.args
+        print(f"dsirc: {stage} failed: {cause}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -201,7 +201,8 @@ def load_envi(header_path: str, data_path: str) -> ImageCube:
     Only 32-bit little-endian floats (data type 4, byte order 0) are
     supported; those keys default when absent.  ``bsq``, ``bil`` and ``bip``
     interleaves are all de-interleaved to the canonical band-sequential
-    layout.  The data file size must match the header exactly.
+    layout.  The payload starts ``header offset`` bytes (default 0) into the
+    data file, and the file size must equal that offset plus the payload.
     """
     fields = _parse_envi_header(header_path)
     missing = [k for k in ("samples", "lines", "bands", "interleave") if k not in fields]
@@ -222,14 +223,19 @@ def load_envi(header_path: str, data_path: str) -> ImageCube:
     if byte_order != 0:
         raise EnviFormatError(f"unsupported byte order {byte_order}; only 0 (little-endian)")
 
-    expected = width * height * bands * 4
+    offset = _header_int(fields, "header offset", "0")
+    if offset < 0:
+        raise EnviFormatError(f"header key 'header offset' is negative: {offset}")
+
+    expected = offset + width * height * bands * 4
     actual = os.path.getsize(data_path)
     if actual != expected:
+        after = f" after {offset} bytes of header offset" if offset else ""
         raise EnviFormatError(
             f"data file is {actual} bytes but header implies {expected} "
-            f"({height}x{width}x{bands} float32)"
+            f"({height}x{width}x{bands} float32{after})"
         )
-    raw = np.fromfile(data_path, dtype="<f4")
+    raw = np.fromfile(data_path, dtype="<f4", offset=offset)
     if interleave == "bsq":
         arr = raw.reshape(bands, height, width)
     elif interleave == "bil":

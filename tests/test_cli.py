@@ -797,6 +797,46 @@ def test_value_the_cube_cannot_support_is_configuration_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "case, stage, code",
+    [
+        ("synth-generation", "generation", 1),
+        ("cluster-out-is-file", "output", 2),
+        ("sweep-out-is-file", "output", 2),
+        ("eval-out-in-missing-dir", "output", 2),
+        ("sweep-empty-gt", "input", 2),
+    ],
+)
+def test_each_failure_stage_prints_one_line_and_its_exit_code(tmp_path, capsys, case, stage, code):
+    if case == "synth-generation":
+        argv = ["synth", "--out", str(tmp_path / "x"), "--bands", "2", "--endmembers", "9"]
+    else:
+        scene = make_scene(tmp_path)
+        capsys.readouterr()
+        cube = [str(scene / "cube.hdr"), str(scene / "cube.raw")]
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = {
+            "cluster-out-is-file": ["cluster", *cube, "--out", str(taken), "--k", "3",
+                                    "--algorithm", "kmeans"],
+            "sweep-out-is-file": ["sweep", *cube, "--gt", str(scene / "gt.csv"), "--out",
+                                  str(taken), "--k", "3", "--algorithm", "kmeans"],
+            "eval-out-in-missing-dir": ["eval", "--pred", str(scene / "gt.csv"), "--gt",
+                                        str(scene / "gt.csv"), "--out",
+                                        str(tmp_path / "nodir" / "x.json")],
+            "sweep-empty-gt": ["sweep", *cube, "--gt", "", "--out", str(tmp_path / "s"),
+                               "--k", "3", "--algorithm", "kmeans"],
+        }[case]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"dsirc: {stage} failed: "), captured.err
+    assert "Traceback" not in captured.err
+    if case == "eval-out-in-missing-dir":
+        # the metrics are printed before the write that fails
+        assert json.loads(captured.out) == {"oa": 1.0, "kappa": 1.0}
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

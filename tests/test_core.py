@@ -220,6 +220,58 @@ def test_load_envi_interleave_layouts_agree(tmp_path):
     np.testing.assert_array_equal(loaded["bsq"], loaded["bip"])
 
 
+@pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+def test_load_envi_skips_the_header_offset(tmp_path, interleave):
+    cube = random_cube(np.random.default_rng(5), bands=3, height=4, width=6)
+    hdr, raw = str(tmp_path / "plain.hdr"), str(tmp_path / "plain.raw")
+    write_envi(cube, hdr, raw, interleave=interleave)
+    plain = load_envi(hdr, raw)
+    with open(hdr) as fh:
+        header = fh.read()
+    with open(raw, "rb") as fh:
+        payload = fh.read()
+    write_header(tmp_path / "offset.hdr", header + "header offset = 16\n")
+    (tmp_path / "offset.raw").write_bytes(b"\xff" * 16 + payload)
+    shifted = load_envi(str(tmp_path / "offset.hdr"), str(tmp_path / "offset.raw"))
+    np.testing.assert_array_equal(shifted.data, plain.data)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("-4", "header key 'header offset' is negative: -4"),
+        ("1.5", "header key 'header offset' is not an integer: '1.5'"),
+    ],
+)
+def test_load_envi_rejects_a_bad_header_offset(tmp_path, value, message):
+    hdr = tmp_path / "h.hdr"
+    raw = tmp_path / "h.raw"
+    write_header(
+        hdr,
+        "ENVI\nsamples = 2\nlines = 2\nbands = 1\ninterleave = bsq\n"
+        f"header offset = {value}\n",
+    )
+    raw.write_bytes(b"\0" * 16)
+    with pytest.raises(EnviFormatError, match=re.escape(message)):
+        load_envi(str(hdr), str(raw))
+
+
+def test_load_envi_size_mismatch_names_the_header_offset(tmp_path):
+    hdr = tmp_path / "i.hdr"
+    raw = tmp_path / "i.raw"
+    write_header(
+        hdr,
+        "ENVI\nsamples = 2\nlines = 2\nbands = 1\ninterleave = bsq\n"
+        "header offset = 8\n",
+    )
+    raw.write_bytes(b"\0" * 16)
+    with pytest.raises(
+        EnviFormatError,
+        match=re.escape("16 bytes but header implies 24 (2x2x1 float32 after 8 bytes of header offset)"),
+    ):
+        load_envi(str(hdr), str(raw))
+
+
 # ---------------------------------------------------------------------------
 # first principal component
 
