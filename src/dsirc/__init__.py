@@ -30,7 +30,6 @@ from .core import (
     ImageCube,
     LabelMap,
     PixelCloud,
-    cloud_to_cube,
     cube_to_cloud,
     first_pc,
     load_envi,
@@ -58,7 +57,6 @@ from .unmixing import (
     UnmixingModel,
     avmax,
     hysime,
-    nnls,
     purity,
     unmix,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "load_envi",
     "write_envi",
     "cube_to_cloud",
-    "cloud_to_cube",
     "first_pc",
     # sar
     "IciConfig",
@@ -88,7 +85,6 @@ __all__ = [
     "RankDeficientDataError",
     "hysime",
     "avmax",
-    "nnls",
     "purity",
     "unmix",
     # diffusion

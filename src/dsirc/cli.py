@@ -154,14 +154,14 @@ def _parse_options(args: argparse.Namespace) -> dict[str, object]:
     opts.update({key: _parse_value(key, text) for key, text in given.items()})
     if "k" not in opts:
         raise ValueError("number of clusters is required (--k or config key 'k')")
-    _cluster_config(opts, opts["seed"])
+    _cluster_config(opts)
     return opts
 
 
-def _cluster_config(opts: dict[str, object], seed: int) -> ClusterConfig:
+def _cluster_config(opts: dict[str, object]) -> ClusterConfig:
     """The pipeline config for ``opts``; raises ValueError when it is invalid."""
     fields = {name: opts[key] for key, (_, name, _) in _OPTIONS.items() if name}
-    return ClusterConfig(seed=seed, **fields)
+    return ClusterConfig(seed=opts["seed"], **fields)
 
 
 def _check_cloud_supports(
@@ -196,39 +196,38 @@ def _normalized(cloud: PixelCloud, mode: str) -> PixelCloud:
 
 
 def _run_grid(
-    cloud: PixelCloud, opts: dict[str, object], combos: list[dict[str, object]], seed: int
-) -> list[Clustering | DisconnectedGraphError]:
-    """The clustering of each combination (options overriding ``opts``) at
-    one seed, in ``combos`` order; a combination whose KNN graph splits
-    into components gets the error instead.
+    cloud: PixelCloud, opts: dict[str, object], combos: list[dict[str, object]], seeds: list[int]
+) -> list[list[Clustering | DisconnectedGraphError]]:
+    """The clusterings of each combination (options overriding ``opts``),
+    one per seed, in ``combos`` and ``seeds`` order; a combination whose
+    KNN graph splits into components gets the error instead.
 
-    ``dsirc`` and ``dvic`` run every combination in one :func:`mode_grid`
-    call, so each stage runs once per distinct input; ``kmeans`` and ``sc``
-    run once per combination.
+    ``dsirc`` and ``dvic`` run every combination and seed in one
+    :func:`mode_grid` call, so each stage runs once per distinct input;
+    ``kmeans`` and ``sc`` run once per combination and seed.
     """
     runs = [{**opts, **combo} for combo in combos]
     algorithm = opts["algorithm"]
     if algorithm not in ("dsirc", "dvic"):
-        results = []
-        for run in runs:
+
+        def baseline(run, seed):
             try:
                 if algorithm == "kmeans":
-                    result = kmeans(cloud, run["k"], restarts=run["restarts"], rng=seed)
-                else:
-                    result = spectral_clustering(
-                        cloud, run["k"], run["kn"], restarts=run["restarts"], rng=seed
-                    )
-                results.append(result)
+                    return kmeans(cloud, run["k"], restarts=run["restarts"], rng=seed)
+                return spectral_clustering(
+                    cloud, run["k"], run["kn"], restarts=run["restarts"], rng=seed
+                )
             except DisconnectedGraphError as exc:
-                results.append(exc)
-        return results
+                return exc
+
+        return [[baseline(run, seed) for seed in seeds] for run in runs]
     reconstruct = algorithm == "dsirc"
     keys = [(run["kn"], run["t"], run["tau"] if reconstruct else None) for run in runs]
     k_ns, ts, taus = zip(*keys)
     grid = mode_grid(
-        cloud, _cluster_config(opts, seed), k_ns, ts, taus if reconstruct else None
+        cloud, _cluster_config(opts), k_ns, ts, taus if reconstruct else None, seeds
     )
-    return [grid[key] for key in keys]
+    return [[grid[(*key, seed)] for seed in seeds] for key in keys]
 
 
 def _write_params(path: str, opts: dict[str, object]) -> None:
@@ -310,7 +309,7 @@ def _prepare(args: argparse.Namespace, grids: dict[str, list] | None = None):
             for values in itertools.product(*(grids[key] for key in swept))
         ]
         for combo in combos:
-            _cluster_config({**opts, **combo}, opts["seed"])
+            _cluster_config({**opts, **combo})
     with _stage("input", 2):
         cube = load_envi(args.header, args.data)
         cloud = _normalized(cube_to_cloud(cube), opts["normalize"])
@@ -325,7 +324,7 @@ def _prepare(args: argparse.Namespace, grids: dict[str, list] | None = None):
 def _cmd_cluster(args: argparse.Namespace) -> int:
     opts, combos, cloud, (height, width), gt = _prepare(args)
     with _stage("clustering", 1, Exception):  # algorithm failure on valid inputs
-        [result] = _run_grid(cloud, opts, combos, opts["seed"])
+        [[result]] = _run_grid(cloud, opts, combos, [opts["seed"]])
         if isinstance(result, DisconnectedGraphError):
             raise result
     labels = result.labels
@@ -380,9 +379,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     scores: list[list[dict[str, float]]] = [[] for _ in combos]
     failures: dict[int, DisconnectedGraphError] = {}
     with _stage("clustering", 1, Exception):
-        for offset in range(seeds):
-            results = _run_grid(cloud, opts, combos, opts["seed"] + offset)
-            for i, result in enumerate(results):
+        grid = _run_grid(cloud, opts, combos, [opts["seed"] + offset for offset in range(seeds)])
+        for i, results in enumerate(grid):
+            for result in results:
                 if isinstance(result, DisconnectedGraphError):
                     failures.setdefault(i, result)
                 else:

@@ -128,6 +128,8 @@ class ClusterConfig:
             raise ValueError("n_endmembers must be at least 1")
         if self.n_eigenpairs is not None and self.n_eigenpairs < 1:
             raise ValueError("n_eigenpairs must be at least 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be non-negative")
         object.__setattr__(self, "lengths", IciConfig(tau=self.tau, lengths=self.lengths).lengths)
 
 
@@ -355,21 +357,28 @@ def mode_grid(
     k_ns: Sequence[int],
     ts: Sequence[float],
     taus: Sequence[float] | None = None,
-) -> dict[tuple[int, float, float | None], Clustering | DisconnectedGraphError]:
-    """The mode-based pipeline for every ``(k_n, t, tau)`` of a grid.
+    seeds: Sequence[int | None] | None = None,
+) -> dict[tuple[int, float, float | None, int | None], Clustering | DisconnectedGraphError]:
+    """The mode-based pipeline for every ``(k_n, t, tau, seed)`` of a grid.
 
-    The grid's values replace ``config``'s ``k_n``, ``t`` and ``tau``.  With
+    The grid's values replace ``config``'s ``k_n``, ``t``, ``tau`` and
+    ``seed``; ``seeds = None`` is the one seed ``config.seed``.  With
     ``taus = None`` the graph is built on the raw spectra (:func:`dvic`) and
-    the results are keyed ``(k_n, t, None)``; otherwise each ``tau`` gets a
-    shape-adaptive reconstruction (:func:`dsirc`).  Each stage runs once per
-    distinct input, and every result equals a run with a one-element grid:
+    the results are keyed ``(k_n, t, None, seed)``; otherwise each ``tau``
+    gets a shape-adaptive reconstruction (:func:`dsirc`).  Each stage runs
+    once per distinct input, and every result equals a run with a
+    one-element grid:
 
-    * unmixing and purity run once (the seeded generator feeds only them);
+    * unmixing, purity and the zetas run once per seed, each from
+      ``np.random.default_rng(seed)`` (AVMAX's restarts are the only draws);
+      HySime's endmember count does not depend on the seed, so it is
+      estimated for the first seed and reused for the others;
     * the raw spectra get one search at ``max(k_ns)``, whose first ``k_n``
-      columns are the ``k_n`` search, for the bandwidth, density and zeta;
+      columns are the ``k_n`` search, for the bandwidth and density;
     * each ``tau`` gets one reconstruction and one search of its spectra;
     * the graph and eigensystem run once per ``(k_n, tau)``, and the
-      predecessor scan, mode choice and labelling once per ``t`` on them.
+      predecessor scan, mode choice and labelling once per ``(seed, t)`` on
+      them.
 
     Each stage's input is released once consumed: the raw distances once
     the zetas are built, a reconstructed cloud once its search returns, a
@@ -379,34 +388,40 @@ def mode_grid(
     before the next graph is built.
 
     A ``(k_n, tau)`` graph that splits into components maps each of its
-    ``(k_n, t, tau)`` keys to the :class:`DisconnectedGraphError` it raised;
-    the rest of the grid still runs.
+    ``(k_n, t, tau, seed)`` keys to the :class:`DisconnectedGraphError` it
+    raised; the rest of the grid still runs.
     """
     k_ns = list(dict.fromkeys(k_ns))
     ts = list(dict.fromkeys(ts))
     grid_taus = [None] if taus is None else list(dict.fromkeys(taus))
+    seeds = [config.seed] if seeds is None else list(dict.fromkeys(seeds))
     n = cloud.n
-    if not (k_ns and ts and grid_taus):
+    if not (k_ns and ts and grid_taus and seeds):
         raise ValueError("every grid needs at least one value")
-    for k_n, t, tau in itertools.product(k_ns, ts, grid_taus):
+    for k_n, t, tau, seed in itertools.product(k_ns, ts, grid_taus, seeds):
         # ClusterConfig rejects an invalid combination.
-        replace(config, k_n=k_n, t=t, tau=config.tau if tau is None else tau)
+        replace(config, k_n=k_n, t=t, tau=config.tau if tau is None else tau, seed=seed)
     if config.n_clusters > n:
         raise ValueError("more clusters than pixels")
     k_max = max(k_ns)
     if k_max >= n:
         raise ValueError(f"k_n must be below the pixel count {n}")
-    rng = np.random.default_rng(config.seed)
-    pur = purity(unmix(cloud, p=config.n_endmembers, restarts=config.restarts, rng=rng))
+    p, purities = config.n_endmembers, []
+    for seed in seeds:
+        model = unmix(cloud, p=p, restarts=config.restarts, rng=np.random.default_rng(seed))
+        p = model.p
+        purities.append(purity(model))
+    del model
     neighbors, distances = knn_indices(cloud.spectra, k_max)
     zetas = {}
     for k_n in k_ns:
         prefix = distances[:, :k_n]
         sigma0 = config.sigma0 if config.sigma0 is not None else auto_sigma0(prefix)
-        zetas[k_n] = zeta(kde_density(prefix, sigma0), pur)
+        density = kde_density(prefix, sigma0)
+        zetas[k_n] = [(seed, zeta(density, pur)) for seed, pur in zip(seeds, purities)]
     # Inputs are dropped once consumed (see the docstring); ``prefix`` views
     # the distances, and with ``taus`` the raw neighbours are not used.
-    del distances, prefix
+    del distances, prefix, density
     if taus is not None:
         del neighbors
     n_pairs = config.n_eigenpairs
@@ -427,31 +442,19 @@ def mode_grid(
             except DisconnectedGraphError as exc:
                 # Stored without the traceback, whose frames hold the graph.
                 error = exc.with_traceback(None)
-                results.update(dict.fromkeys([(k_n, t, tau) for t in ts], error))
+                keys = [(k_n, t, tau, seed) for seed in seeds for t in ts]
+                results.update(dict.fromkeys(keys, error))
                 continue
             finally:
                 del graph
-            results.update(_diffuse(system, zetas[k_n], k_n, ts, tau, config.n_clusters))
+            for seed, zeta_field in zetas[k_n]:
+                for t in ts:
+                    dt, parents = dt_values(system, zeta_field, t)
+                    modes = select_modes(zeta_field, dt, config.n_clusters)
+                    results[k_n, t, tau, seed] = propagate_labels(
+                        system, zeta_field, modes, t, parents, scores=zeta_field.zeta * dt
+                    )
             del system
-    return results
-
-
-def _diffuse(
-    system: DiffusionSystem,
-    zeta_field: ZetaField,
-    k_n: int,
-    ts: list[float],
-    tau: float | None,
-    n_clusters: int,
-) -> dict[tuple[int, float, float | None], Clustering]:
-    """Clusterings for each ``t`` on one eigensystem, keyed ``(k_n, t, tau)``."""
-    results = {}
-    for t in ts:
-        dt, parents = dt_values(system, zeta_field, t)
-        modes = select_modes(zeta_field, dt, n_clusters)
-        results[k_n, t, tau] = propagate_labels(
-            system, zeta_field, modes, t, parents, scores=zeta_field.zeta * dt
-        )
     return results
 
 
@@ -459,13 +462,13 @@ def dsirc(cloud: PixelCloud, config: ClusterConfig) -> Clustering:
     """Mode-based diffusion clustering on shape-adaptively reconstructed
     spectra (density and purity still come from the originals)."""
     grid = mode_grid(cloud, config, [config.k_n], [config.t], [config.tau])
-    return _clustering(grid[config.k_n, config.t, config.tau])
+    return _clustering(grid[config.k_n, config.t, config.tau, config.seed])
 
 
 def dvic(cloud: PixelCloud, config: ClusterConfig) -> Clustering:
     """The same pipeline as :func:`dsirc` but on the raw spectra."""
     grid = mode_grid(cloud, config, [config.k_n], [config.t])
-    return _clustering(grid[config.k_n, config.t, None])
+    return _clustering(grid[config.k_n, config.t, None, config.seed])
 
 
 def _clustering(result: Clustering | DisconnectedGraphError) -> Clustering:

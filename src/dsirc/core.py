@@ -23,7 +23,6 @@ __all__ = [
     "load_envi",
     "write_envi",
     "cube_to_cloud",
-    "cloud_to_cube",
     "first_pc",
     "LABEL_PALETTE",
     "label_colors",
@@ -73,14 +72,6 @@ class ImageCube:
     @property
     def width(self) -> int:
         return self.data.shape[2]
-
-    def band(self, b: int) -> np.ndarray:
-        """Return band ``b`` as a ``(height, width)`` array."""
-        return self.data[b]
-
-    def spectrum(self, row: int, col: int) -> np.ndarray:
-        """Return the length-``bands`` spectrum at a grid position."""
-        return self.data[:, row, col]
 
 
 @dataclass(frozen=True)
@@ -286,16 +277,6 @@ def cube_to_cloud(cube: ImageCube) -> PixelCloud:
     flat = np.arange(h * w, dtype=np.intp)
     coords = np.column_stack((flat // w, flat % w))
     return PixelCloud(spectra, coords)
-
-
-def cloud_to_cube(cloud: PixelCloud) -> ImageCube:
-    """Inverse of :func:`cube_to_cloud`; requires a full-grid cloud."""
-    shape = cloud.grid_shape()
-    if shape is None:
-        raise ValueError("cloud does not cover a full grid in row-major order")
-    h, w = shape
-    data = np.ascontiguousarray(cloud.spectra.T.reshape(cloud.bands, h, w))
-    return ImageCube(data)
 
 
 # ---------------------------------------------------------------------------

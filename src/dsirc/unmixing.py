@@ -26,7 +26,6 @@ __all__ = [
     "hysime",
     "project_affine_pca",
     "avmax",
-    "nnls",
     "abundances",
     "purity",
     "unmix",
@@ -267,25 +266,15 @@ def avmax(
     return x[np.sort(best_indices)].copy()
 
 
-def nnls(endmembers: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Non-negative least-squares abundances of one spectrum.
-
-    Solves ``min_{a >= 0} || a @ endmembers - x ||_2`` with SciPy's
-    Lawson–Hanson active-set solver (:func:`scipy.optimize.nnls`).  The
-    solution satisfies the KKT conditions: the residual gradient is
-    non-negative everywhere and zero on the support.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("x must be a length-bands vector")
-    return abundances(endmembers, x[None, :])[0]
-
-
 def abundances(endmembers: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    """Row-wise NNLS abundances (see :func:`nnls`) for a matrix of spectra.
+    """Non-negative least-squares abundances of each row of ``spectra``.
 
-    The inputs are checked once, and every row is solved against one
-    C-ordered copy of ``endmembers.T``.
+    Row ``x`` gets ``min_{a >= 0} || a @ endmembers - x ||_2`` from SciPy's
+    Lawson–Hanson active-set solver (:func:`scipy.optimize.nnls`).  Each
+    solution satisfies the KKT conditions: the residual gradient is
+    non-negative everywhere and zero on the support.  The inputs are checked
+    once, and every row is solved against one C-ordered copy of
+    ``endmembers.T``.
     """
     e = np.asarray(endmembers, dtype=np.float64)
     spectra = np.asarray(spectra, dtype=np.float64)

@@ -33,7 +33,7 @@ from dsirc.sar import (
     sar,
 )
 from dsirc.synth import SynthConfig, synth_hsi
-from dsirc.unmixing import avmax, hysime, nnls, project_affine_pca
+from dsirc.unmixing import abundances, avmax, hysime, project_affine_pca
 
 
 def cloud_of(spectra):
@@ -240,7 +240,7 @@ def test_criterion_3_nnls_kkt_and_oracle():
         bands = max(bands, p)
         e = rng.uniform(0.0, 1.0, size=(p, bands))
         x = rng.uniform(0.0, 1.0, size=bands)
-        sol = nnls(e, x)
+        sol = abundances(e, x[None])[0]
         a = e.T
         grad = a.T @ (a @ sol - x)
         worst_kkt = max(worst_kkt, float(-grad.min()))

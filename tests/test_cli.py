@@ -6,7 +6,7 @@ import statistics
 import numpy as np
 import pytest
 
-from dsirc import clustering, diffusion
+from dsirc import clustering, diffusion, unmixing
 from dsirc.cli import main
 from dsirc.core import LabelMap, load_envi, read_labels_csv, write_labels_csv
 
@@ -211,6 +211,8 @@ def test_cluster_usage_errors(tmp_path):
         "--algorithm=sc --kn=0",
         "--p=0",
         "--eigenpairs=0",
+        "--seed=-1",
+        "--algorithm=kmeans --seed=-1",
     ],
 )
 def test_cluster_invalid_pipeline_option_is_configuration_error(tmp_path, capsys, options):
@@ -221,6 +223,17 @@ def test_cluster_invalid_pipeline_option_is_configuration_error(tmp_path, capsys
     )
     assert code == 2
     assert "configuration failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["dsirc", "dvic", "kmeans", "sc"])
+def test_sweep_negative_seed_is_configuration_error(tmp_path, capsys, algorithm):
+    scene = make_scene(tmp_path)
+    out = tmp_path / "run"
+    cube = [str(scene / "cube.hdr"), str(scene / "cube.raw"), "--gt", str(scene / "gt.csv")]
+    argv = ["sweep", *cube, "--out", str(out), "--k", "3", "--algorithm", algorithm, "--seed", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "dsirc: configuration failed: seed must be non-negative\n"
     assert not out.exists()
 
 
@@ -571,9 +584,11 @@ def test_sweep_rows_equal_single_cluster_runs(tmp_path, algorithm, seeds, grids)
 
 @pytest.mark.parametrize(
     "algorithm, counts",
-    [("dsirc", (1, 2, 3, 4, 8)), ("dvic", (1, 0, 1, 2, 4))],
+    [("dsirc", (1, 1, 2, 3, 4, 8)), ("dvic", (1, 1, 0, 1, 2, 4))],
 )
 def test_sweep_runs_each_stage_once_per_distinct_input(tmp_path, monkeypatch, algorithm, counts):
+    # ``counts`` are one seed's calls, in ``stages`` order.  A second seed
+    # repeats only the seeded stages: unmixing and each eigensystem's scans.
     calls = {}
 
     def count(module, name):
@@ -585,34 +600,20 @@ def test_sweep_runs_each_stage_once_per_distinct_input(tmp_path, monkeypatch, al
 
         monkeypatch.setattr(module, name, counting)
 
-    stages = ("unmix", "sar", "knn_indices", "diffusion_system", "dt_values")
+    stages = ("unmix", "hysime", "sar", "knn_indices", "diffusion_system", "dt_values")
     for name in stages:
-        count(clustering, name)
+        count(unmixing if name == "hysime" else clustering, name)
     count(diffusion, "knn_indices")
     scene = make_scene(tmp_path)
-    code = main(
-        [
-            "sweep",
-            str(scene / "cube.hdr"),
-            str(scene / "cube.raw"),
-            "--gt",
-            str(scene / "gt.csv"),
-            "--out",
-            str(tmp_path / "sweep"),
-            "--algorithm",
-            algorithm,
-            "--k",
-            "3",
-            "--kn-grid",
-            "40,60",
-            "--t-grid",
-            "10,30",
-            "--tau-grid",
-            "1,2",
-        ]
-    )
-    assert code == 0
-    assert tuple(calls.get(name, 0) for name in stages) == counts
+    cube = [str(scene / "cube.hdr"), str(scene / "cube.raw"), "--gt", str(scene / "gt.csv")]
+    grids = ["--kn-grid", "40,60", "--t-grid", "10,30", "--tau-grid", "1,2"]
+    for seeds in (1, 2):
+        calls.clear()
+        out = ["--out", str(tmp_path / f"sweep{seeds}"), "--algorithm", algorithm, "--k", "3"]
+        assert main(["sweep", *cube, *out, *grids, "--seeds", str(seeds)]) == 0
+        per_seed = {"unmix": seeds, "dt_values": seeds}
+        want = tuple(c * per_seed.get(name, 1) for name, c in zip(stages, counts))
+        assert tuple(calls.get(name, 0) for name in stages) == want
 
 
 def sweep_rows(out):

@@ -527,12 +527,14 @@ def test_mode_grid_carries_on_past_a_disconnected_graph():
     cloud = cloud_of(np.vstack([rng.uniform(size=(20, 3)), rng.uniform(size=(20, 3)) + 50.0]))
     config = ClusterConfig(n_clusters=2, n_endmembers=2, seed=0)
     grid = mode_grid(cloud, config, [4, 25], [10.0, 30.0])
-    assert list(grid) == [(4, 10.0, None), (4, 30.0, None), (25, 10.0, None), (25, 30.0, None)]
-    assert grid[4, 10.0, None] is grid[4, 30.0, None]
-    assert isinstance(grid[4, 10.0, None], DisconnectedGraphError)
+    assert list(grid) == [
+        (4, 10.0, None, 0), (4, 30.0, None, 0), (25, 10.0, None, 0), (25, 30.0, None, 0)
+    ]
+    assert grid[4, 10.0, None, 0] is grid[4, 30.0, None, 0]
+    assert isinstance(grid[4, 10.0, None, 0], DisconnectedGraphError)
     for t in (10.0, 30.0):
         want = dvic(cloud, replace(config, k_n=25, t=t))
-        np.testing.assert_array_equal(grid[25, t, None].labels.labels, want.labels.labels)
+        np.testing.assert_array_equal(grid[25, t, None, 0].labels.labels, want.labels.labels)
     with pytest.raises(DisconnectedGraphError, match="2 connected components"):
         dvic(cloud, replace(config, k_n=4))
 
@@ -552,12 +554,47 @@ def test_disconnected_graph_error_holds_no_graph(monkeypatch):
     rng = np.random.default_rng(16)
     cloud = cloud_of(np.vstack([rng.uniform(size=(20, 3)), rng.uniform(size=(20, 3)) + 50.0]))
     grid = mode_grid(cloud, ClusterConfig(n_clusters=2, n_endmembers=2, seed=0), [4, 25], [10.0])
-    assert isinstance(grid[4, 10.0, None], DisconnectedGraphError)
+    assert isinstance(grid[4, 10.0, None, 0], DisconnectedGraphError)
     assert len(graphs) == 2 and all(ref() is None for ref in graphs)
 
 
 @pytest.mark.parametrize("taus", [None, [1.0, 2.0]], ids=["dvic", "dsirc"])
-def test_scan_holds_no_graph(monkeypatch, taus):
+def test_seed_axis_equals_one_seed_grids(taus):
+    # Each seed's results equal a grid run at that seed alone, key for key.
+    # One AVMAX restart for six endmembers of three classes makes the two
+    # seeds' purities, and so their labels, differ; k_n = 4 keeps each
+    # class's graph to itself, so its error is stored under both seeds.
+    cloud, _ = grid_cloud(np.random.default_rng(17))
+    config = ClusterConfig(n_clusters=3, restarts=1, n_endmembers=6)
+    grid = mode_grid(cloud, config, [4, 50], [10.0, 30.0], taus, [0, 1])
+    alone = {}
+    for seed in (0, 1):
+        alone.update(mode_grid(cloud, replace(config, seed=seed), [4, 50], [10.0, 30.0], taus))
+    assert set(grid) == set(alone)
+    for (k_n, t, tau, seed), want in alone.items():
+        got = grid[k_n, t, tau, seed]
+        if k_n == 4:
+            assert isinstance(got, DisconnectedGraphError) and str(got) == str(want)
+            continue
+        np.testing.assert_array_equal(got.labels.labels, want.labels.labels)
+        np.testing.assert_array_equal(got.modes, want.modes)
+        # Two identical eigensolves can return different trailing
+        # eigenvectors, which moves the near-zero separations in their last
+        # bits.
+        np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=1e-12)
+    assert any(
+        not np.array_equal(grid[50, t, tau, 0].labels.labels, grid[50, t, tau, 1].labels.labels)
+        for t in (10.0, 30.0)
+        for tau in taus or [None]
+    )
+
+
+@pytest.mark.parametrize(
+    "taus, seeds",
+    [(None, [0]), ([1.0, 2.0], [0]), ([1.0, 2.0], [0, 1])],
+    ids=["dvic", "dsirc", "dsirc-seeds2"],
+)
+def test_scan_holds_no_graph(monkeypatch, taus, seeds):
     # The scan and labelling read only the eigenpairs, so every graph is
     # gone by the time each predecessor scan starts.
     graphs, scans = [], []
@@ -577,8 +614,9 @@ def test_scan_holds_no_graph(monkeypatch, taus):
     monkeypatch.setattr(clustering, "dt_values", scanned)
     cloud, _ = grid_cloud(np.random.default_rng(17))
     config = ClusterConfig(n_clusters=3, n_endmembers=3, seed=0)
-    mode_grid(cloud, config, [50, 60], [10.0, 30.0], taus)
-    assert scans == ([1, 1, 2, 2] if taus is None else [1, 1, 2, 2, 3, 3, 4, 4])
+    mode_grid(cloud, config, [50, 60], [10.0, 30.0], taus, seeds)
+    n_graphs = 2 if taus is None else 4
+    assert scans == [graph for graph in range(1, n_graphs + 1) for _ in range(2 * len(seeds))]
 
 
 def test_one_knn_search_per_cloud(monkeypatch):
@@ -684,6 +722,8 @@ def test_cluster_config_validation():
         ClusterConfig(n_clusters=2, n_endmembers=0)
     with pytest.raises(ValueError):
         ClusterConfig(n_clusters=2, n_eigenpairs=0)
+    with pytest.raises(ValueError, match="seed"):
+        ClusterConfig(n_clusters=2, seed=-1)
     with pytest.raises(ValueError):
         ClusterConfig(n_clusters=2, tau=0.0)
     with pytest.raises(ValueError):

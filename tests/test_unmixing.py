@@ -22,7 +22,6 @@ from dsirc.unmixing import (
     abundances,
     avmax,
     hysime,
-    nnls,
     project_affine_pca,
     purity,
     unmix,
@@ -341,7 +340,7 @@ def test_nnls_satisfies_kkt_and_matches_gradient_oracle():
         bands = int(rng.integers(p + 1, 21))
         e = rng.uniform(0.0, 1.0, size=(p, bands))
         x = rng.uniform(0.0, 1.0, size=bands)
-        sol = nnls(e, x)
+        sol = abundances(e, x[None])[0]
         assert sol.shape == (p,) and np.all(sol >= 0)
         a = e.T
         grad = a.T @ (a @ sol - x)
@@ -360,18 +359,18 @@ def test_nnls_recovers_interior_solution_exactly():
         e = rng.uniform(0.1, 1.0, size=(3, 10))
         target = rng.uniform(0.2, 1.0, size=3)
         x = target @ e
-        np.testing.assert_allclose(nnls(e, x), target, atol=1e-8)
+        np.testing.assert_allclose(abundances(e, x[None])[0], target, atol=1e-8)
 
 
 def test_nnls_validation():
     with pytest.raises(ValueError):
-        nnls(np.ones((2, 3)), np.ones(4))
+        abundances(np.ones((2, 3)), np.ones((1, 4)))
     with pytest.raises(ValueError):
-        nnls(np.ones((4, 3)), np.ones(3))  # more endmembers than bands
+        abundances(np.ones((4, 3)), np.ones((1, 3)))  # more endmembers than bands
     bad = np.ones((2, 3))
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
-        nnls(bad, np.ones(3))
+        abundances(bad, np.ones((1, 3)))
 
 
 def test_abundances_rowwise():
