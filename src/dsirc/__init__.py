@@ -7,117 +7,33 @@ a diffusion-geometry score.  See :mod:`dsirc.clustering` for the pipelines
 :mod:`dsirc.cli` for the command line.
 """
 
-from .clustering import (
-    ClusterConfig,
-    Clustering,
-    DensityField,
-    ZetaField,
-    auto_sigma0,
-    dsirc,
-    dt_values,
-    dvic,
-    kde_density,
-    kmeans,
-    mode_grid,
-    propagate_labels,
-    select_modes,
-    spectral_clustering,
-    zeta,
-)
-from .core import (
-    DegenerateCovarianceError,
-    EnviFormatError,
-    ImageCube,
-    LabelMap,
-    PixelCloud,
-    cube_to_cloud,
-    first_pc,
-    load_envi,
-    write_envi,
-)
-from .diffusion import (
-    DiffusionSystem,
-    DisconnectedGraphError,
-    KnnGraph,
-    diffusion_system,
-    knn_graph,
-    knn_indices,
-    nearest_in_diffusion,
-)
-from .evaluation import align_labels, cohens_kappa, confusion_counts, overall_accuracy
-from .sar import (
-    IciConfig,
-    estimate_noise_sigma,
-    sar,
-)
-from .synth import SynthConfig, SynthScene, synth_hsi
-from .unmixing import (
-    PurityField,
-    RankDeficientDataError,
-    UnmixingModel,
-    avmax,
-    hysime,
-    purity,
-    unmix,
-)
+from . import clustering, core, diffusion, evaluation, sar, synth, unmixing
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "ImageCube",
-    "PixelCloud",
-    "LabelMap",
-    "EnviFormatError",
-    "DegenerateCovarianceError",
-    "load_envi",
-    "write_envi",
-    "cube_to_cloud",
-    "first_pc",
-    # sar
-    "IciConfig",
-    "estimate_noise_sigma",
-    "sar",
-    # unmixing
-    "UnmixingModel",
-    "PurityField",
-    "RankDeficientDataError",
-    "hysime",
-    "avmax",
-    "purity",
-    "unmix",
-    # diffusion
-    "KnnGraph",
-    "DiffusionSystem",
-    "DisconnectedGraphError",
-    "knn_indices",
-    "knn_graph",
-    "diffusion_system",
-    "nearest_in_diffusion",
-    # clustering
-    "ClusterConfig",
-    "Clustering",
-    "DensityField",
-    "ZetaField",
-    "auto_sigma0",
-    "kde_density",
-    "zeta",
-    "dt_values",
-    "select_modes",
-    "propagate_labels",
-    "mode_grid",
-    "dsirc",
-    "dvic",
-    "kmeans",
-    "spectral_clustering",
-    # evaluation
-    "confusion_counts",
-    "align_labels",
-    "overall_accuracy",
-    "cohens_kappa",
-    # synth
-    "SynthConfig",
-    "SynthScene",
-    "synth_hsi",
-]
+# Names in the modules' ``__all__`` lists that the package does not
+# re-export: the CLI's label writers and palette, SaR's ray directions,
+# unmixing's inner steps, and the console script's entry point (the package
+# does not import the CLI).
+_LEFT_OUT = frozenset(
+    {
+        "LABEL_PALETTE",
+        "label_colors",
+        "read_labels_csv",
+        "write_labels_csv",
+        "write_label_pgm",
+        "write_label_ppm",
+        "DIRECTION_STEPS",
+        "abundances",
+        "project_affine_pca",
+        "main",
+    }
+)
+
+__all__ = ["__version__"]
+for _module in (core, sar, unmixing, diffusion, clustering, evaluation, synth):
+    for _name in _module.__all__:
+        if _name not in _LEFT_OUT:
+            globals()[_name] = getattr(_module, _name)
+            __all__.append(_name)
+del _module, _name

@@ -347,7 +347,9 @@ def diffusion_system(graph: KnnGraph, n_eigenpairs: int) -> DiffusionSystem:
     sorted by decreasing ``|lambda|`` (exact ties prefer the larger signed
     value, putting the stationary pair first) and eigenvalues are clipped
     into ``[-1, 1]``, their analytic range.  The stationary pair is set to
-    its exact value, eigenvalue 1 and the constant vector 1.
+    its exact value, eigenvalue 1 and the constant vector 1.  ARPACK starts
+    from a fixed vector and restarts from a fixed-seed generator, so
+    identical calls return identical eigenpairs.
 
     Raises
     ------
@@ -383,9 +385,11 @@ def diffusion_system(graph: KnnGraph, n_eigenpairs: int) -> DiffusionSystem:
     if n_eigenpairs >= n - 1 or n <= _DENSE_EIG_CUTOFF:
         eigvals, eigvecs = np.linalg.eigh(s_matrix.toarray())
     else:
+        # ARPACK draws its restart vectors from ``rng``; left unset, that
+        # is fresh OS entropy on every call.
         v0 = np.full(n, 1.0 / np.sqrt(n))
         eigvals, eigvecs = scipy.sparse.linalg.eigsh(
-            s_matrix, k=n_eigenpairs, which="LM", tol=1e-10, v0=v0
+            s_matrix, k=n_eigenpairs, which="LM", tol=1e-10, v0=v0, rng=0
         )
     order = np.lexsort((-eigvals, -np.abs(eigvals)))[:n_eigenpairs]
     eigvals = np.clip(eigvals[order], -1.0, 1.0)

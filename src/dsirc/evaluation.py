@@ -2,13 +2,12 @@
 
 Ground-truth label 0 marks unlabeled pixels and is excluded everywhere.
 Predicted labels are aligned to ground-truth classes by a maximum-overlap
-assignment (Hungarian algorithm) before accuracy and Cohen's kappa.
+assignment (Kuhn–Munkres) before accuracy and Cohen's kappa.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.optimize
 
 from .core import LabelMap
 
@@ -44,13 +43,69 @@ def confusion_counts(pred, gt) -> np.ndarray:
     return counts
 
 
+def _max_overlap_assignment(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of an assignment of largest total ``counts``.
+
+    Kuhn–Munkres by shortest augmenting paths with row and column
+    potentials (the Jonker–Volgenant form), on the integer matrix, so every
+    reduced cost is exact.  The shorter side is matched in full: its
+    entries join in index order, each by a shortest augmenting path.
+
+    Tie rule: among the unsettled entries of the longer side at the least
+    reduced distance, the search settles the lowest index first, and the
+    path to an entry is replaced only by a strictly shorter one.  So among
+    equally good assignments the one returned depends on the input alone.
+    """
+    transposed = counts.shape[0] > counts.shape[1]
+    cost = -(counts.T if transposed else counts)
+    n, m = cost.shape
+    # Index 0 of the columns is a virtual start column; owner[j] is the row
+    # (1-based, 0 for none) matched to column j.
+    row_potential = np.zeros(n + 1, dtype=np.int64)
+    col_potential = np.zeros(m + 1, dtype=np.int64)
+    owner = np.zeros(m + 1, dtype=np.intp)
+    via = np.zeros(m + 1, dtype=np.intp)
+    unreached = np.iinfo(np.int64).max
+    for row in range(1, n + 1):
+        owner[0] = row
+        column = 0
+        distance = np.full(m + 1, unreached, dtype=np.int64)
+        settled = np.zeros(m + 1, dtype=bool)
+        while owner[column]:
+            settled[column] = True
+            i = owner[column]
+            reduced = cost[i - 1] - row_potential[i] - col_potential[1:]
+            shorter = ~settled[1:] & (reduced < distance[1:])
+            distance[1:][shorter] = reduced[shorter]
+            via[1:][shorter] = column
+            nearest = np.where(settled[1:], unreached, distance[1:])
+            column = int(np.argmin(nearest)) + 1
+            delta = nearest[column - 1]
+            row_potential[owner[settled]] += delta
+            col_potential[settled] -= delta
+            distance[~settled] -= delta
+        while column:
+            previous = via[column]
+            owner[column] = owner[previous]
+            column = previous
+    cols = np.flatnonzero(owner[1:])
+    rows = owner[1:][cols] - 1
+    if transposed:
+        rows, cols = cols, rows
+    order = np.argsort(rows)
+    return rows[order], cols[order]
+
+
 def align_labels(pred, gt) -> LabelMap:
     """Relabel a prediction to best match the ground-truth classes.
 
-    The Hungarian algorithm maximizes total overlap between predicted and
-    ground-truth classes; predicted classes left unmatched (when there are
-    more of them than ground-truth classes) map to their own best-overlap
-    class.  Unlabeled predictions stay 0.
+    A Kuhn–Munkres assignment (:func:`_max_overlap_assignment`) maximizes
+    the total overlap between predicted and ground-truth classes, exactly,
+    on the integer overlap counts; among equally good assignments its tie
+    rule picks one by index order alone, so the result is deterministic.
+    Predicted classes left unmatched (when there are more of them than
+    ground-truth classes) map to their own best-overlap class, the lowest
+    on ties.  Unlabeled predictions stay 0.
     """
     pred = _label_array(pred)
     gt = _label_array(gt)
@@ -58,7 +113,7 @@ def align_labels(pred, gt) -> LabelMap:
     n_pred, n_gt = counts.shape
     lut = np.zeros(n_pred + 1, dtype=np.int64)
     if n_pred and n_gt:
-        rows, cols = scipy.optimize.linear_sum_assignment(-counts)
+        rows, cols = _max_overlap_assignment(counts)
         lut[rows + 1] = cols + 1
         for r in range(n_pred):
             if lut[r + 1] == 0:

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .core import DegenerateCovarianceError, PixelCloud
 
@@ -266,15 +265,45 @@ def avmax(
     return x[np.sort(best_indices)].copy()
 
 
+# Elements one block of NNLS rows may hold in its passive-set systems: rows
+# times p**2.  1,048,576 float64 values are 8 MiB, so no transient grows with
+# the scene, and at p = 36 a block still has 809 rows to amortise the
+# per-step numpy calls over.  Each row's systems are solved on their own,
+# and a row's result is the solve on its final passive set alone, so the
+# block size reaches it only if the rounding of a gradient flips a choice
+# that decides that set, which needs a gradient within tol of zero.
+_BLOCK_ELEMENTS = 1_048_576
+
+
 def abundances(endmembers: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     """Non-negative least-squares abundances of each row of ``spectra``.
 
-    Row ``x`` gets ``min_{a >= 0} || a @ endmembers - x ||_2`` from SciPy's
-    Lawson–Hanson active-set solver (:func:`scipy.optimize.nnls`).  Each
-    solution satisfies the KKT conditions: the residual gradient is
-    non-negative everywhere and zero on the support.  The inputs are checked
-    once, and every row is solved against one C-ordered copy of
-    ``endmembers.T``.
+    Row ``x`` gets ``min_{a >= 0} || a @ endmembers - x ||_2`` from a
+    Lawson–Hanson active-set method run on all rows at once, in the Gram
+    form ``G = E E^T``, ``h = E x`` of FNNLS (Bro & De Jong, J. Chemometrics
+    1997).  Each outer step moves every unfinished row's
+    most-positive-gradient variable into that row's passive set; rows whose
+    passive sets have the same size solve their passive blocks of ``G`` in
+    one stacked ``np.linalg.solve`` (Van Benthem & Keenan, J. Chemometrics
+    2004); the step back to feasibility and the dropping of zeroed variables
+    follow Lawson–Hanson, as does the rejection of an entering variable
+    whose first solve is not positive.  Two tolerances, each in the units
+    of what it tests, keep rounding from deciding a support: a gradient
+    entry counts as zero when within ``tol = 10 * eps * p * ||G||_1`` of it,
+    and an abundance does at or below ``10 * eps * p`` times its row's
+    largest, so scaling ``endmembers`` and ``spectra`` together leaves the
+    abundances unchanged.  Rows run in blocks of at most
+    ``_BLOCK_ELEMENTS`` passive-system entries.
+
+    A row stops when no variable outside its passive set has a residual
+    gradient below ``-tol``, so each solution satisfies the KKT conditions
+    to rounding: the gradient is non-negative off the support and zero on
+    it.  ``G`` has the squared condition number of ``endmembers``, but an
+    LU solve of the normal equations is backward stable, so the gradient
+    on the support stays at rounding level even when the abundances
+    themselves carry a relative error near ``cond(E)**2 * eps``.  A row
+    still unfinished after ``3 * p`` outer steps keeps its last feasible
+    iterate, and a ``RuntimeWarning`` counts such rows.
     """
     e = np.asarray(endmembers, dtype=np.float64)
     spectra = np.asarray(spectra, dtype=np.float64)
@@ -285,11 +314,98 @@ def abundances(endmembers: np.ndarray, spectra: np.ndarray) -> np.ndarray:
         raise ValueError("need at least as many bands as endmembers")
     if not (np.all(np.isfinite(e)) and np.all(np.isfinite(spectra))):
         raise ValueError("inputs must be finite")
-    design = np.ascontiguousarray(e.T)
-    out = np.empty((spectra.shape[0], e.shape[0]))
-    for i, row in enumerate(spectra):
-        out[i] = scipy.optimize.nnls(design, row)[0]
+    p = e.shape[0]
+    gram = e @ e.T
+    rhs = spectra @ e.T
+    tol = 10.0 * np.finfo(np.float64).eps * p * float(np.linalg.norm(gram, 1))
+    out = np.zeros(rhs.shape)
+    size = max(1, _BLOCK_ELEMENTS // (p * p))
+    unfinished = sum(
+        _lawson_hanson(gram, rhs[i : i + size], out[i : i + size], tol, 3 * p)
+        for i in range(0, rhs.shape[0], size)
+    )
+    if unfinished:
+        warnings.warn(
+            f"NNLS stopped at its cap of {3 * p} steps before converging on {unfinished} row(s)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return out
+
+
+def _lawson_hanson(gram: np.ndarray, rhs: np.ndarray, x: np.ndarray, tol: float, max_steps: int) -> int:
+    """Lawson–Hanson on the rows of ``rhs``, writing the solutions into the
+    zeroed ``x``; returns how many rows were still unfinished after
+    ``max_steps`` outer steps."""
+    m, p = rhs.shape
+    passive = np.zeros((m, p), dtype=bool)
+    # Variables whose entry was rejected since the row's iterate last moved.
+    rejected = np.zeros((m, p), dtype=bool)
+    rows = np.arange(m)
+    for step in range(max_steps + 1):
+        w = rhs[rows] - x[rows] @ gram
+        w[passive[rows] | rejected[rows]] = -np.inf
+        enter = np.argmax(w, axis=1)
+        go = w[np.arange(rows.size), enter] > tol
+        rows, enter = rows[go], enter[go]
+        if rows.size == 0 or step == max_steps:
+            return rows.size
+        passive[rows, enter] = True
+        z = _passive_solve(gram, rhs[rows], passive[rows])
+        taken = ~_negligible(z)[np.arange(rows.size), enter]
+        passive[rows[~taken], enter[~taken]] = False
+        rejected[rows[~taken], enter[~taken]] = True
+        moved, z = rows[taken], z[taken]
+        rejected[moved] = False
+        while moved.size:
+            blocked = np.any(passive[moved] & _negligible(z), axis=1)
+            x[moved[~blocked]] = z[~blocked]
+            moved, z = moved[blocked], z[blocked]
+            if moved.size == 0:
+                break
+            # Step back along x -> z to where the first passive variable
+            # reaches zero (or all the way, if none goes negative), and drop
+            # it with every negligible variable.  Every passive x is
+            # positive, so each ratio lies in (0, 1].
+            current = x[moved]
+            ratio = np.full(current.shape, np.inf)
+            np.divide(current, current - z, out=ratio, where=passive[moved] & (z <= 0.0))
+            first = np.argmin(ratio, axis=1)
+            picked = np.arange(moved.size)
+            limit = ratio[picked, first]
+            hit = limit <= 1.0
+            current[hit] += limit[hit, None] * (z[hit] - current[hit])
+            current[picked[hit], first[hit]] = 0.0
+            # A full step lands on z exactly, so the negligible variable
+            # that blocked it is dropped and each pass shrinks the set.
+            current[~hit] = z[~hit]
+            keep = passive[moved] & ~_negligible(current)
+            current[~keep] = 0.0
+            passive[moved] = keep
+            x[moved] = current
+            z = _passive_solve(gram, rhs[moved], keep)
+
+
+def _negligible(z: np.ndarray) -> np.ndarray:
+    """Entries of the rows of ``z`` at or below ``10 * eps * p`` times the
+    row's largest magnitude: abundances that count as zero."""
+    rtol = 10.0 * np.finfo(np.float64).eps * z.shape[1]
+    return z <= rtol * np.abs(z).max(axis=1, initial=0.0, keepdims=True)
+
+
+def _passive_solve(gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Unconstrained least squares of each row on its passive variables:
+    ``G[P, P] z[P] = h[P]`` and ``z = 0`` elsewhere, one stacked solve per
+    passive-set size."""
+    z = np.zeros(rhs.shape)
+    sizes = np.count_nonzero(passive, axis=1)
+    for s in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
+        rows = np.flatnonzero(sizes == s)
+        cols = np.nonzero(passive[rows])[1].reshape(rows.size, s)
+        system = gram[cols[:, :, None], cols[:, None, :]]
+        b = rhs[rows[:, None], cols]
+        z[rows[:, None], cols] = np.linalg.solve(system, b[:, :, None])[:, :, 0]
+    return z
 
 
 def purity(model: UnmixingModel) -> PurityField:

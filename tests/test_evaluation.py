@@ -7,6 +7,7 @@ import pytest
 
 from dsirc.core import LabelMap
 from dsirc.evaluation import (
+    _max_overlap_assignment,
     align_labels,
     cohens_kappa,
     confusion_counts,
@@ -71,6 +72,47 @@ def test_alignment_matches_best_permutation():
             for perm in itertools.permutations(range(1, k + 1))
         )
         assert got == pytest.approx(best)
+
+
+def best_total(counts):
+    """Largest total over every one-to-one matching of the shorter side."""
+    n, m = counts.shape
+    if n > m:
+        return best_total(counts.T)
+    perms = np.array(list(itertools.permutations(range(m), n)))
+    return int(counts[np.arange(n), perms].sum(axis=1).max())
+
+
+def test_assignment_matches_brute_force_on_tie_heavy_matrices():
+    rng = np.random.default_rng(5)
+    for trial in range(400):
+        n, m = (int(v) for v in rng.integers(1, 8, size=2))
+        # Few distinct values, so many optimal assignments tie.
+        counts = rng.integers(0, int(rng.integers(1, 4)), size=(n, m)) * int(rng.integers(1, 50))
+        rows, cols = _max_overlap_assignment(counts)
+        assert rows.size == min(n, m)
+        assert np.array_equal(rows, np.sort(rows)) and np.unique(rows).size == rows.size
+        assert np.unique(cols).size == cols.size
+        assert int(counts[rows, cols].sum()) == best_total(counts)
+        again = _max_overlap_assignment(counts.copy())
+        np.testing.assert_array_equal(again[0], rows)
+        np.testing.assert_array_equal(again[1], cols)
+
+
+def test_assignment_of_all_ties_is_the_identity():
+    for n, m in [(1, 1), (3, 3), (3, 5), (5, 3), (7, 7)]:
+        rows, cols = _max_overlap_assignment(np.full((n, m), 4))
+        np.testing.assert_array_equal(rows, np.arange(min(n, m)))
+        np.testing.assert_array_equal(cols, np.arange(min(n, m)))
+
+
+def test_alignment_is_deterministic_under_ties():
+    rng = np.random.default_rng(6)
+    gt = rng.integers(1, 5, size=200)
+    pred = rng.integers(1, 7, size=200)
+    first = align_labels(pred, gt).labels
+    for _ in range(3):
+        np.testing.assert_array_equal(align_labels(pred, gt).labels, first)
 
 
 def test_alignment_handles_extra_predicted_classes():

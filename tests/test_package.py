@@ -1,18 +1,48 @@
-"""The package's export lists name only things that exist."""
+"""The package's export lists name only things that exist, and importing
+the package does not load ``scipy.optimize``."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import dsirc
 import dsirc.diffusion
 
 
-def test_public_names_resolve():
-    modules = [dsirc] + [
+def _modules():
+    return [
         importlib.import_module(f"dsirc.{info.name}")
         for info in pkgutil.iter_modules(dsirc.__path__)
     ]
-    for module in modules:
+
+
+def test_public_names_resolve():
+    for module in [dsirc] + _modules():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names missing {missing}"
     assert dsirc.knn_indices is dsirc.diffusion.knn_indices
+
+
+def test_package_exports_the_modules_names_but_the_left_out_ones():
+    union = {name for module in _modules() for name in module.__all__}
+    assert dsirc._LEFT_OUT <= union
+    assert len(dsirc.__all__) == len(set(dsirc.__all__))
+    assert set(dsirc.__all__) == union - dsirc._LEFT_OUT | {"__version__"}
+    for name in dsirc._LEFT_OUT:
+        assert not hasattr(dsirc, name)
+
+
+@pytest.mark.parametrize("module", ["dsirc", "dsirc.cli"])
+def test_import_does_not_load_scipy_optimize(module):
+    # A fresh interpreter: this one has loaded whatever other tests import.
+    src = str(Path(dsirc.__file__).resolve().parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

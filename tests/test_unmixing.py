@@ -2,15 +2,18 @@
 
 The vertex search is checked against exhaustive enumeration with an
 independent (shoelace) volume formula, and the least-squares solver against
-first-order optimality plus a projected-gradient reference solution.
+first-order optimality, a projected-gradient reference solution and SciPy's
+per-row Lawson–Hanson solver.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from dsirc.core import DegenerateCovarianceError, PixelCloud, cube_to_cloud, load_envi, write_envi
+from dsirc import unmixing
 from dsirc.synth import SynthConfig, synth_hsi
 from dsirc.unmixing import (
     PurityField,
@@ -381,6 +384,123 @@ def test_abundances_rowwise():
     assert got.shape == (20, 3)
     assert np.all(got >= 0)
     np.testing.assert_allclose(got, a_true, atol=1e-7)
+
+
+def assert_kkt(e, x, a, atol=1e-8):
+    """Non-negative, with a residual gradient non-negative off the support
+    and zero on it."""
+    assert np.all(a >= 0)
+    grad = (a @ e - x) @ e.T
+    assert np.all(grad >= -atol)
+    support = a > 0
+    assert np.all(np.abs(grad[support]) <= atol)
+
+
+def objective(e, x, a):
+    return 0.5 * np.sum((a @ e - x) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 10, 36])
+def test_abundances_match_scipy_nnls_per_row(p):
+    rng = np.random.default_rng(p)
+    bands = p + 24
+    e = rng.uniform(0.0, 1.0, size=(p, bands))
+    # Coefficients of both signs plus noise: rows inside and outside the
+    # cone, with supports of every size.
+    x = rng.uniform(-0.5, 1.0, size=(120, p)) @ e + rng.normal(0.0, 0.05, size=(120, bands))
+    got = abundances(e, x)
+    want = np.array([scipy.optimize.nnls(e.T, row)[0] for row in x])
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert_kkt(e, x, got)
+    f_got, f_want = objective(e, x, got), objective(e, x, want)
+    assert np.all(np.abs(f_got - f_want) <= 1e-12 * f_want)
+
+
+@pytest.mark.parametrize("p", [10, 36])
+def test_abundances_do_not_depend_on_the_data_scale(p):
+    # Raw radiance runs to thousands: scaling endmembers and spectra by c
+    # scales G by c**2 but leaves every abundance where it was.
+    rng = np.random.default_rng(30 + p)
+    bands = p + 24
+    e = rng.uniform(0.0, 1.0, size=(p, bands))
+    # Rows of small abundances, then rows pushed partly out of the cone.
+    a = rng.uniform(0.0, 1.0, size=(150, p)) * (rng.random((150, p)) < 0.5)
+    a[:50] *= 1e-4
+    a[50:] -= rng.uniform(0.0, 0.05, size=(100, p))
+    x = a @ e + rng.normal(0.0, 1e-7, size=(150, bands))
+    c = 1e4
+    got = abundances(c * e, c * x)
+    want = np.array([scipy.optimize.nnls(c * e.T, c * row)[0] for row in x])
+    assert_kkt(c * e, c * x, got, atol=1e-8 * c**2)
+    f_got, f_want = objective(c * e, c * x, got), objective(c * e, c * x, want)
+    assert np.all(np.abs(f_got - f_want) <= 1e-12 * f_want)
+    np.testing.assert_allclose(got, abundances(e, x), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(20, 26))
+def test_abundances_edge_rows(seed):
+    # A zero row, a row outside the cone, and multiples of each endmember,
+    # whose purity must be exactly 1.  A long first endmember enters first
+    # on other endmembers' rows too, so their solves leave it at rounding
+    # level before it must be dropped.
+    rng = np.random.default_rng(seed)
+    e = rng.uniform(0.1, 1.0, size=(4, 12))
+    e[0] *= 3.0
+    scaled = [c * e[k] for k in range(4) for c in (0.5, 1.0, 2.0)]
+    x = np.vstack([np.zeros(12), -e.sum(axis=0)] + scaled)
+    got = abundances(e, x)
+    np.testing.assert_array_equal(got[:2], 0.0)
+    for row, k in zip(got[2:], np.repeat(np.arange(4), 3)):
+        assert np.flatnonzero(row).tolist() == [k]
+    np.testing.assert_array_equal(purity(UnmixingModel(e, got[2:])).eta, 1.0)
+
+
+def test_rejected_entries_do_not_cycle_without_a_tolerance():
+    # Exact mixtures leave every gradient at rounding level once solved.
+    # With tol = 0 such gradients keep entering; Lawson–Hanson's rejection
+    # of an entry whose first solve is not positive still ends every row.
+    rng = np.random.default_rng(25)
+    e = rng.uniform(0.1, 1.0, size=(6, 20))
+    a = rng.uniform(0.0, 1.0, size=(200, 6)) * (rng.random((200, 6)) < 0.4)
+    x = a @ e
+    out = np.zeros((200, 6))
+    assert unmixing._lawson_hanson(e @ e.T, x @ e.T, out, 0.0, 18) == 0
+    assert_kkt(e, x, out)
+
+
+def test_abundances_do_not_depend_on_the_block_size(monkeypatch):
+    rng = np.random.default_rng(22)
+    e = rng.uniform(0.0, 1.0, size=(6, 20))
+    x = rng.uniform(-0.5, 1.0, size=(300, 6)) @ e + rng.normal(0.0, 0.05, size=(300, 20))
+    want = abundances(e, x)
+    for budget in (1, 36, 7 * 36):
+        monkeypatch.setattr(unmixing, "_BLOCK_ELEMENTS", budget)
+        np.testing.assert_array_equal(abundances(e, x), want)
+
+
+def test_abundances_hold_kkt_on_ill_conditioned_endmembers():
+    rng = np.random.default_rng(23)
+    p, bands = 8, 30
+    left, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    right, _ = np.linalg.qr(rng.normal(size=(bands, p)))
+    e = (left * np.logspace(0, -5, p)) @ right.T
+    assert 0.9e5 < np.linalg.cond(e) < 1.1e5
+    x = rng.uniform(-0.5, 1.0, size=(200, p)) @ e + rng.normal(0.0, 1e-3, size=(200, bands))
+    assert_kkt(e, x, abundances(e, x))
+
+
+def test_abundances_warn_at_their_step_cap(monkeypatch):
+    rng = np.random.default_rng(24)
+    e = rng.uniform(0.0, 1.0, size=(5, 15))
+    x = rng.uniform(0.1, 1.0, size=(10, 5)) @ e
+    solve = unmixing._lawson_hanson
+    monkeypatch.setattr(
+        unmixing, "_lawson_hanson", lambda gram, rhs, out, tol, steps: solve(gram, rhs, out, tol, 1)
+    )
+    with pytest.warns(RuntimeWarning, match=r"cap of 15 steps before converging on 10 row"):
+        got = abundances(e, x)
+    assert np.all(got >= 0) and np.all(np.count_nonzero(got, axis=1) == 1)
 
 
 # ---------------------------------------------------------------------------
