@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import LabelMap, PixelCloud
+from .core import LabelMap, PixelCloud, _blocks
 from .diffusion import (
     DiffusionSystem,
     DisconnectedGraphError,
@@ -137,8 +137,18 @@ def auto_sigma0(distances: np.ndarray) -> float:
     """Median distance to the ``k_n``-th nearest neighbor over all pixels.
 
     ``distances`` is the ``(n, k_n)`` distance half of :func:`knn_indices`.
+    The median is 0, and raises ``ValueError``, when at least half the
+    pixels have ``k_n`` or more exact duplicates of their spectrum, as in a
+    large zero-filled no-data block.
     """
-    return float(np.median(distances[:, -1]))
+    sigma0 = float(np.median(distances[:, -1]))
+    if not sigma0 > 0:
+        k_n = distances.shape[1]
+        raise ValueError(
+            f"the automatic sigma0 is 0 at k_n = {k_n}: at least half the pixels "
+            f"have {k_n} or more exact duplicate spectra; pass sigma0 or a larger k_n"
+        )
+    return sigma0
 
 
 def kde_density(distances: np.ndarray, sigma0: float) -> DensityField:
@@ -189,8 +199,6 @@ def _rank_order(zeta_values: np.ndarray) -> np.ndarray:
 # Tree neighbours first queried per pixel by :func:`dt_values` (self
 # included); also the per-pixel share of a query block's entry budget.
 _TREE_K = 32
-# Embedding values the exact recompute of :func:`dt_values` gathers at once.
-_GATHER_ELEMENTS = 65_536
 
 
 def dt_values(
@@ -254,7 +262,8 @@ def _nearest_predecessors(
     never its own predecessor, so it drops out by index even where a
     duplicate row comes back before it.  Each query holds at most
     ``n * _TREE_K`` neighbours, so a wider round runs in more blocks, and the
-    recompute gathers at most ``_GATHER_ELEMENTS`` embedding values at once.
+    recompute gathers at most ``core._BLOCK_ELEMENTS`` embedding values at
+    once.
     """
     n, dims = embedding.shape
     tree = cKDTree(embedding)
@@ -269,10 +278,9 @@ def _nearest_predecessors(
     pending = np.flatnonzero(rank > 0)
     k = min(_TREE_K, n)
     while pending.size:
-        rows = n * _TREE_K // k
         unsettled = []
-        for start in range(0, pending.size, rows):
-            block = pending[start : start + rows]
+        for query in _blocks(pending.size, k, n * _TREE_K):
+            block = pending[query]
             tree_dist, neighbors = tree.query(embedding[block], k=k)
             higher = rank[neighbors] < rank[block, None]
             bound = tree_dist[np.arange(block.size), np.argmax(higher, axis=1)] * slack + floor
@@ -281,10 +289,9 @@ def _nearest_predecessors(
             pixel, cand = block[row], neighbors[row, col]
             # Norms are row-local, so slicing the gather leaves them as they are.
             dist = np.empty(row.size)
-            step = max(1, _GATHER_ELEMENTS // dims)
-            for lo in range(0, row.size, step):
-                diff = embedding[cand[lo : lo + step]] - embedding[pixel[lo : lo + step]]
-                dist[lo : lo + step] = np.linalg.norm(diff, axis=1)
+            for gather in _blocks(row.size, dims):
+                diff = embedding[cand[gather]] - embedding[pixel[gather]]
+                dist[gather] = np.linalg.norm(diff, axis=1)
             pick = np.lexsort((cand, dist, row))
             pick = pick[np.diff(row[pick], prepend=-1) != 0]
             dt[pixel[pick]] = dist[pick]

@@ -32,6 +32,20 @@ __all__ = [
     "write_label_pgm",
 ]
 
+# Values one working block of a bounded pass may hold: 512 KiB of float64,
+# small enough to stay in cache from one pass to the next, so no transient
+# of the KNN search, the predecessor scan or SaR grows with the scene.
+_BLOCK_ELEMENTS = 65_536
+
+
+def _blocks(count: int, per_item: int, budget: int | None = None) -> list[slice]:
+    """Consecutive slices covering ``range(count)`` in order, each of at
+    most ``max(1, budget // per_item)`` items, and at least one (one empty
+    slice when ``count`` is 0).  ``budget`` defaults to ``_BLOCK_ELEMENTS``,
+    read at each call."""
+    size = max(1, (_BLOCK_ELEMENTS if budget is None else budget) // per_item)
+    return [slice(i, min(i + size, count)) for i in range(0, max(count, 1), size)]
+
 
 class EnviFormatError(ValueError):
     """Raised when an ENVI header/data pair is malformed or inconsistent."""

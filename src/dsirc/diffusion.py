@@ -18,6 +18,8 @@ import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg
 
+from .core import _blocks
+
 __all__ = [
     "DisconnectedGraphError",
     "KnnGraph",
@@ -36,10 +38,6 @@ _DENSE_EIG_CUTOFF = 128
 # 4 MB buffer at 4,096 pixels, and enough rows for the GEMM to run at full
 # speed (36-row blocks took 1.7x as long per row at 110,889 pixels).
 _BLOCK_ROWS = 256
-# Every other transient array of the search holds at most this many values
-# (a whole row where one row is longer): 512 KiB of float64, small enough to
-# stay in cache from one pass to the next.
-_BUDGET_ELEMENTS = 65_536
 # Unit roundoff of float32, and the screen's absolute floor.
 _U32 = 2.0**-24
 _FLOOR = 2.0**-100
@@ -178,9 +176,9 @@ def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
     The exact step computes the kept pairs' float64 squared distances and
     ranks each row's by (squared distance, column).  Besides the output, the
     float32 copy, the Gram buffer and three values per row, every array the
-    search forms holds at most ``_BUDGET_ELEMENTS`` values (a row of ``n``
-    where that is more): the float64 spectra are centred and gathered in
-    blocks of rows under it, and each block's rows are screened in chunks
+    search forms holds at most ``core._BLOCK_ELEMENTS`` values (a row of
+    ``n`` where that is more): the float64 spectra are centred and gathered
+    in blocks of rows under it, and each block's rows are screened in chunks
     under it.  Spectra with NaN or infinite values raise ``ValueError``.
     """
     x = np.ascontiguousarray(np.asarray(spectra, dtype=np.float64))
@@ -196,9 +194,9 @@ def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
     idx_out = np.empty((n, k_n), dtype=np.intp)
     dist_out = np.empty((n, k_n))
     block = min(n, _BLOCK_ROWS)
-    chunk = min(block, max(1, _BUDGET_ELEMENTS // n))
     gram = np.empty((block, n), dtype=np.float32)
-    upper = np.empty((chunk, n), dtype=np.float32)
+    # A full block's first chunk is the widest.
+    upper = np.empty((_blocks(block, n)[0].stop, n), dtype=np.float32)
     for start in range(0, n, block):
         stop = min(start + block, n)
         lo = gram[: stop - start]
@@ -206,9 +204,9 @@ def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
         np.subtract(a[start:stop, None], lo, out=lo)
         np.add(lo, a, out=lo)
         lo[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        for first in range(start, stop, chunk):
-            last = min(first + chunk, stop)
-            rows = lo[first - start : last - start]
+        for chunk in _blocks(stop - start, n):
+            first, last = start + chunk.start, start + chunk.stop
+            rows = lo[chunk]
             hi = np.add(rows, r, out=upper[: last - first])
             hi.partition(k_n - 1, axis=1)
             # U_i, rounded up to a float32 so one float32 comparison tests it.
@@ -244,30 +242,28 @@ def _screen_copy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = np.ldexp(1.0, -int(np.frexp(spread)[1]))
     y = np.empty((n, bands), dtype=np.float32)
     q = np.empty(n)
-    step = max(1, _BUDGET_ELEMENTS // bands)
-    for start in range(0, n, step):
-        rows = x[start : start + step] - mean
+    for chunk in _blocks(n, bands):
+        rows = x[chunk] - mean
         rows *= scale
-        y[start : start + step] = rows
-        exact = y[start : start + step].astype(np.float64)
-        q[start : start + step] = np.einsum("ij,ij->i", exact, exact)
+        y[chunk] = rows
+        exact = y[chunk].astype(np.float64)
+        q[chunk] = np.einsum("ij,ij->i", exact, exact)
     return y, q
 
 
 def _squared_distances(x: np.ndarray, first: int, cols: np.ndarray) -> np.ndarray:
     """``sum((x[first + i] - x[cols[i, j]]) ** 2)`` for every entry of
-    ``cols`` in float64, for rows in slices of at most ``_BUDGET_ELEMENTS``
-    gathered values (one row where that is more).  Each pair's squares are
-    summed by one ``einsum`` over its differences, whose order depends only
-    on the band count, not on the slice or its alignment."""
+    ``cols`` in float64, for rows in slices of at most
+    ``core._BLOCK_ELEMENTS`` gathered values (one row where that is more).
+    Each pair's squares are summed by one ``einsum`` over its differences,
+    whose order depends only on the band count, not on the slice or its
+    alignment."""
     rows, width = cols.shape
     out = np.empty((rows, width))
-    step = max(1, _BUDGET_ELEMENTS // (width * x.shape[1]))
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        diff = x.take(cols[start:stop], axis=0)
-        diff -= x[first + start : first + stop, None]
-        out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
+    for chunk in _blocks(rows, width * x.shape[1]):
+        diff = x.take(cols[chunk], axis=0)
+        diff -= x[first + chunk.start : first + chunk.stop, None]
+        out[chunk] = np.einsum("ijk,ijk->ij", diff, diff)
     return out
 
 

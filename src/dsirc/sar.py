@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PixelCloud, first_pc
+from .core import PixelCloud, _blocks, first_pc
 
 __all__ = [
     "DIRECTION_STEPS",
@@ -62,26 +62,6 @@ class IciConfig:
 
 
 # ---------------------------------------------------------------------------
-# Working blocks
-
-# Elements one working block of SaR may hold: pair-by-row entries of the
-# span pass, pixel-by-row entries of a count pass, member entries of a
-# group's member lists, centre-by-member-by-band values of a region gather,
-# or the values of a chunk of spectra.  65,536 float64 values are 512 KiB,
-# so a block's temporaries stay in cache and none grows with the scene.
-# Every pass over a block is row-local, so no result depends on the block
-# size.
-_BLOCK_ELEMENTS = 65_536
-
-
-def _blocks(items: np.ndarray, per_item: int) -> list[np.ndarray]:
-    """``items`` split along the first axis into consecutive blocks of
-    ``_BLOCK_ELEMENTS // per_item`` items, and at least one."""
-    size = max(1, _BLOCK_ELEMENTS // per_item)
-    return [items[i : i + size] for i in range(0, max(len(items), 1), size)]
-
-
-# ---------------------------------------------------------------------------
 # Region geometry
 
 
@@ -108,7 +88,7 @@ def _row_spans(tuples: np.ndarray) -> np.ndarray:
     steps = np.array(DIRECTION_STEPS, dtype=dtype)
     a, b = np.triu_indices(len(DIRECTION_STEPS))
     spans = np.empty((len(tuples), offsets.size, 2), dtype=dtype)
-    for block in _blocks(np.arange(len(tuples)), a.size * offsets.size):
+    for block in _blocks(len(tuples), a.size * offsets.size):
         rows = reach[block][:, :, None] * steps[:, 0, None]
         cols = reach[block][:, :, None] * steps[:, 1, None]
         ra, rb, ca, cb = rows[:, a], rows[:, b], cols[:, a], cols[:, b]
@@ -168,7 +148,7 @@ def _centred_rows(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     that role.
     """
     centred = spectra - spectra.mean(axis=1, keepdims=True)
-    squares = [(c * c).sum(axis=1) for c in _blocks(centred, centred.shape[1])]
+    squares = [(centred[s] * centred[s]).sum(axis=1) for s in _blocks(*centred.shape)]
     member_norm = np.sqrt(np.concatenate(squares))
     centre_norm = np.sqrt(np.matmul(centred[:, None, :], centred[:, :, None]).ravel())
     return centred, member_norm, centre_norm
@@ -308,9 +288,11 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     Working memory beyond the output, the centred spectra, a few values
     per pixel and one column interval per region row of each distinct
     length tuple is bounded: row spans, member counts and member lists are
-    formed in blocks of at most ``_BLOCK_ELEMENTS`` entries (or one
-    region's), each region gather holds at most ``_BLOCK_ELEMENTS`` values
+    formed in blocks of at most ``core._BLOCK_ELEMENTS`` (65,536) entries
+    (or one region's), each region gather holds at most that many values
     (or one centre's), and squares are summed in chunks of that size.
+    Every pass over a block is row-local, so no result depends on where
+    the blocks are cut.
 
     A cloud whose spectra are all identical is returned unchanged: there is
     no principal axis to adapt to, and any neighborhood average of equal
@@ -325,10 +307,11 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
         return PixelCloud(cloud.spectra.copy(), cloud.coords.copy())
     tuples, inverse = _length_tuples(first_pc(cloud).reshape(shape), config)
     spans = _row_spans(tuples)
+    pixels = np.arange(cloud.n)
     counts = np.concatenate(
         [
-            _clipped_spans(p, spans[inverse[p]], shape)[1].sum(axis=1)
-            for p in _blocks(np.arange(cloud.n), spans.shape[1])
+            _clipped_spans(pixels[s], spans[inverse[s]], shape)[1].sum(axis=1)
+            for s in _blocks(cloud.n, spans.shape[1])
         ]
     )
     row_stats = _centred_rows(cloud.spectra)
@@ -336,9 +319,9 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     order = np.argsort(counts, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
         m = int(counts[group[0]])
-        for block in _blocks(group, m):
+        for s in _blocks(group.size, m):
+            block = group[s]
             members = _span_members(*_clipped_spans(block, spans[inverse[block]], shape))
-            gathers = m * cloud.bands
-            for centers, lists in zip(_blocks(block, gathers), _blocks(members, gathers)):
-                out[centers] = _reconstruct(cloud.spectra, row_stats, lists, centers)
+            for g in _blocks(block.size, m * cloud.bands):
+                out[block[g]] = _reconstruct(cloud.spectra, row_stats, members[g], block[g])
     return PixelCloud(out, cloud.coords.copy())

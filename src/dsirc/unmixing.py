@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateCovarianceError, PixelCloud
+from .core import DegenerateCovarianceError, PixelCloud, _blocks
 
 __all__ = [
     "RankDeficientDataError",
@@ -319,10 +319,9 @@ def abundances(endmembers: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     rhs = spectra @ e.T
     tol = 10.0 * np.finfo(np.float64).eps * p * float(np.linalg.norm(gram, 1))
     out = np.zeros(rhs.shape)
-    size = max(1, _BLOCK_ELEMENTS // (p * p))
     unfinished = sum(
-        _lawson_hanson(gram, rhs[i : i + size], out[i : i + size], tol, 3 * p)
-        for i in range(0, rhs.shape[0], size)
+        _lawson_hanson(gram, rhs[rows], out[rows], tol, 3 * p)
+        for rows in _blocks(len(rhs), p * p, _BLOCK_ELEMENTS)
     )
     if unfinished:
         warnings.warn(

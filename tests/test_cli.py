@@ -8,7 +8,7 @@ import pytest
 
 from dsirc import clustering, diffusion, unmixing
 from dsirc.cli import main
-from dsirc.core import LabelMap, load_envi, read_labels_csv, write_labels_csv
+from dsirc.core import ImageCube, LabelMap, load_envi, read_labels_csv, write_envi, write_labels_csv
 
 
 def make_scene(tmp_path, name="scene", **over):
@@ -181,6 +181,22 @@ def test_cluster_mode_pipeline_disconnected_graph_exits_one(tmp_path, capsys, al
     assert main([*argv, "--k", "3", "--kn", "3"]) == 1
     assert capsys.readouterr().err.startswith("dsirc: clustering failed: KNN graph has ")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("algorithm", ["dsirc", "dvic"])
+def test_cluster_zero_automatic_bandwidth_exits_one_and_names_its_cause(tmp_path, capsys, algorithm):
+    # The top 10 of 16 rows zero-filled, as a no-data block.
+    scene = make_scene(tmp_path)
+    data = load_envi(str(scene / "cube.hdr"), str(scene / "cube.raw")).data.copy()
+    data[:, :10, :] = 0.0
+    cube = [str(tmp_path / "nodata.hdr"), str(tmp_path / "nodata.raw")]
+    write_envi(ImageCube(data), *cube)
+    argv = ["cluster", *cube, "--out", str(tmp_path / "run"), "--algorithm", algorithm]
+    assert main([*argv, "--k", "3", "--kn", "100"]) == 1
+    assert capsys.readouterr().err == (
+        "dsirc: clustering failed: the automatic sigma0 is 0 at k_n = 100: at least half "
+        "the pixels have 100 or more exact duplicate spectra; pass sigma0 or a larger k_n\n"
+    )
 
 
 def test_cluster_usage_errors(tmp_path):

@@ -22,7 +22,6 @@ from dsirc.clustering import (
     Clustering,
     DensityField,
     ZetaField,
-    _GATHER_ELEMENTS,
     _TREE_K,
     _lloyd,
     auto_sigma0,
@@ -37,7 +36,7 @@ from dsirc.clustering import (
     spectral_clustering,
     zeta,
 )
-from dsirc.core import ImageCube, PixelCloud, cube_to_cloud
+from dsirc.core import _BLOCK_ELEMENTS, ImageCube, PixelCloud, cube_to_cloud
 from dsirc.diffusion import (
     DiffusionSystem,
     DisconnectedGraphError,
@@ -471,7 +470,7 @@ def test_screened_scan_gathers_in_slices_on_collapsed_embedding():
     want_dt, want_parents = push_scan(constant, z, 1e9)
     np.testing.assert_array_equal(dt, want_dt)
     np.testing.assert_array_equal(parents, want_parents)
-    bound = 3 * n * dims * 8 + 64 * n * _TREE_K + 3 * 8 * _GATHER_ELEMENTS
+    bound = 3 * n * dims * 8 + 64 * n * _TREE_K + 3 * 8 * _BLOCK_ELEMENTS
     assert bound < n * _TREE_K * dims * 8
     assert peak <= bound
 
@@ -710,6 +709,23 @@ def test_pipeline_validation():
         dvic(cloud, ClusterConfig(n_clusters=25, k_n=5))
     with pytest.raises(ValueError):
         dvic(cloud, ClusterConfig(n_clusters=2, k_n=24))
+
+
+@pytest.mark.parametrize("taus", [None, [2.0]])
+def test_zero_automatic_bandwidth_names_its_cause(taus):
+    # A zero-filled no-data block over 160 of 256 pixels: more than half the
+    # pixels have k_n exact duplicates, so the median k_n-th distance is 0.
+    cloud = cube_to_cloud(synth_hsi(SynthConfig(height=16, width=16, bands=12, seed=0)).cube)
+    spectra = cloud.spectra.copy()
+    spectra[: 10 * 16] = 0.0
+    cloud = PixelCloud(spectra, cloud.coords)
+    cause = (
+        "the automatic sigma0 is 0 at k_n = 100: at least half the pixels have 100 "
+        "or more exact duplicate spectra; pass sigma0 or a larger k_n"
+    )
+    with pytest.raises(ValueError) as raised:
+        mode_grid(cloud, ClusterConfig(n_clusters=4, k_n=100, seed=0), [100], [30.0], taus)
+    assert str(raised.value) == cause
 
 
 def test_cluster_config_validation():

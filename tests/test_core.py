@@ -1,10 +1,13 @@
 """Container invariants, ENVI round trips, first-PC projection, label I/O."""
 
+import importlib
 import re
 
 import numpy as np
 import pytest
 
+from dsirc import core
+from dsirc.clustering import ZetaField, dt_values
 from dsirc.core import (
     LABEL_PALETTE,
     EnviFormatError,
@@ -21,6 +24,9 @@ from dsirc.core import (
     write_label_ppm,
     write_labels_csv,
 )
+from dsirc.diffusion import diffusion_system, knn_graph, knn_indices
+from dsirc.sar import sar
+from dsirc.synth import SynthConfig, synth_hsi
 
 
 def random_cube(rng, bands=5, height=4, width=6):
@@ -424,3 +430,84 @@ def test_ppm_requires_matching_pixel_count():
     labels = LabelMap(np.array([1, 2, 3]))
     with pytest.raises(ValueError):
         write_label_ppm("/tmp/nope.ppm", labels, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# bounded passes
+
+
+@pytest.mark.parametrize(
+    "count, per_item, budget",
+    [(0, 3, 10), (1, 1, 1), (10, 3, 10), (9, 3, 9), (10, 11, 10), (3, 11, 10), (100, 7, 65)],
+)
+def test_blocks_cover_the_range_once_in_order(count, per_item, budget):
+    slices = core._blocks(count, per_item, budget)
+    size = max(1, budget // per_item)
+    assert [i for s in slices for i in range(count)[s]] == list(range(count))
+    assert len(slices) == max(1, -(-count // size))
+    if count:
+        assert all(0 < s.stop - s.start <= size for s in slices)
+
+
+def test_blocks_of_nothing_and_of_items_over_budget():
+    # No items still make one (empty) slice, and an item larger than the
+    # whole budget gets a slice of its own.
+    assert core._blocks(0, 5) == [slice(0, 0)]
+    assert core._blocks(0, 5, 3) == [slice(0, 0)]
+    assert core._blocks(3, 11, 10) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert core._blocks(1, 11, 10) == [slice(0, 1)]
+
+
+def test_blocks_read_the_default_budget_at_each_call(monkeypatch):
+    assert core._blocks(5, 1) == [slice(0, 5)]
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 10)
+    assert core._blocks(25, 3) == [slice(i, min(i + 3, 25)) for i in range(0, 25, 3)]
+    assert core._blocks(25, 3, 30) == [slice(0, 10), slice(10, 20), slice(20, 25)]
+
+
+def record_default_cuts(monkeypatch, module_name):
+    """Log the slice lengths of each default-budget ``_blocks`` call of
+    ``module_name`` as ``(per_item, lengths)``."""
+    module = importlib.import_module(module_name)
+    cuts = []
+
+    def recording(count, per_item, budget=None):
+        slices = core._blocks(count, per_item, budget)
+        if budget is None:
+            cuts.append((per_item, [s.stop - s.start for s in slices]))
+        return slices
+
+    monkeypatch.setattr(module, "_blocks", recording)
+    return cuts
+
+
+def bounded_pass(module_name):
+    """A call whose passes ``module_name`` cuts with ``_blocks``; returns
+    its output arrays."""
+    if module_name == "dsirc.sar":
+        cloud = cube_to_cloud(synth_hsi(SynthConfig(height=12, width=12, bands=8, seed=0)).cube)
+        return lambda: (sar(cloud).spectra,)
+    x = np.random.default_rng(30).uniform(size=(300, 5))
+    if module_name == "dsirc.diffusion":
+        return lambda: knn_indices(x, 10)
+    system = diffusion_system(knn_graph(knn_indices(x, 10)[0]), 20)
+    z = np.random.default_rng(31).uniform(0.05, 1.0, size=300)
+    return lambda: dt_values(system, ZetaField(z), 1.0)
+
+
+@pytest.mark.parametrize("module_name", ["dsirc.diffusion", "dsirc.clustering", "dsirc.sar"])
+def test_block_budget_reaches_every_default_caller(monkeypatch, module_name):
+    # The KNN search, the scan's gather and SaR read core._BLOCK_ELEMENTS:
+    # shrinking it cuts each of their passes finer, to at most
+    # max(1, budget // per_item) items, and leaves every output as it was.
+    run = bounded_pass(module_name)
+    cuts = record_default_cuts(monkeypatch, module_name)
+    want = run()
+    default_slices = sum(len(lengths) for _, lengths in cuts)
+    cuts.clear()
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 64)
+    got = run()
+    assert cuts and sum(len(lengths) for _, lengths in cuts) > default_slices
+    assert all(max(lengths) <= max(1, 64 // per_item) for per_item, lengths in cuts)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)

@@ -93,9 +93,8 @@ def assert_csr_equal(got, want):
 def use_small_blocks(monkeypatch, n, block_rows, chunk_rows):
     # The search's Gram blocks and screened row chunks shrink to the given
     # row counts, and its element budget with them.
-    diffusion = importlib.import_module("dsirc.diffusion")
-    monkeypatch.setattr(diffusion, "_BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(diffusion, "_BUDGET_ELEMENTS", chunk_rows * n)
+    monkeypatch.setattr(importlib.import_module("dsirc.diffusion"), "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(importlib.import_module("dsirc.core"), "_BLOCK_ELEMENTS", chunk_rows * n)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +178,7 @@ def test_knn_partial_sort_equals_argsort_across_blocks():
     diffusion = importlib.import_module("dsirc.diffusion")
     x = np.round(np.random.default_rng(22).uniform(size=(2100, 3)), 2)
     assert diffusion._BLOCK_ROWS < x.shape[0]
-    assert diffusion._BUDGET_ELEMENTS // x.shape[0] < diffusion._BLOCK_ROWS
+    assert importlib.import_module("dsirc.core")._BLOCK_ELEMENTS // x.shape[0] < diffusion._BLOCK_ROWS
     assert_knn_equals_argsort(x, (1, 10, 40))
     assert_knn_prefix(x, (1, 10, 40), 100)
 
@@ -204,7 +203,7 @@ def test_knn_small_chunks_equal_argsort_on_inexact_data(monkeypatch):
     # gathers, so they leave every value unchanged on any data.
     rng = np.random.default_rng(21)
     x = rng.uniform(size=(60, 5))[rng.integers(0, 60, size=240)]
-    monkeypatch.setattr(importlib.import_module("dsirc.diffusion"), "_BUDGET_ELEMENTS", 7 * 240)
+    monkeypatch.setattr(importlib.import_module("dsirc.core"), "_BLOCK_ELEMENTS", 7 * 240)
     assert_knn_equals_argsort(x, (1, 3, 8, 239))
 
 
@@ -242,7 +241,7 @@ def test_knn_search_holds_at_most_two_block_buffers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    budget = diffusion._BUDGET_ELEMENTS
+    budget = importlib.import_module("dsirc.core")._BLOCK_ELEMENTS
     gram = diffusion._BLOCK_ROWS * n * 4
     bound = gram + n * bands * 4 + 16 * n + 4 * budget + 6 * 8 * budget
     assert bound < 14_400_000
@@ -263,7 +262,7 @@ def test_knn_distances_equal_across_blocks_and_budgets(monkeypatch, n):
         want_idx, want_dist = argsort_knn(x, 40)
         for block_rows, budget in [(256, 65_536), (7, 3 * n + 5), (1, n - 1), (64, 1200)]:
             monkeypatch.setattr(diffusion, "_BLOCK_ROWS", block_rows)
-            monkeypatch.setattr(diffusion, "_BUDGET_ELEMENTS", budget)
+            monkeypatch.setattr(importlib.import_module("dsirc.core"), "_BLOCK_ELEMENTS", budget)
             for k in (1, 40):
                 idx, dist = knn_indices(x, k)
                 np.testing.assert_array_equal(idx, want_idx[:, :k])

@@ -584,7 +584,7 @@ def test_sar_split_gathers_equal_one_gather(monkeypatch):
     # per chunk of squares; 300 and 3000 split the passes, the groups and
     # the chunks at other places.
     for budget in (1, 300, 3000):
-        monkeypatch.setattr(importlib.import_module("dsirc.sar"), "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(importlib.import_module("dsirc.core"), "_BLOCK_ELEMENTS", budget)
         np.testing.assert_array_equal(sar(cloud).spectra, whole.spectra)
 
 
