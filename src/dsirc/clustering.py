@@ -601,6 +601,8 @@ def spectral_clustering(
     """
     if not 1 <= n_clusters <= cloud.n:
         raise ValueError(f"n_clusters must be in [1, {cloud.n}]")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     rng = np.random.default_rng(rng)
     system = diffusion_system(knn_graph(knn_indices(cloud.spectra, k_n)[0]), n_clusters)
     coords = np.ascontiguousarray(system.eigenvectors[:, :n_clusters])

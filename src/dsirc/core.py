@@ -311,20 +311,27 @@ def first_pc(cloud: PixelCloud) -> np.ndarray:
     """
     if cloud.n < 2:
         raise ValueError("need at least two pixels to fit a principal axis")
-    x = cloud.spectra
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = (centered.T @ centered) / (cloud.n - 1)
-    diag = np.diag(cov)
-    if float(diag.max()) <= 0.0:
+    centered, eigvals, eigvecs = _principal_axes(cloud.spectra)
+    if float(eigvals[0]) <= 0.0:
         raise DegenerateCovarianceError(
             "spectra have zero variance in every band (all pixels identical)"
         )
-    v = np.linalg.eigh(cov)[1][:, -1]
+    v = eigvecs[:, 0]
     peak = int(np.argmax(np.abs(v)))
     if v[peak] < 0:
         v = -v
     return centered @ v
+
+
+def _principal_axes(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The centred ``(n, bands)`` spectra, then the eigenvalues and
+    eigenvector columns of their sample covariance (over ``n - 1``), largest
+    first: the one principal-axis fit behind SaR's PC field
+    (:func:`first_pc`) and AVMAX's projection
+    (``unmixing.project_affine_pca``)."""
+    centered = spectra - spectra.mean(axis=0)
+    eigvals, eigvecs = np.linalg.eigh((centered.T @ centered) / (len(spectra) - 1))
+    return centered, eigvals[::-1], eigvecs[:, ::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateCovarianceError, PixelCloud, _blocks
+from .core import DegenerateCovarianceError, PixelCloud, _blocks, _principal_axes
 
 __all__ = [
     "RankDeficientDataError",
@@ -84,9 +84,10 @@ def hysime(cloud: PixelCloud) -> int:
     Per-band noise is estimated by ridge-regularized regression of each band
     on all others, with one ridge shared by every band (see
     :func:`_noise_moment`); signal and noise second-moment matrices
-    (uncentered, ``X.T @ X / n``) then rank the eigenvectors of the signal
-    moment, and a direction is kept while its signal energy exceeds twice
-    its noise energy.  The count is clamped to ``[1, bands - 1]``.
+    (uncentered, ``X.T @ X / n``) are read along each eigenvector of the
+    signal moment, and the count is of the eigenvectors whose signal energy
+    exceeds twice their noise energy, in whatever order ``eigh`` returns
+    them.  The count is clamped to ``[1, bands - 1]``.
 
     Raises
     ------
@@ -108,9 +109,7 @@ def hysime(cloud: PixelCloud) -> int:
     noise_moment = _noise_moment(gram, n)
     data_moment = gram / n
     signal_moment = data_moment - noise_moment
-    eigvals, eigvecs = np.linalg.eigh(signal_moment)
-    order = np.argsort(eigvals)[::-1]
-    eigvecs = eigvecs[:, order]
+    eigvecs = np.linalg.eigh(signal_moment)[1]
     signal_energy = np.einsum("bi,bc,ci->i", eigvecs, data_moment, eigvecs)
     noise_energy = np.einsum("bi,bc,ci->i", eigvecs, noise_moment, eigvecs)
     # On noise-free input the residuals span the same low-dimensional space
@@ -155,11 +154,7 @@ def project_affine_pca(spectra: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError(f"dim must be in 1..{bands}")
     if n < 2:
         raise ValueError("need at least two spectra to project")
-    centered = x - x.mean(axis=0)
-    cov = (centered.T @ centered) / (n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    eigvals = eigvals[::-1]
-    eigvecs = eigvecs[:, ::-1]
+    centered, eigvals, eigvecs = _principal_axes(x)
     top = float(eigvals[0])
     if top <= 0.0 or float(eigvals[dim - 1]) <= 1e-12 * top:
         raise RankDeficientDataError(

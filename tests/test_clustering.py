@@ -797,7 +797,7 @@ def test_kmeans_labels_numbered_by_first_appearance():
     assert seen == [1, 2, 3, 4]
 
 
-def test_kmeans_deterministic_and_validated():
+def test_kmeans_deterministic_and_validated(monkeypatch):
     rng = np.random.default_rng(13)
     x = rng.uniform(size=(25, 4))
     a = kmeans(cloud_of(x), 3, rng=5).labels.labels
@@ -807,8 +807,15 @@ def test_kmeans_deterministic_and_validated():
         kmeans(cloud_of(x), 0)
     with pytest.raises(ValueError):
         kmeans(cloud_of(x), 26)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
         kmeans(cloud_of(x), 3, restarts=0)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the KNN search ran before restarts was checked")
+
+    monkeypatch.setattr(clustering, "knn_indices", no_search)
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        spectral_clustering(cloud_of(x), 3, k_n=5, restarts=0)
 
 
 def test_kmeans_survives_duplicate_heavy_data():

@@ -27,6 +27,7 @@ from dsirc.core import (
 from dsirc.diffusion import diffusion_system, knn_graph, knn_indices
 from dsirc.sar import sar
 from dsirc.synth import SynthConfig, synth_hsi
+from dsirc.unmixing import project_affine_pca
 
 
 def random_cube(rng, bands=5, height=4, width=6):
@@ -343,6 +344,21 @@ def test_first_pc_sign_convention():
     b = first_pc(PixelCloud(-spectra, coords))
     # the dominant direction flips with the data, the scores stay aligned
     np.testing.assert_allclose(np.abs(a), np.abs(b), atol=1e-7)
+
+
+def test_first_pc_is_the_first_axis_of_the_affine_projection():
+    # SaR's PC field and AVMAX's projection come from one principal-axis
+    # fit, so the scores are the projection's first column bit for bit, with
+    # the sign that makes the axis's entry of largest magnitude positive.
+    rng = np.random.default_rng(8)
+    cubes = [synth_hsi(SynthConfig(height=side, width=side, bands=30, seed=0)).cube for side in (40, 64)]
+    cubes += [random_cube(rng, b, h, w) for b, h, w in ((2, 3, 4), (12, 9, 7), (50, 6, 11))]
+    for cloud in map(cube_to_cloud, cubes):
+        scores = first_pc(cloud)
+        column = project_affine_pca(cloud.spectra, 1)[:, 0]
+        axis = core._principal_axes(cloud.spectra)[2][:, 0]
+        sign = 1.0 if axis[np.argmax(np.abs(axis))] > 0 else -1.0
+        np.testing.assert_array_equal(scores, sign * column)
 
 
 # ---------------------------------------------------------------------------
