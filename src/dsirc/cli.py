@@ -231,9 +231,14 @@ def _run_grid(
 
 
 def _write_params(path: str, opts: dict[str, object]) -> None:
+    """Write ``opts`` as a --config file: ``None`` as ``auto`` and ray
+    lengths comma-joined, the forms their parsers read."""
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(opts):
-            fh.write(f"{key} = {opts[key]}\n")
+            value = opts[key]
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            fh.write(f"{key} = {'auto' if value is None else value}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,19 @@ class LabelMap:
 # ENVI I/O
 
 
+# The order of an ENVI file's axes for each interleave, as positions of the
+# cube's (bands, lines, samples) axes, outermost first.
+_INTERLEAVE_AXES = {"bsq": (0, 1, 2), "bil": (1, 0, 2), "bip": (1, 2, 0)}
+
+
+def _interleave_axes(interleave: str, error: type[ValueError]) -> tuple[int, int, int]:
+    """The file axis order of the lower-case ``interleave``; raises
+    ``error`` for an interleave not in :data:`_INTERLEAVE_AXES`."""
+    if interleave not in _INTERLEAVE_AXES:
+        raise error(f"unsupported interleave {interleave!r}")
+    return _INTERLEAVE_AXES[interleave]
+
+
 def _parse_envi_header(path: str) -> dict[str, str]:
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
@@ -218,9 +231,7 @@ def load_envi(header_path: str, data_path: str) -> ImageCube:
     bands = _header_int(fields, "bands")
     if min(width, height, bands) < 1:
         raise EnviFormatError("samples, lines and bands must all be positive")
-    interleave = fields["interleave"].lower()
-    if interleave not in ("bsq", "bil", "bip"):
-        raise EnviFormatError(f"unsupported interleave {interleave!r}")
+    axes = _interleave_axes(fields["interleave"].lower(), EnviFormatError)
     data_type = _header_int(fields, "data type", "4")
     if data_type != 4:
         raise EnviFormatError(f"unsupported data type {data_type}; only 4 (float32)")
@@ -241,12 +252,7 @@ def load_envi(header_path: str, data_path: str) -> ImageCube:
             f"({height}x{width}x{bands} float32{after})"
         )
     raw = np.fromfile(data_path, dtype="<f4", offset=offset)
-    if interleave == "bsq":
-        arr = raw.reshape(bands, height, width)
-    elif interleave == "bil":
-        arr = raw.reshape(height, bands, width).transpose(1, 0, 2)
-    else:  # bip
-        arr = raw.reshape(height, width, bands).transpose(2, 0, 1)
+    arr = raw.reshape([(bands, height, width)[axis] for axis in axes]).transpose(np.argsort(axes))
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise EnviFormatError("data file contains non-finite values")
@@ -258,14 +264,7 @@ def write_envi(
 ) -> None:
     """Write a cube as an ENVI float32 little-endian header/data pair."""
     interleave = interleave.lower()
-    if interleave not in ("bsq", "bil", "bip"):
-        raise ValueError(f"unsupported interleave {interleave!r}")
-    if interleave == "bsq":
-        arr = cube.data
-    elif interleave == "bil":
-        arr = cube.data.transpose(1, 0, 2)
-    else:  # bip
-        arr = cube.data.transpose(1, 2, 0)
+    arr = cube.data.transpose(_interleave_axes(interleave, ValueError))
     header = (
         "ENVI\n"
         f"samples = {cube.width}\n"

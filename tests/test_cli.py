@@ -342,7 +342,7 @@ algorithm = dvic
 eigenpairs = 20
 k = 3
 kn = 50
-lsar = (1, 2, 4)
+lsar = 1,2,4
 normalize = l2
 p = 3
 restarts = 4
@@ -353,15 +353,15 @@ tau = 1.5
 """
 DEFAULT_PARAMS = """\
 algorithm = dsirc
-eigenpairs = None
+eigenpairs = auto
 k = 3
 kn = 100
-lsar = (1, 2, 3, 5, 7, 9)
+lsar = 1,2,3,5,7,9
 normalize = none
-p = None
+p = auto
 restarts = 10
 seed = 0
-sigma0 = None
+sigma0 = auto
 t = 30.0
 tau = 2.0
 """
@@ -396,6 +396,17 @@ def test_each_key_is_a_flag_and_a_config_key(tmp_path, in_config):
     config = {key: ALL_OPTIONS[key] for key in in_config}
     assert cluster_with(tmp_path, scene, flags, config, out) == 0
     assert (out / "params.txt").read_text() == ALL_OPTIONS_PARAMS
+
+
+@pytest.mark.parametrize("flags", [{"k": "3"}, ALL_OPTIONS])
+def test_params_txt_reads_back_as_a_config_file(tmp_path, flags):
+    scene = make_scene(tmp_path)
+    run, rerun = tmp_path / "run", tmp_path / "rerun"
+    assert cluster_with(tmp_path, scene, flags, {}, run) == 0
+    cube = [str(scene / "cube.hdr"), str(scene / "cube.raw")]
+    assert main(["cluster", *cube, "--config", str(run / "params.txt"), "--out", str(rerun)]) == 0
+    assert (rerun / "params.txt").read_text() == (run / "params.txt").read_text()
+    assert (rerun / "labels.csv").read_bytes() == (run / "labels.csv").read_bytes()
 
 
 @pytest.mark.parametrize("form", ["flag", "config"])
@@ -453,6 +464,19 @@ def test_ground_truth_on_another_grid_is_input_error(tmp_path, capsys, command):
         argv = [command, *cube, "--gt", str(gt), "--out", str(out), "--k", "3"]
     assert main(argv) == 2
     assert "input failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cube_with_a_non_finite_value_is_input_error(tmp_path, capsys):
+    scene = make_scene(tmp_path)
+    raw = scene / "cube.raw"
+    payload = np.fromfile(raw, dtype="<f4")
+    payload[5] = np.nan
+    payload.tofile(raw)
+    out = tmp_path / "out"
+    assert main(["cluster", str(scene / "cube.hdr"), str(raw), "--out", str(out), "--k", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "dsirc: input failed: data file contains non-finite values\n"
     assert not out.exists()
 
 

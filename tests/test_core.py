@@ -223,6 +223,60 @@ def test_load_envi_interleave_layouts_agree(tmp_path):
     np.testing.assert_array_equal(loaded["bsq"], loaded["bip"])
 
 
+def hand_interleaved(data, interleave):
+    """The float32 payload of the ``(bands, lines, samples)`` cube ``data``
+    in ``interleave``, built element by element without the package."""
+    bands, lines, samples = data.shape
+    if interleave == "bsq":  # each band holds its lines in turn
+        order = [(b, r, c) for b in range(bands) for r in range(lines) for c in range(samples)]
+    elif interleave == "bil":  # each line holds its bands in turn
+        order = [(b, r, c) for r in range(lines) for b in range(bands) for c in range(samples)]
+    else:  # bip: each line holds its pixels in turn, each pixel's bands together
+        order = [(b, r, c) for r in range(lines) for c in range(samples) for b in range(bands)]
+    return np.array([data[i] for i in order], dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+def test_envi_layouts_match_hand_built_payloads(tmp_path, interleave):
+    # Distinct float32-exact values, so any misplaced element shows.
+    data = np.arange(3 * 4 * 5, dtype=np.float64).reshape(3, 4, 5) * 0.5 - 7.0
+    payload = hand_interleaved(data, interleave)
+    hdr, raw = tmp_path / "hand.hdr", tmp_path / "hand.raw"
+    write_header(
+        hdr,
+        f"ENVI\nsamples = 5\nlines = 4\nbands = 3\ninterleave = {interleave}\n"
+        "data type = 4\nbyte order = 0\n",
+    )
+    raw.write_bytes(payload)
+    np.testing.assert_array_equal(load_envi(str(hdr), str(raw)).data, data)
+    write_envi(ImageCube(data), str(tmp_path / "w.hdr"), str(tmp_path / "w.raw"), interleave)
+    assert (tmp_path / "w.raw").read_bytes() == payload
+
+
+def test_unknown_interleave_is_rejected_by_reader_and_writer(tmp_path):
+    hdr, raw = tmp_path / "u.hdr", tmp_path / "u.raw"
+    write_header(hdr, "ENVI\nsamples = 2\nlines = 2\nbands = 1\ninterleave = BSX\n")
+    raw.write_bytes(b"\0" * 16)
+    with pytest.raises(EnviFormatError, match="^unsupported interleave 'bsx'$"):
+        load_envi(str(hdr), str(raw))
+    cube = random_cube(np.random.default_rng(6), bands=1, height=2, width=2)
+    with pytest.raises(ValueError, match="^unsupported interleave 'bsx'$") as exc:
+        write_envi(cube, str(tmp_path / "w.hdr"), str(tmp_path / "w.raw"), interleave="BSX")
+    assert type(exc.value) is ValueError
+    assert not (tmp_path / "w.hdr").exists() and not (tmp_path / "w.raw").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_envi_rejects_a_non_finite_payload(tmp_path, bad):
+    hdr, raw = tmp_path / "n.hdr", tmp_path / "n.raw"
+    write_header(hdr, "ENVI\nsamples = 3\nlines = 2\nbands = 2\ninterleave = bip\n")
+    payload = np.ones(12, dtype="<f4")
+    payload[7] = bad
+    raw.write_bytes(payload.tobytes())
+    with pytest.raises(EnviFormatError, match="^data file contains non-finite values$"):
+        load_envi(str(hdr), str(raw))
+
+
 @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
 def test_load_envi_skips_the_header_offset(tmp_path, interleave):
     cube = random_cube(np.random.default_rng(5), bands=3, height=4, width=6)

@@ -1,10 +1,13 @@
-"""The package's export lists name only things that exist, and importing
-the package does not load ``scipy.optimize``."""
+"""The package's export lists name only things that exist, importing the
+package does not load ``scipy.optimize``, and README states the
+dependency floors that ``pyproject.toml`` declares."""
 
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,15 @@ def test_import_does_not_load_scipy_optimize(module):
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_readme_states_the_floors_pyproject_declares():
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {"Python": project["requires-python"].removeprefix(">=")}
+    for requirement in project["dependencies"]:
+        name, _, floor = requirement.partition(">=")
+        declared[name] = floor
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    stated = set(re.findall(r"\b(Python|numpy|scipy) >= ([0-9.]*[0-9])", readme))
+    assert stated == set(declared.items())
