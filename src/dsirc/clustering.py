@@ -31,8 +31,6 @@ from .sar import IciConfig, sar
 from .unmixing import purity, unmix
 
 __all__ = [
-    "DensityField",
-    "ZetaField",
     "Clustering",
     "ClusterConfig",
     "auto_sigma0",
@@ -50,42 +48,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DensityField:
-    """KDE density per pixel, raw (``f``) and max-normalized (``f_hat``)."""
-
-    f: np.ndarray
-    f_hat: np.ndarray
-
-    def __post_init__(self) -> None:
-        f = np.ascontiguousarray(np.asarray(self.f, dtype=np.float64))
-        f_hat = np.ascontiguousarray(np.asarray(self.f_hat, dtype=np.float64))
-        if f.ndim != 1 or f.shape != f_hat.shape:
-            raise ValueError("f and f_hat must be 1-D and equal length")
-        if f.size and f.min() <= 0:
-            raise ValueError("density must be positive")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "f_hat", f_hat)
-
-
-@dataclass(frozen=True)
-class ZetaField:
-    """Combined density-purity rank value per pixel, in (0, 1]."""
-
-    zeta: np.ndarray
-
-    def __post_init__(self) -> None:
-        z = np.ascontiguousarray(np.asarray(self.zeta, dtype=np.float64))
-        if z.ndim != 1:
-            raise ValueError("zeta must be 1-D")
-        if z.size and (z.min() <= 0 or z.max() > 1 + 1e-12):
-            raise ValueError("zeta must lie in (0, 1]")
-        object.__setattr__(self, "zeta", z)
-
-
-@dataclass(frozen=True)
 class Clustering:
-    """Cluster labels (1..K), plus mode indices and their selection scores
-    when produced by the mode-based pipeline (``None`` for baselines)."""
+    """Cluster labels (1..K), plus the mode indices and every pixel's
+    selection score ``zeta * d_t`` when built by :func:`mode_grid`
+    (``None`` for baselines)."""
 
     labels: LabelMap
     modes: np.ndarray | None = None
@@ -151,16 +117,17 @@ def auto_sigma0(distances: np.ndarray) -> float:
     return sigma0
 
 
-def kde_density(distances: np.ndarray, sigma0: float) -> DensityField:
-    """Gaussian KDE over each pixel's ``k_n`` nearest neighbors.
+def kde_density(distances: np.ndarray, sigma0: float) -> np.ndarray:
+    """Max-normalized Gaussian KDE over each pixel's ``k_n`` nearest neighbors.
 
     ``f(x) = sum_y exp(-||x - y||^2 / sigma0^2)`` with ``y`` ranging over
     the neighbors (self excluded), whose distances are the rows of the
-    ``(n, k_n)`` array ``distances`` from :func:`knn_indices`; ``f_hat``
-    normalizes by the maximum.  A pixel far from all its neighbors (a
-    saturated outlier, say) can have every term underflow to 0; its ``f`` is
-    floored at the smallest normal float, with a ``RuntimeWarning`` that
-    counts such pixels, so it ranks last instead of failing the run.
+    ``(n, k_n)`` array ``distances`` from :func:`knn_indices`; the result is
+    ``f / f.max()``, which lies in ``(0, 1]`` with a maximum of exactly 1.
+    A pixel far from all its neighbors (a saturated outlier, say) can have
+    every term underflow to 0; its ``f`` is floored at the smallest normal
+    float, with a ``RuntimeWarning`` that counts such pixels, so it ranks
+    last instead of failing the run.
     """
     if not sigma0 > 0:
         raise ValueError("sigma0 must be positive")
@@ -174,26 +141,25 @@ def kde_density(distances: np.ndarray, sigma0: float) -> DensityField:
             stacklevel=2,
         )
         f = np.maximum(f, tiny)
-    return DensityField(f, f / f.max())
+    return f / f.max()
 
 
-def zeta(density: DensityField, pur) -> ZetaField:
-    """Harmonic mean of normalized density and normalized purity."""
-    f_hat = density.f_hat
-    eta_hat = np.asarray(pur.eta_hat, dtype=np.float64)
-    if f_hat.shape != eta_hat.shape:
-        raise ValueError("density and purity fields disagree on pixel count")
-    return ZetaField(2.0 * f_hat * eta_hat / (f_hat + eta_hat))
+def zeta(f_hat: np.ndarray, eta_hat: np.ndarray) -> np.ndarray:
+    """Harmonic mean of the normalized density :func:`kde_density` and the
+    normalized purity :func:`~dsirc.unmixing.purity`: the rank value of each
+    pixel, in ``(0, 1]`` as both inputs are."""
+    if np.shape(f_hat) != np.shape(eta_hat):
+        raise ValueError("density and purity disagree on pixel count")
+    return 2.0 * f_hat * eta_hat / (f_hat + eta_hat)
 
 
-def _rank_order(zeta_values: np.ndarray) -> np.ndarray:
+def _rank_order(z: np.ndarray) -> np.ndarray:
     """Pixel indices sorted by decreasing zeta, ties by increasing index.
 
     This total order defines "higher-ranked": a pixel's eligible set for
     both ``d_t`` and label propagation is exactly its predecessors here.
     """
-    n = zeta_values.shape[0]
-    return np.lexsort((np.arange(n), -zeta_values))
+    return np.lexsort((np.arange(z.shape[0]), -z))
 
 
 # Tree neighbours first queried per pixel by :func:`dt_values` (self
@@ -201,10 +167,9 @@ def _rank_order(zeta_values: np.ndarray) -> np.ndarray:
 _TREE_K = 32
 
 
-def dt_values(
-    system: DiffusionSystem, zeta_field: ZetaField, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each pixel's nearest higher-ranked pixel and its diffusion distance.
+def dt_values(system: DiffusionSystem, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each pixel's nearest higher-ranked pixel and its diffusion distance,
+    in the rank order of the :func:`zeta` array ``z``.
 
     Returns ``(dt, parents)``.  ``parents[i]`` is the diffusion-nearest
     predecessor of pixel ``i`` in the rank order (distance ties prefer the
@@ -225,10 +190,9 @@ def dt_values(
     embedding collapsed to a constant, none settles before the query holds
     all ``n`` rows, so that case costs quadratic time.
     """
-    z = zeta_field.zeta
     n = z.shape[0]
     if n != system.n:
-        raise ValueError("zeta field and diffusion system disagree on pixel count")
+        raise ValueError("zeta and diffusion system disagree on pixel count")
     embedding = system.embedding(t)
     order = _rank_order(z)
     rank = np.empty(n, dtype=np.intp)
@@ -301,30 +265,30 @@ def _nearest_predecessors(
         k = min(4 * k, n)
 
 
-def select_modes(zeta_field: ZetaField, dt: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Indices of the ``n_clusters`` pixels maximizing ``zeta * d_t``.
+def select_modes(z: np.ndarray, dt: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Indices of the ``n_clusters`` pixels maximizing ``z * dt``.
 
     Returned in decreasing score order (ties prefer the smaller index), so
     mode ``k`` receives label ``k + 1`` downstream.
     """
-    z = zeta_field.zeta
     dt = np.asarray(dt, dtype=np.float64)
     if dt.shape != z.shape:
         raise ValueError("dt and zeta disagree on pixel count")
     if not 1 <= n_clusters <= z.shape[0]:
         raise ValueError(f"n_clusters must be in [1, {z.shape[0]}]")
-    return _rank_order(z * dt)[:n_clusters]
+    # A copy, so that a stored result does not hold the whole order.
+    return _rank_order(z * dt)[:n_clusters].copy()
 
 
 def propagate_labels(
     system: DiffusionSystem,
-    zeta_field: ZetaField,
+    z: np.ndarray,
     modes: Sequence[int] | np.ndarray,
     t: float,
     parents: np.ndarray,
-    scores: np.ndarray | None = None,
-) -> Clustering:
-    """Spread mode labels down the zeta rank order.
+) -> np.ndarray:
+    """Spread mode labels down the rank order of the :func:`zeta` array
+    ``z``; returns the 1-D label array (1..K).
 
     Mode ``k`` (in the given order) starts with label ``k + 1``.  Every
     other pixel, visited in decreasing-zeta order, copies the label of
@@ -333,7 +297,6 @@ def propagate_labels(
     it is not a mode, it falls back to the diffusion-nearest mode (ties
     prefer the smaller index), the one distance computed here.
     """
-    z = zeta_field.zeta
     n = z.shape[0]
     modes = np.asarray(modes, dtype=np.intp)
     if modes.ndim != 1 or modes.size < 1:
@@ -341,7 +304,7 @@ def propagate_labels(
     if modes.min() < 0 or modes.max() >= n or np.unique(modes).size != modes.size:
         raise ValueError("modes must be distinct pixel indices")
     if n != system.n or np.shape(parents) != (n,):
-        raise ValueError("zeta field, parents and diffusion system disagree on pixel count")
+        raise ValueError("zeta, parents and diffusion system disagree on pixel count")
     labels = np.zeros(n, dtype=np.int64)
     labels[modes] = np.arange(1, modes.size + 1)
     order = _rank_order(z)
@@ -351,7 +314,7 @@ def propagate_labels(
     for pixel in order[1:]:
         if labels[pixel] == 0:
             labels[pixel] = labels[parents[pixel]]
-    return Clustering(LabelMap(labels), modes=modes.copy(), scores=scores)
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +348,8 @@ def mode_grid(
     * each ``tau`` gets one reconstruction and one search of its spectra;
     * the graph and eigensystem run once per ``(k_n, tau)``, and the
       predecessor scan, mode choice and labelling once per ``(seed, t)`` on
-      them.
+      them; each such result is built here as one :class:`Clustering` of
+      the labels, the modes and every pixel's score ``zeta * d_t``.
 
     Each stage's input is released once consumed: the raw distances once
     the zetas are built, a reconstructed cloud once its search returns, a
@@ -425,7 +389,7 @@ def mode_grid(
         prefix = distances[:, :k_n]
         sigma0 = config.sigma0 if config.sigma0 is not None else auto_sigma0(prefix)
         density = kde_density(prefix, sigma0)
-        zetas[k_n] = [(seed, zeta(density, pur)) for seed, pur in zip(seeds, purities)]
+        zetas[k_n] = [(seed, zeta(density, eta_hat)) for seed, eta_hat in zip(seeds, purities)]
     # Inputs are dropped once consumed (see the docstring); ``prefix`` views
     # the distances, and with ``taus`` the raw neighbours are not used.
     del distances, prefix, density
@@ -454,13 +418,12 @@ def mode_grid(
                 continue
             finally:
                 del graph
-            for seed, zeta_field in zetas[k_n]:
+            for seed, z in zetas[k_n]:
                 for t in ts:
-                    dt, parents = dt_values(system, zeta_field, t)
-                    modes = select_modes(zeta_field, dt, config.n_clusters)
-                    results[k_n, t, tau, seed] = propagate_labels(
-                        system, zeta_field, modes, t, parents, scores=zeta_field.zeta * dt
-                    )
+                    dt, parents = dt_values(system, z, t)
+                    modes = select_modes(z, dt, config.n_clusters)
+                    labels = propagate_labels(system, z, modes, t, parents)
+                    results[k_n, t, tau, seed] = Clustering(LabelMap(labels), modes, z * dt)
             del system
     return results
 

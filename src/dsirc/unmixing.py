@@ -21,7 +21,6 @@ from .core import DegenerateCovarianceError, PixelCloud, _blocks, _principal_axe
 __all__ = [
     "RankDeficientDataError",
     "UnmixingModel",
-    "PurityField",
     "hysime",
     "project_affine_pca",
     "avmax",
@@ -58,24 +57,6 @@ class UnmixingModel:
     @property
     def p(self) -> int:
         return self.endmembers.shape[0]
-
-
-@dataclass(frozen=True)
-class PurityField:
-    """Raw purity ``eta`` in (0, 1] and max-normalized ``eta_hat`` per pixel."""
-
-    eta: np.ndarray
-    eta_hat: np.ndarray
-
-    def __post_init__(self) -> None:
-        eta = np.ascontiguousarray(np.asarray(self.eta, dtype=np.float64))
-        eta_hat = np.ascontiguousarray(np.asarray(self.eta_hat, dtype=np.float64))
-        if eta.ndim != 1 or eta.shape != eta_hat.shape:
-            raise ValueError("eta and eta_hat must be 1-D and equal length")
-        if eta.size and (eta.min() <= 0 or eta.max() > 1 + 1e-12):
-            raise ValueError("eta must lie in (0, 1]")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "eta_hat", eta_hat)
 
 
 def hysime(cloud: PixelCloud) -> int:
@@ -402,12 +383,13 @@ def _passive_solve(gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray) -> np
     return z
 
 
-def purity(model: UnmixingModel) -> PurityField:
-    """Largest abundance share per pixel, raw and max-normalized.
+def purity(model: UnmixingModel) -> np.ndarray:
+    """Largest abundance share per pixel, max-normalized over the cloud.
 
     Abundance rows are normalized to sum to one first (an all-zero row is
-    treated as uniform, purity ``1/p``), so ``eta`` lies in ``(0, 1]``;
-    ``eta_hat`` divides by the maximum over the cloud.
+    treated as uniform, purity ``1/p``), so the raw purity ``eta`` lies in
+    ``[1/p, 1]``; the result is ``eta / eta.max()``, which lies in
+    ``(0, 1]`` with a maximum of exactly 1.
     """
     a = model.abundances
     p = model.p
@@ -415,8 +397,7 @@ def purity(model: UnmixingModel) -> PurityField:
     safe = np.where(sums > 0, sums, 1.0)
     shares = np.where(sums[:, None] > 0, a / safe[:, None], 1.0 / p)
     eta = shares.max(axis=1)
-    eta_hat = eta / eta.max()
-    return PurityField(eta, eta_hat)
+    return eta / eta.max()
 
 
 def unmix(

@@ -20,8 +20,6 @@ from dsirc import clustering
 from dsirc.clustering import (
     ClusterConfig,
     Clustering,
-    DensityField,
-    ZetaField,
     _TREE_K,
     _lloyd,
     auto_sigma0,
@@ -44,8 +42,9 @@ from dsirc.diffusion import (
     knn_graph,
     knn_indices,
 )
+from dsirc.sar import IciConfig, sar
 from dsirc.synth import SynthConfig, synth_hsi
-from dsirc.unmixing import PurityField
+from dsirc.unmixing import UnmixingModel, purity, unmix
 
 
 def cloud_of(spectra):
@@ -92,13 +91,13 @@ def test_kde_density_matches_naive_sum():
     rng = np.random.default_rng(1)
     x = rng.uniform(size=(35, 4))
     k, sigma0 = 6, 0.37
-    field = kde_density(knn_indices(x, k)[1], sigma0)
+    f_hat = kde_density(knn_indices(x, k)[1], sigma0)
+    want = np.empty(35)
     for i in range(35):
         d2 = np.sort([np.sum((x[i] - x[j]) ** 2) for j in range(35) if j != i])[:k]
-        want = float(np.sum(np.exp(-np.asarray(d2) / sigma0**2)))
-        assert field.f[i] == pytest.approx(want, rel=1e-9)
-    np.testing.assert_allclose(field.f_hat, field.f / field.f.max(), rtol=0, atol=0)
-    assert field.f_hat.max() == 1.0
+        want[i] = float(np.sum(np.exp(-np.asarray(d2) / sigma0**2)))
+    np.testing.assert_allclose(f_hat, want / want.max(), rtol=1e-9)
+    assert f_hat.max() == 1.0 and f_hat.min() > 0
 
 
 def test_kde_requires_positive_bandwidth():
@@ -111,10 +110,13 @@ def test_kde_requires_positive_bandwidth():
 def test_kde_floors_underflowing_rows():
     distances = np.array([[0.1, 0.2], [100.0, 200.0], [0.3, 0.4]])
     with pytest.warns(RuntimeWarning, match="underflows for 1 pixel"):
-        field = kde_density(distances, 0.35)
+        f_hat = kde_density(distances, 0.35)
     want = np.exp(-(distances**2) / 0.35**2).sum(axis=1)
-    assert field.f[1] == np.finfo(np.float64).tiny
-    assert field.f[0] == want[0] and field.f[2] == want[2]
+    assert want[1] == 0.0
+    want[1] = np.finfo(np.float64).tiny
+    np.testing.assert_array_equal(f_hat, want / want.max())
+    # The floored row is still positive after the normalization.
+    assert f_hat.max() == 1.0 and f_hat.min() > 0
 
 
 def test_zeta_is_harmonic_mean():
@@ -123,18 +125,33 @@ def test_zeta_is_harmonic_mean():
     f_hat[17] = 1.0
     eta_hat = rng.uniform(0.05, 1.0, size=50)
     eta_hat[4] = 1.0
-    density = DensityField(f_hat * 3.0, f_hat)
-    pur = PurityField(eta_hat * 0.8, eta_hat)
-    field = zeta(density, pur)
-    np.testing.assert_allclose(field.zeta, 2.0 / (1.0 / f_hat + 1.0 / eta_hat), rtol=1e-12)
+    z = zeta(f_hat, eta_hat)
+    np.testing.assert_allclose(z, 2.0 / (1.0 / f_hat + 1.0 / eta_hat), rtol=1e-12)
 
 
 def test_zeta_hand_value_and_mismatch():
-    density = DensityField(np.array([2.0, 1.0]), np.array([1.0, 0.5]))
-    pur = PurityField(np.array([0.5, 1.0]), np.array([0.5, 1.0]))
-    np.testing.assert_allclose(zeta(density, pur).zeta, [2 / 3, 2 / 3])
-    with pytest.raises(ValueError):
-        zeta(density, PurityField(np.array([1.0]), np.array([1.0])))
+    f_hat = np.array([1.0, 0.5])
+    np.testing.assert_allclose(zeta(f_hat, np.array([0.5, 1.0])), [2 / 3, 2 / 3])
+    with pytest.raises(ValueError, match="disagree on pixel count"):
+        zeta(f_hat, np.array([1.0]))
+
+
+def test_zeta_of_the_producers_lies_in_unit_interval():
+    # The extremes the producers can hand over: the KDE floor's tiny
+    # density over a k_n-term maximum, a purity of 1/p from an all-zero
+    # abundance row, and 1 for both.
+    rng = np.random.default_rng(3)
+    distances = np.vstack([[100.0] * 99, rng.uniform(0.0, 0.2, size=(40, 99))])
+    with pytest.warns(RuntimeWarning, match="underflows for 1 pixel"):
+        f_hat = kde_density(distances, 0.35)
+    abund = rng.uniform(size=(41, 36)) * (rng.random((41, 36)) < 0.2)
+    abund[:2] = 0.0
+    abund[2, 5] = 1.0
+    eta_hat = purity(UnmixingModel(np.ones((36, 40)), abund))
+    for pair in [(f_hat, eta_hat), (f_hat, eta_hat[::-1]), (f_hat[::-1], eta_hat)]:
+        z = zeta(*pair)
+        assert z.min() > 0 and z.max() <= 1.0
+    assert zeta(np.ones(1), np.ones(1))[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +189,15 @@ def test_dt_values_match_naive_loop():
     system, rng = small_system()
     for _ in range(5):
         z = rng.uniform(0.05, 1.0, size=system.n)
-        field = ZetaField(z)
         for t in (1.0, 4.0, 30.0):
             np.testing.assert_allclose(
-                dt_values(system, field, t)[0], naive_dt(system, z, t), rtol=1e-12
+                dt_values(system, z, t)[0], naive_dt(system, z, t), rtol=1e-12
             )
 
 
 def test_dt_values_single_pixel():
     system = DiffusionSystem(np.ones(1), np.ones((1, 1)))
-    dt, parents = dt_values(system, ZetaField(np.array([0.5])), 30.0)
+    dt, parents = dt_values(system, np.array([0.5]), 30.0)
     np.testing.assert_array_equal(dt, [0.0])
     np.testing.assert_array_equal(parents, [-1])
 
@@ -189,22 +205,22 @@ def test_dt_values_single_pixel():
 def test_dt_values_pixel_count_mismatch():
     system, _ = small_system()
     with pytest.raises(ValueError):
-        dt_values(system, ZetaField(np.full(system.n + 1, 0.5)), 2.0)
+        dt_values(system, np.full(system.n + 1, 0.5), 2.0)
 
 
 def test_select_modes_hand_case_and_ties():
-    field = ZetaField(np.array([0.9, 0.5, 0.8]))
+    z = np.array([0.9, 0.5, 0.8])
     np.testing.assert_array_equal(
-        select_modes(field, np.array([1.0, 10.0, 2.0]), 2), [1, 2]
+        select_modes(z, np.array([1.0, 10.0, 2.0]), 2), [1, 2]
     )
-    tie = ZetaField(np.array([0.5, 0.5, 0.25]))
+    tie = np.array([0.5, 0.5, 0.25])
     np.testing.assert_array_equal(
         select_modes(tie, np.array([2.0, 2.0, 4.0]), 3), [0, 1, 2]
     )
     with pytest.raises(ValueError):
-        select_modes(field, np.array([1.0, 2.0]), 1)
+        select_modes(z, np.array([1.0, 2.0]), 1)
     with pytest.raises(ValueError):
-        select_modes(field, np.array([1.0, 2.0, 3.0]), 4)
+        select_modes(z, np.array([1.0, 2.0, 3.0]), 4)
 
 
 def naive_propagate(system, z, modes, t):
@@ -226,8 +242,8 @@ def naive_propagate(system, z, modes, t):
     return labels
 
 
-def propagate(system, field, modes, t):
-    return propagate_labels(system, field, modes, t, dt_values(system, field, t)[1])
+def propagate(system, z, modes, t):
+    return propagate_labels(system, z, modes, t, dt_values(system, z, t)[1])
 
 
 def test_propagate_labels_match_naive_loop():
@@ -236,11 +252,8 @@ def test_propagate_labels_match_naive_loop():
         z = rng.uniform(0.05, 1.0, size=system.n)
         modes = rng.choice(system.n, size=4, replace=False)
         t = float(rng.uniform(1.0, 10.0))
-        got = propagate(system, ZetaField(z), modes, t)
-        np.testing.assert_array_equal(
-            got.labels.labels, naive_propagate(system, z, modes, t)
-        )
-        np.testing.assert_array_equal(got.modes, modes)
+        got = propagate(system, z, modes, t)
+        np.testing.assert_array_equal(got, naive_propagate(system, z, modes, t))
 
 
 def test_propagate_top_pixel_falls_back_to_nearest_mode():
@@ -249,33 +262,31 @@ def test_propagate_top_pixel_falls_back_to_nearest_mode():
     top = 11
     z[top] = 1.0
     modes = np.array([m for m in (0, 1, 2) if m != top])
-    got = propagate(system, ZetaField(z), modes, 3.0)
-    assert got.labels.labels[top] in (1, 2, 3)
-    np.testing.assert_array_equal(
-        got.labels.labels, naive_propagate(system, z, modes, 3.0)
-    )
+    got = propagate(system, z, modes, 3.0)
+    assert got[top] in (1, 2, 3)
+    np.testing.assert_array_equal(got, naive_propagate(system, z, modes, 3.0))
 
 
 def test_propagate_modes_keep_their_own_labels():
     system, rng = small_system(seed=7)
     z = rng.uniform(0.05, 1.0, size=system.n)
     modes = np.array([9, 3, 21])
-    got = propagate(system, ZetaField(z), modes, 2.0)
-    assert got.labels.labels[9] == 1
-    assert got.labels.labels[3] == 2
-    assert got.labels.labels[21] == 3
-    assert set(np.unique(got.labels.labels)) <= {1, 2, 3}
+    got = propagate(system, z, modes, 2.0)
+    assert got[9] == 1
+    assert got[3] == 2
+    assert got[21] == 3
+    assert set(np.unique(got)) <= {1, 2, 3}
 
 
 def test_propagate_validation():
     system, _ = small_system()
-    field = ZetaField(np.full(system.n, 0.5))
+    z = np.full(system.n, 0.5)
     with pytest.raises(ValueError):
-        propagate(system, field, [], 1.0)
+        propagate(system, z, [], 1.0)
     with pytest.raises(ValueError):
-        propagate(system, field, [1, 1], 1.0)
+        propagate(system, z, [1, 1], 1.0)
     with pytest.raises(ValueError):
-        propagate(system, field, [system.n], 1.0)
+        propagate(system, z, [system.n], 1.0)
 
 
 def naive_parents(system, z, t):
@@ -305,8 +316,7 @@ def test_parents_break_exact_ties_by_smaller_index():
     embedding = system.embedding(1.0)
     for _ in range(5):
         z = rng.uniform(0.05, 1.0, size=system.n)
-        field = ZetaField(z)
-        dt, parents = dt_values(system, field, 1.0)
+        dt, parents = dt_values(system, z, 1.0)
         want = naive_parents(system, z, 1.0)
         np.testing.assert_array_equal(parents, want)
         np.testing.assert_allclose(dt, naive_dt(system, z, 1.0), rtol=1e-12)
@@ -317,10 +327,8 @@ def test_parents_break_exact_ties_by_smaller_index():
             tied += int(np.count_nonzero(d == d.min()) > 1)
         assert tied > 0
         modes = rng.choice(system.n, size=3, replace=False)
-        got = propagate_labels(system, field, modes, 1.0, parents)
-        np.testing.assert_array_equal(
-            got.labels.labels, naive_propagate(system, z, modes, 1.0)
-        )
+        got = propagate_labels(system, z, modes, 1.0, parents)
+        np.testing.assert_array_equal(got, naive_propagate(system, z, modes, 1.0))
 
 
 def push_scan(system, z, t):
@@ -351,7 +359,7 @@ def test_dt_values_equal_push_scan():
     for system, t in cases:
         for _ in range(5):
             z = rng.uniform(0.05, 1.0, size=system.n)
-            dt, parents = dt_values(system, ZetaField(z), t)
+            dt, parents = dt_values(system, z, t)
             want_dt, want_parents = push_scan(system, z, t)
             np.testing.assert_array_equal(dt, want_dt)
             np.testing.assert_array_equal(parents, want_parents)
@@ -393,7 +401,7 @@ def assert_screened_scan_equals_push_scan(monkeypatch, system, t, rng, rounds_ok
     for _ in range(trials):
         z = rng.uniform(0.05, 1.0, size=system.n)
         log.clear()
-        dt, parents = dt_values(system, ZetaField(z), t)
+        dt, parents = dt_values(system, z, t)
         want_dt, want_parents = push_scan(system, z, t)
         np.testing.assert_array_equal(dt, want_dt)
         np.testing.assert_array_equal(parents, want_parents)
@@ -463,7 +471,7 @@ def test_screened_scan_gathers_in_slices_on_collapsed_embedding():
     z = rng.uniform(0.05, 1.0, size=n)
     tracemalloc.start()
     try:
-        dt, parents = dt_values(constant, ZetaField(z), 1e9)
+        dt, parents = dt_values(constant, z, 1e9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -504,6 +512,31 @@ def test_dsirc_recovers_blocky_scene():
     for cls in (1, 2, 3):
         counts = np.bincount(labels[owner == cls])
         assert counts.max() / counts.sum() >= 0.9
+
+
+@pytest.mark.parametrize("pipeline", [dsirc, dvic])
+def test_public_stages_compose_to_the_pipeline(pipeline):
+    # The public stages called one by one, in the pipeline's order, give its
+    # labels, modes and scores bit for bit; dsirc searches the SaR spectra.
+    cloud = cube_to_cloud(synth_hsi(SynthConfig(height=20, width=20, bands=12, seed=0)).cube)
+    config = ClusterConfig(n_clusters=4, k_n=30, t=10.0, tau=2.0, seed=0)
+    model = unmix(cloud, restarts=config.restarts, rng=np.random.default_rng(config.seed))
+    eta_hat = purity(model)
+    distances = knn_indices(cloud.spectra, config.k_n)[1]
+    z = zeta(kde_density(distances, auto_sigma0(distances)), eta_hat)
+    spectra = cloud.spectra
+    if pipeline is dsirc:
+        spectra = sar(cloud, IciConfig(tau=config.tau, lengths=config.lengths)).spectra
+    graph = knn_graph(knn_indices(spectra, config.k_n)[0])
+    system = diffusion_system(graph, min(cloud.n, max(2 * config.n_clusters, 50)))
+    dt, parents = dt_values(system, z, config.t)
+    modes = select_modes(z, dt, config.n_clusters)
+    labels = propagate_labels(system, z, modes, config.t, parents)
+    want = pipeline(cloud, config)
+    assert set(np.unique(labels)) == {1, 2, 3, 4}
+    np.testing.assert_array_equal(labels, want.labels.labels)
+    np.testing.assert_array_equal(modes, want.modes)
+    np.testing.assert_array_equal(z * dt, want.scores)
 
 
 @pytest.mark.parametrize("pipeline", [dsirc, dvic])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dsirc import core
-from dsirc.clustering import ZetaField, dt_values
+from dsirc.clustering import dt_values
 from dsirc.core import (
     LABEL_PALETTE,
     EnviFormatError,
@@ -562,7 +562,7 @@ def bounded_pass(module_name):
         return lambda: knn_indices(x, 10)
     system = diffusion_system(knn_graph(knn_indices(x, 10)[0]), 20)
     z = np.random.default_rng(31).uniform(0.05, 1.0, size=300)
-    return lambda: dt_values(system, ZetaField(z), 1.0)
+    return lambda: dt_values(system, z, 1.0)
 
 
 @pytest.mark.parametrize("module_name", ["dsirc.diffusion", "dsirc.clustering", "dsirc.sar"])

@@ -16,7 +16,6 @@ from dsirc.core import DegenerateCovarianceError, PixelCloud, cube_to_cloud, loa
 from dsirc import unmixing
 from dsirc.synth import SynthConfig, synth_hsi
 from dsirc.unmixing import (
-    PurityField,
     RankDeficientDataError,
     UnmixingModel,
     _ascend_volume,
@@ -441,7 +440,7 @@ def test_abundances_do_not_depend_on_the_data_scale(p):
 @pytest.mark.parametrize("seed", range(20, 26))
 def test_abundances_edge_rows(seed):
     # A zero row, a row outside the cone, and multiples of each endmember,
-    # whose purity must be exactly 1.  A long first endmember enters first
+    # whose purity must be exactly 1 (the two zero rows read 1/p).  A long first endmember enters first
     # on other endmembers' rows too, so their solves leave it at rounding
     # level before it must be dropped.
     rng = np.random.default_rng(seed)
@@ -453,7 +452,7 @@ def test_abundances_edge_rows(seed):
     np.testing.assert_array_equal(got[:2], 0.0)
     for row, k in zip(got[2:], np.repeat(np.arange(4), 3)):
         assert np.flatnonzero(row).tolist() == [k]
-    np.testing.assert_array_equal(purity(UnmixingModel(e, got[2:])).eta, 1.0)
+    np.testing.assert_array_equal(purity(UnmixingModel(e, got)), [0.25] * 2 + [1.0] * 12)
 
 
 def test_rejected_entries_do_not_cycle_without_a_tolerance():
@@ -512,26 +511,39 @@ def test_purity_hand_values():
         endmembers=np.ones((2, 4)),
         abundances=np.array([[0.2, 0.8], [0.0, 0.0], [0.3, 0.3]]),
     )
-    field = purity(model)
-    np.testing.assert_allclose(field.eta, [0.8, 0.5, 0.5])
-    np.testing.assert_allclose(field.eta_hat, [1.0, 0.625, 0.625])
+    # Raw purities 0.8, 1/p = 0.5 for the all-zero row, and 0.5.
+    np.testing.assert_allclose(purity(model), np.array([0.8, 0.5, 0.5]) / 0.8)
+    np.testing.assert_allclose(purity(model), [1.0, 0.625, 0.625])
 
 
 def test_purity_pure_pixels_score_one():
     rng = np.random.default_rng(14)
     e = rng.uniform(0.1, 1.0, size=(3, 6))
     a = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=10)])
-    field = purity(UnmixingModel(e, a))
-    np.testing.assert_allclose(field.eta[:3], 1.0)
-    assert field.eta_hat.max() == 1.0
-    assert np.all(field.eta > 0) and np.all(field.eta <= 1)
+    eta_hat = purity(UnmixingModel(e, a))
+    np.testing.assert_allclose(eta_hat[:3], 1.0)
+    assert eta_hat.max() == 1.0
+    assert np.all(eta_hat > 0) and np.all(eta_hat <= 1)
 
 
-def test_purity_field_validation():
-    with pytest.raises(ValueError):
-        PurityField(np.array([0.0, 0.5]), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        PurityField(np.array([0.5]), np.array([0.5, 1.0]))
+def test_purity_lies_in_unit_interval_with_max_one():
+    # Sparse abundances with all-zero rows: each raw purity is the row's
+    # largest share, 1/p for a zero row, and the result divides by the
+    # largest raw purity, which stays below 1 because every other row has
+    # two positive abundances.
+    for p in (2, 5, 36):
+        rng = np.random.default_rng(p)
+        a = rng.uniform(0.1, 1.0, size=(60, p)) * (rng.random((60, p)) < 0.7)
+        a[:, :2] += 0.05
+        a[:3] = 0.0
+        eta = [row.max() / row.sum() if row.sum() > 0 else 1.0 / p for row in a]
+        eta_hat = purity(UnmixingModel(np.ones((p, p + 1)), a))
+        np.testing.assert_allclose(eta_hat, np.array(eta) / max(eta), rtol=1e-14)
+        assert max(eta) < 1.0 and eta_hat.max() == 1.0
+        assert eta_hat.min() > 0 and np.all(eta_hat <= 1.0)
+        np.testing.assert_allclose(eta_hat[:3], (1.0 / p) / max(eta), rtol=1e-14)
+        # All rows zero: every raw purity is 1/p, so every pixel reads 1.
+        np.testing.assert_array_equal(purity(UnmixingModel(np.ones((p, p + 1)), a[:3])), 1.0)
 
 
 # ---------------------------------------------------------------------------
