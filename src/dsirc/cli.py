@@ -192,7 +192,7 @@ def _normalized(cloud: PixelCloud, mode: str) -> PixelCloud:
         return cloud
     norms = np.linalg.norm(cloud.spectra, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return PixelCloud(cloud.spectra / norms, cloud.coords)
+    return PixelCloud(cloud.spectra / norms, cloud.grid)
 
 
 def _run_grid(
@@ -296,8 +296,7 @@ def _score(labels, gt: LabelMap) -> tuple[LabelMap, dict[str, float]]:
 
 def _prepare(args: argparse.Namespace, grids: dict[str, list] | None = None):
     """The set-up of ``cluster`` and of ``sweep``: its options, its
-    combinations, the loaded cloud, the cube's ``(height, width)`` and the
-    ground truth (or None).
+    combinations, the loaded cloud and the ground truth (or None).
 
     Stages run in order: configuration (the options, and each combination's
     :class:`ClusterConfig`), input, then configuration again for the values
@@ -316,18 +315,17 @@ def _prepare(args: argparse.Namespace, grids: dict[str, list] | None = None):
         for combo in combos:
             _cluster_config({**opts, **combo})
     with _stage("input", 2):
-        cube = load_envi(args.header, args.data)
-        cloud = _normalized(cube_to_cloud(cube), opts["normalize"])
+        cloud = _normalized(cube_to_cloud(load_envi(args.header, args.data)), opts["normalize"])
         gt = _read_ground_truth(args.gt, cloud.coords, "cube") if args.gt else None
         if grids and gt is None:
             raise ValueError("sweep requires --gt to score combinations")
     with _stage("configuration", 2):
         _check_cloud_supports(cloud, opts, combos)
-    return opts, combos, cloud, (cube.height, cube.width), gt
+    return opts, combos, cloud, gt
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    opts, combos, cloud, (height, width), gt = _prepare(args)
+    opts, combos, cloud, gt = _prepare(args)
     with _stage("clustering", 1, Exception):  # algorithm failure on valid inputs
         [[result]] = _run_grid(cloud, opts, combos, [opts["seed"]])
         if isinstance(result, DisconnectedGraphError):
@@ -340,8 +338,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         os.makedirs(args.out, exist_ok=True)
         _write_params(os.path.join(args.out, "params.txt"), opts)
         write_labels_csv(os.path.join(args.out, "labels.csv"), labels, cloud.coords)
-        write_label_ppm(os.path.join(args.out, "labels.ppm"), labels, height, width)
-        write_label_pgm(os.path.join(args.out, "labels.pgm"), labels, height, width)
+        write_label_ppm(os.path.join(args.out, "labels.ppm"), labels, *cloud.grid)
+        write_label_pgm(os.path.join(args.out, "labels.pgm"), labels, *cloud.grid)
         if metrics is not None:
             with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
                 json.dump(metrics, fh, indent=2)
@@ -378,7 +376,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seeds = _parse_value("seeds", args.seeds, int)
         if seeds < 1:
             raise ValueError("--seeds must be at least 1")
-    opts, combos, cloud, _, gt = _prepare(args, grids)
+    opts, combos, cloud, gt = _prepare(args, grids)
     # scores[i][j]: the metrics of combination i at the j-th seed;
     # failures[i]: the first error of a combination that failed at any seed.
     scores: list[list[dict[str, float]]] = [[] for _ in combos]

@@ -90,34 +90,29 @@ class ImageCube:
 
 @dataclass(frozen=True)
 class PixelCloud:
-    """Spectra plus grid coordinates for a set of pixels.
+    """The spectra of a full image grid, one row per pixel in row-major order.
 
-    ``spectra`` is ``(n, bands)`` float64; ``coords`` is ``(n, 2)`` integer
-    ``(row, col)`` pairs.  A cloud produced by :func:`cube_to_cloud`
-    enumerates the full grid in row-major order, but partial clouds are
-    allowed everywhere except grid-bound operations.
+    ``spectra`` is ``(n, bands)`` float64 and ``grid`` the ``(height, width)``
+    they fill, ``n == height * width``: pixel ``i`` sits at row
+    ``i // width`` and column ``i % width``.
     """
 
     spectra: np.ndarray
-    coords: np.ndarray
+    grid: tuple[int, int]
 
     def __post_init__(self) -> None:
         spectra = np.ascontiguousarray(np.asarray(self.spectra, dtype=np.float64))
-        coords = np.ascontiguousarray(np.asarray(self.coords, dtype=np.intp))
         if spectra.ndim != 2:
             raise ValueError("spectra must be 2-D (n, bands)")
-        if coords.ndim != 2 or coords.shape[1] != 2:
-            raise ValueError("coords must be 2-D (n, 2)")
-        if spectra.shape[0] != coords.shape[0]:
-            raise ValueError("spectra and coords disagree on pixel count")
         if spectra.shape[0] < 1:
             raise ValueError("pixel cloud must contain at least one pixel")
+        height, width = map(int, self.grid)
+        if min(height, width) < 1 or height * width != spectra.shape[0]:
+            raise ValueError(f"{spectra.shape[0]} spectra do not fill a {height}x{width} grid")
         if not np.all(np.isfinite(spectra)):
             raise ValueError("spectra contain non-finite values")
-        if np.any(coords < 0):
-            raise ValueError("coords must be non-negative")
         object.__setattr__(self, "spectra", spectra)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "grid", (height, width))
 
     @property
     def n(self) -> int:
@@ -127,18 +122,10 @@ class PixelCloud:
     def bands(self) -> int:
         return self.spectra.shape[1]
 
-    def grid_shape(self) -> tuple[int, int] | None:
-        """Return ``(height, width)`` if the cloud covers a full grid in
-        row-major order, else ``None``."""
-        height = int(self.coords[:, 0].max()) + 1
-        width = int(self.coords[:, 1].max()) + 1
-        if self.n != height * width:
-            return None
-        flat = np.arange(self.n, dtype=np.intp)
-        expected = np.column_stack((flat // width, flat % width))
-        if not np.array_equal(self.coords, expected):
-            return None
-        return height, width
+    @property
+    def coords(self) -> np.ndarray:
+        """The ``(n, 2)`` ``(row, col)`` of each pixel, in row-major order."""
+        return np.column_stack(np.divmod(np.arange(self.n, dtype=np.intp), self.grid[1]))
 
 
 @dataclass(frozen=True)
@@ -286,10 +273,7 @@ def write_envi(
 def cube_to_cloud(cube: ImageCube) -> PixelCloud:
     """Flatten a cube to an ``(n, bands)`` cloud in row-major pixel order."""
     b, h, w = cube.data.shape
-    spectra = np.ascontiguousarray(cube.data.reshape(b, h * w).T)
-    flat = np.arange(h * w, dtype=np.intp)
-    coords = np.column_stack((flat // w, flat % w))
-    return PixelCloud(spectra, coords)
+    return PixelCloud(np.ascontiguousarray(cube.data.reshape(b, h * w).T), (h, w))
 
 
 # ---------------------------------------------------------------------------

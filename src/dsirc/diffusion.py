@@ -1,6 +1,7 @@
-"""Diffusion geometry on a mutual KNN graph.
+"""Diffusion geometry on a symmetrized KNN graph.
 
-A symmetric unweighted KNN graph over pixel spectra induces a random walk
+The union of each pixel's KNN list with the lists that name it, a symmetric
+unweighted graph over pixel spectra, induces a random walk
 ``P = D^{-1} W`` whose eigensystem yields diffusion distances: squared
 diffusion distance at time ``t`` is the stationary-weighted L2 distance
 between the walk's t-step transition rows, computable spectrally as
@@ -50,69 +51,15 @@ class DisconnectedGraphError(RuntimeError):
 
 @dataclass(frozen=True)
 class KnnGraph:
-    """Symmetric unweighted adjacency, held as its pattern: a CSR matrix of
-    one-byte ``True`` entries with sorted columns and a zero diagonal.
-
-    A 0/1 matrix of any dtype is checked as a matrix (duplicates summed,
-    explicit zeros rejected), then stored as that pattern.
-    """
+    """The result of :func:`knn_graph`: symmetric unweighted adjacency, held
+    as its pattern, a CSR matrix of one-byte ``True`` entries with sorted
+    columns and an empty diagonal."""
 
     adjacency: sparse.csr_matrix
-
-    def __post_init__(self) -> None:
-        adj = self.adjacency.tocsr()
-        if adj.shape[0] != adj.shape[1]:
-            raise ValueError("adjacency must be square")
-        if not _is_symmetric(adj):
-            raise ValueError("adjacency must be symmetric")
-        if adj.diagonal().any():
-            raise ValueError("adjacency must have a zero diagonal")
-        summed = adj
-        if not adj.has_canonical_format:
-            summed = adj.astype(np.float64)
-            summed.sum_duplicates()
-        # Checked as stored and as summed: two stored ones are an entry of 2.
-        if adj.nnz and not (np.all(adj.data == 1.0) and np.all(summed.data == 1.0)):
-            raise ValueError("adjacency entries must be 0 or 1")
-        # Valid entries are single ones, so the stored columns are the pattern.
-        if adj.dtype != np.bool_:
-            adj = _pattern(adj)
-        if not adj.has_sorted_indices:
-            adj = adj.sorted_indices()
-        object.__setattr__(self, "adjacency", adj)
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
-
-
-def _pattern(adj: sparse.csr_matrix) -> sparse.csr_matrix:
-    """``adj``'s stored positions as one-byte ``True`` entries."""
-    return sparse.csr_matrix(
-        (np.ones(adj.nnz, dtype=bool), adj.indices, adj.indptr), shape=adj.shape
-    )
-
-
-def _is_symmetric(adj: sparse.csr_matrix) -> bool:
-    """Whether ``adj`` equals its transpose as a matrix: duplicate entries
-    summed, explicit zeros ignored (what ``(adj != adj.T).nnz == 0`` tests).
-
-    A canonical matrix of ones is compared by structure alone, through its
-    one-byte pattern; its transpose comes out of the conversion to CSR with
-    sorted columns.  Any other matrix is first summed and cleared of zeros
-    in a float copy, and its values are compared too.
-    """
-    if adj.has_canonical_format and np.all(adj.data == 1.0):
-        values = adj if adj.dtype == np.bool_ else _pattern(adj)
-    else:
-        values = adj.astype(np.float64)
-        values.sum_duplicates()
-        values.eliminate_zeros()
-    transposed = values.T.tocsr()
-    return all(
-        np.array_equal(getattr(transposed, name), getattr(values, name))
-        for name in ("indptr", "indices", "data")
-    )
 
 
 def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,10 +74,7 @@ def knn_indices(spectra: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
     Each squared distance is ``sum((x_i - x_j) ** 2)`` in float64, summed
     over the bands by one reduction per pair, so its bits do not depend on
     how rows are grouped, on the BLAS or on its threads.  The indices are
-    the first ``k_n`` columns of a stable argsort of those values.  (Before,
-    distances came from the Gram identity ``|x_i|^2 + |x_j|^2 - 2 x_i.x_j``
-    in float64; the two forms differ in the last bits, by up to about 1e-13
-    relative on raw clouds and more where the identity cancels.)  A float32
+    the first ``k_n`` columns of a stable argsort of those values.  A float32
     screen picks the few columns of each row that need that exact step.
 
     The screen.  The spectra are centred on their column mean and scaled by
@@ -272,11 +216,27 @@ def knn_graph(neighbors: np.ndarray) -> KnnGraph:
 
     ``neighbors`` is the index half of :func:`knn_indices`.  A directed edge
     goes to each of a pixel's ``k_n`` nearest others; the adjacency is the
-    elementwise maximum with its transpose, so every row has between
-    ``k_n`` and ``2 * k_n`` neighbors.  The pattern is symmetrized and kept
-    with one-byte entries and 32-bit columns where they fit.
+    elementwise maximum with its transpose, so a row has its own ``k_n``
+    neighbors plus every pixel that lists it, up to ``n - 1``.  The pattern
+    is kept with one-byte entries and 32-bit columns where they fit.
+
+    Raises ``ValueError`` unless ``neighbors`` is a 2-D integer array with
+    at least one row and one column, entries in ``[0, n)`` and no row that
+    lists itself.
     """
-    return KnnGraph(_symmetric_pattern(neighbors))
+    neighbors = np.asarray(neighbors)
+    if neighbors.ndim != 2 or not np.issubdtype(neighbors.dtype, np.integer):
+        raise ValueError("neighbors must be a 2-D integer array (n, k_n)")
+    n = neighbors.shape[0]
+    if min(neighbors.shape) < 1:
+        raise ValueError("neighbors must have at least one row and one column")
+    # SciPy's CSR constructor does not bounds-check column indices.
+    if neighbors.min() < 0 or neighbors.max() >= n:
+        raise ValueError(f"neighbor indices must be in [0, {n - 1}] for {n} rows")
+    pattern = _symmetric_pattern(neighbors)
+    if pattern.diagonal().any():
+        raise ValueError("a row of neighbors lists its own index")
+    return KnnGraph(pattern)
 
 
 def _symmetric_pattern(neighbors: np.ndarray) -> sparse.csr_matrix:
@@ -294,9 +254,9 @@ def _symmetric_pattern(neighbors: np.ndarray) -> sparse.csr_matrix:
         ),
         shape=(n, n),
     )
-    pattern = directed.maximum(directed.T)
-    pattern.sort_indices()
-    return pattern
+    # Both operands have sorted columns, so the union that SciPy merges row
+    # by row has them too.
+    return directed.maximum(directed.T)
 
 
 @dataclass(frozen=True)
@@ -359,12 +319,11 @@ def diffusion_system(graph: KnnGraph, n_eigenpairs: int) -> DiffusionSystem:
         raise ValueError("need at least two nodes")
     if not 1 <= n_eigenpairs <= n:
         raise ValueError(f"n_eigenpairs must be in [1, {n}]")
-    # A degree is a row length of the pattern.  An isolated node's inverse
-    # square root is left at 0; its row of S is empty and it is a component.
+    # A degree is a row length of the pattern, at least 1 as every row of
+    # the neighbor array names another node.
     row_lengths = np.diff(adjacency.indptr)
     degrees = row_lengths.astype(np.float64)
-    inv_sqrt = np.zeros(n)
-    np.divide(1.0, np.sqrt(degrees), out=inv_sqrt, where=row_lengths > 0)
+    inv_sqrt = 1.0 / np.sqrt(degrees)
     # Each entry is inv_sqrt[row] * inv_sqrt[column], formed in place.
     s_data = np.repeat(inv_sqrt, row_lengths)
     s_data *= inv_sqrt[adjacency.indices]

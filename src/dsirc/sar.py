@@ -275,7 +275,7 @@ def _length_tuples(grid: np.ndarray, config: IciConfig) -> tuple[np.ndarray, np.
 
 
 def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
-    """Shape-adaptive reconstruction of every spectrum in a full-grid cloud.
+    """Shape-adaptive reconstruction of every spectrum of a cloud on its grid.
 
     Pipeline per pixel: directional local averages of the first-PC field at
     each candidate length, confidence-interval length selection per
@@ -300,11 +300,9 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     """
     if config is None:
         config = IciConfig()
-    shape = cloud.grid_shape()
-    if shape is None:
-        raise ValueError("reconstruction requires a full-grid cloud")
+    shape = cloud.grid
     if np.all(cloud.spectra == cloud.spectra[0]):
-        return PixelCloud(cloud.spectra.copy(), cloud.coords.copy())
+        return PixelCloud(cloud.spectra.copy(), shape)
     tuples, inverse = _length_tuples(first_pc(cloud).reshape(shape), config)
     spans = _row_spans(tuples)
     pixels = np.arange(cloud.n)
@@ -324,4 +322,4 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
             members = _span_members(*_clipped_spans(block, spans[inverse[block]], shape))
             for g in _blocks(block.size, m * cloud.bands):
                 out[block[g]] = _reconstruct(cloud.spectra, row_stats, members[g], block[g])
-    return PixelCloud(out, cloud.coords.copy())
+    return PixelCloud(out, shape)

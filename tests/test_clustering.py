@@ -49,9 +49,7 @@ from dsirc.unmixing import UnmixingModel, purity, unmix
 
 def cloud_of(spectra):
     spectra = np.asarray(spectra, dtype=np.float64)
-    n = spectra.shape[0]
-    coords = np.column_stack([np.zeros(n, dtype=np.intp), np.arange(n, dtype=np.intp)])
-    return PixelCloud(spectra, coords)
+    return PixelCloud(spectra, (1, spectra.shape[0]))
 
 
 def grid_cloud(rng, rows=12, cols=12, bands=8):
@@ -547,7 +545,7 @@ def test_saturated_pixel_is_floored_not_fatal(pipeline):
     spectra = cloud.spectra.copy()
     spectra[5] = 50.0
     with pytest.warns(RuntimeWarning, match="underflows for 1 pixel"):
-        got = pipeline(PixelCloud(spectra, cloud.coords), ClusterConfig(n_clusters=4, seed=0))
+        got = pipeline(PixelCloud(spectra, cloud.grid), ClusterConfig(n_clusters=4, seed=0))
     assert set(np.unique(got.labels.labels)) == {1, 2, 3, 4}
 
 
@@ -751,7 +749,7 @@ def test_zero_automatic_bandwidth_names_its_cause(taus):
     cloud = cube_to_cloud(synth_hsi(SynthConfig(height=16, width=16, bands=12, seed=0)).cube)
     spectra = cloud.spectra.copy()
     spectra[: 10 * 16] = 0.0
-    cloud = PixelCloud(spectra, cloud.coords)
+    cloud = PixelCloud(spectra, cloud.grid)
     cause = (
         "the automatic sigma0 is 0 at k_n = 100: at least half the pixels have 100 "
         "or more exact duplicate spectra; pass sigma0 or a larger k_n"

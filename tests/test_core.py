@@ -55,20 +55,17 @@ def test_image_cube_rejects_bad_shapes_and_nonfinite():
 
 def test_pixel_cloud_validates_coords():
     spectra = np.zeros((4, 3))
-    coords = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-    cloud = PixelCloud(spectra, coords)
+    cloud = PixelCloud(spectra, (2, 2))
     assert cloud.n == 4 and cloud.bands == 3
-    assert cloud.grid_shape() == (2, 2)
-    with pytest.raises(ValueError):
-        PixelCloud(spectra, coords[:3])
+    assert cloud.grid == (2, 2)
+    np.testing.assert_array_equal(cloud.coords, [[0, 0], [0, 1], [1, 0], [1, 1]])
 
 
-def test_grid_shape_requires_full_row_major_grid():
-    spectra = np.zeros((4, 2))
-    scrambled = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
-    assert PixelCloud(spectra, scrambled).grid_shape() is None
-    partial = np.array([[0, 0], [0, 1], [0, 2], [1, 0]])
-    assert PixelCloud(np.zeros((4, 2)), partial).grid_shape() is None
+def test_pixel_cloud_requires_a_full_grid():
+    spectra = np.zeros((4, 3))
+    for grid in ((1, 3), (4, 4), (-2, -2), (0, 4)):
+        with pytest.raises(ValueError, match="do not fill"):
+            PixelCloud(spectra, grid)
 
 
 def test_label_map_properties():
@@ -88,7 +85,7 @@ def test_cube_cloud_round_trip_is_bit_exact():
     for _ in range(5):
         cube = random_cube(rng, bands=3, height=5, width=7)
         cloud = cube_to_cloud(cube)
-        assert cloud.grid_shape() == (5, 7)
+        assert cloud.grid == (5, 7)
         np.testing.assert_array_equal(cloud.spectra.T.reshape(3, 5, 7), cube.data)
 
 
@@ -353,13 +350,11 @@ def test_first_pc_matches_svd_oracle():
         direction = rng.standard_normal(bands)
         direction /= np.linalg.norm(direction)
         spectra += 4.0 * np.outer(rng.standard_normal(n), direction)
-        coords = np.argwhere(np.ones((n, 1), dtype=bool))
-        scores = first_pc(PixelCloud(spectra, coords))
+        scores = first_pc(PixelCloud(spectra, (n, 1)))
         np.testing.assert_allclose(scores, svd_first_pc(spectra), atol=1e-6)
     # small eigengaps: the top two sample variances are in an exact ratio
     # close to 1, built from orthonormal (centered) scores and axes
     n, bands = 30, 8
-    coords = np.argwhere(np.ones((n, 1), dtype=bool))
     for ratio in (0.81, 0.9, 0.98):
         for trial in range(3):
             scores = rng.standard_normal((n, bands))
@@ -367,7 +362,7 @@ def test_first_pc_matches_svd_oracle():
             v = np.linalg.qr(rng.standard_normal((bands, bands)))[0]
             sv = np.array([10.0, 10.0 * np.sqrt(ratio), 3.0, 2.5, 2.0, 1.5, 1.0, 0.5])
             spectra = (u * sv) @ v.T + rng.standard_normal(bands)
-            scores = first_pc(PixelCloud(spectra, coords))
+            scores = first_pc(PixelCloud(spectra, (n, 1)))
             np.testing.assert_allclose(scores, svd_first_pc(spectra), atol=1e-6)
 
 
@@ -375,8 +370,7 @@ def test_first_pc_variance_matches_leading_singular_value():
     rng = np.random.default_rng(50)
     for trial in range(10):
         spectra = rng.standard_normal((25, 6))
-        coords = np.argwhere(np.ones((25, 1), dtype=bool))
-        scores = first_pc(PixelCloud(spectra, coords))
+        scores = first_pc(PixelCloud(spectra, (25, 1)))
         centered = spectra - spectra.mean(axis=0)
         top_sv = np.linalg.svd(centered, compute_uv=False)[0]
         np.testing.assert_allclose(np.linalg.norm(scores), top_sv, rtol=1e-8)
@@ -393,9 +387,8 @@ def test_first_pc_scores_are_centered():
 def test_first_pc_sign_convention():
     rng = np.random.default_rng(7)
     spectra = rng.standard_normal((30, 6))
-    coords = np.argwhere(np.ones((30, 1), dtype=bool))
-    a = first_pc(PixelCloud(spectra, coords))
-    b = first_pc(PixelCloud(-spectra, coords))
+    a = first_pc(PixelCloud(spectra, (30, 1)))
+    b = first_pc(PixelCloud(-spectra, (30, 1)))
     # the dominant direction flips with the data, the scores stay aligned
     np.testing.assert_allclose(np.abs(a), np.abs(b), atol=1e-7)
 

@@ -522,7 +522,7 @@ def scalar_sar(cloud, config):
     """Assemble the reconstruction pixel by pixel from the oracles: ray walks,
     prefix selection and hull rasterization choose each region, and the
     per-pixel reference reconstruction averages it."""
-    grid = first_pc(cloud).reshape(cloud.grid_shape())
+    grid = first_pc(cloud).reshape(cloud.grid)
     sigma = estimate_noise_sigma(grid)
     gains = [noise_gain(l) for l in config.lengths]
     h, w = grid.shape
@@ -572,7 +572,7 @@ def test_sar_equals_scalar_assembly_bitwise():
         got = sar(cloud, config)
         expected = scalar_sar(cloud, config)
         np.testing.assert_array_equal(got.spectra, expected)
-        np.testing.assert_array_equal(got.coords, cloud.coords)
+        assert got.grid == cloud.grid
 
 
 def test_sar_split_gathers_equal_one_gather(monkeypatch):
@@ -605,17 +605,9 @@ def test_sar_working_memory_is_bounded():
 
 def test_sar_constant_image_is_unchanged():
     spectra = np.tile(np.array([0.3, 0.6, 0.9]), (16, 1))
-    coords = np.array([[r, c] for r in range(4) for c in range(4)])
-    cloud = PixelCloud(spectra, coords)
+    cloud = PixelCloud(spectra, (4, 4))
     out = sar(cloud)
     np.testing.assert_array_equal(out.spectra, spectra)
-
-
-def test_sar_requires_grid_coords():
-    spectra = np.zeros((3, 2))
-    coords = np.array([[0, 0], [0, 2], [5, 5]])
-    with pytest.raises(ValueError):
-        sar(PixelCloud(spectra, coords))
 
 
 def test_sar_denoises_a_smooth_scene():

@@ -32,9 +32,7 @@ from dsirc.unmixing import (
 
 def cloud_of(spectra):
     spectra = np.asarray(spectra, dtype=np.float64)
-    n = spectra.shape[0]
-    coords = np.column_stack([np.zeros(n, dtype=np.intp), np.arange(n, dtype=np.intp)])
-    return PixelCloud(spectra, coords)
+    return PixelCloud(spectra, (1, spectra.shape[0]))
 
 
 def smooth_endmembers(rng, p, bands):
