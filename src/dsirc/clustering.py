@@ -19,14 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import LabelMap, PixelCloud, _blocks
-from .diffusion import (
-    DiffusionSystem,
-    DisconnectedGraphError,
-    diffusion_system,
-    knn_graph,
-    knn_indices,
-    nearest_in_diffusion,
-)
+from .diffusion import DisconnectedGraphError, diffusion_system, knn_graph, knn_indices
 from .sar import IciConfig, sar
 from .unmixing import purity, unmix
 
@@ -167,9 +160,15 @@ def _rank_order(z: np.ndarray) -> np.ndarray:
 _TREE_K = 32
 
 
-def dt_values(system: DiffusionSystem, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+def dt_values(embedding: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each pixel's nearest higher-ranked pixel and its diffusion distance,
     in the rank order of the :func:`zeta` array ``z``.
+
+    ``embedding`` is a diffusion map, such as
+    :meth:`~dsirc.diffusion.DiffusionSystem.embedding` at time ``t``: one
+    row per pixel, whose Euclidean distances are the diffusion distances.
+    It is read as a C-ordered float64 array, so the row norms, and with them
+    the results, do not depend on the layout it is given in.
 
     Returns ``(dt, parents)``.  ``parents[i]`` is the diffusion-nearest
     predecessor of pixel ``i`` in the rank order (distance ties prefer the
@@ -190,10 +189,10 @@ def dt_values(system: DiffusionSystem, z: np.ndarray, t: float) -> tuple[np.ndar
     embedding collapsed to a constant, none settles before the query holds
     all ``n`` rows, so that case costs quadratic time.
     """
+    embedding = np.ascontiguousarray(embedding, dtype=np.float64)
     n = z.shape[0]
-    if n != system.n:
-        raise ValueError("zeta and diffusion system disagree on pixel count")
-    embedding = system.embedding(t)
+    if embedding.ndim != 2 or embedding.shape[0] != n:
+        raise ValueError("embedding must be (n, dims) for the n pixels of zeta")
     order = _rank_order(z)
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
@@ -265,26 +264,23 @@ def _nearest_predecessors(
         k = min(4 * k, n)
 
 
-def select_modes(z: np.ndarray, dt: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Indices of the ``n_clusters`` pixels maximizing ``z * dt``.
+def select_modes(scores: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Indices of the ``n_clusters`` pixels of largest ``scores``, each
+    pixel's ``zeta * d_t``.
 
     Returned in decreasing score order (ties prefer the smaller index), so
     mode ``k`` receives label ``k + 1`` downstream.
     """
-    dt = np.asarray(dt, dtype=np.float64)
-    if dt.shape != z.shape:
-        raise ValueError("dt and zeta disagree on pixel count")
-    if not 1 <= n_clusters <= z.shape[0]:
-        raise ValueError(f"n_clusters must be in [1, {z.shape[0]}]")
+    if not 1 <= n_clusters <= scores.shape[0]:
+        raise ValueError(f"n_clusters must be in [1, {scores.shape[0]}]")
     # A copy, so that a stored result does not hold the whole order.
-    return _rank_order(z * dt)[:n_clusters].copy()
+    return _rank_order(scores)[:n_clusters].copy()
 
 
 def propagate_labels(
-    system: DiffusionSystem,
+    embedding: np.ndarray,
     z: np.ndarray,
     modes: Sequence[int] | np.ndarray,
-    t: float,
     parents: np.ndarray,
 ) -> np.ndarray:
     """Spread mode labels down the rank order of the :func:`zeta` array
@@ -293,9 +289,10 @@ def propagate_labels(
     Mode ``k`` (in the given order) starts with label ``k + 1``.  Every
     other pixel, visited in decreasing-zeta order, copies the label of
     ``parents[pixel]``, its diffusion-nearest predecessor as returned by
-    :func:`dt_values`.  Only the top-ranked pixel lacks a predecessor; if
-    it is not a mode, it falls back to the diffusion-nearest mode (ties
-    prefer the smaller index), the one distance computed here.
+    :func:`dt_values` on the same ``embedding``.  Only the top-ranked pixel
+    lacks a predecessor; if it is not a mode, it takes the label of the
+    mode whose ``embedding`` row is nearest its own (ties prefer the
+    smaller index), the one distance computed here.
     """
     n = z.shape[0]
     modes = np.asarray(modes, dtype=np.intp)
@@ -303,14 +300,16 @@ def propagate_labels(
         raise ValueError("modes must be a non-empty 1-D index array")
     if modes.min() < 0 or modes.max() >= n or np.unique(modes).size != modes.size:
         raise ValueError("modes must be distinct pixel indices")
-    if n != system.n or np.shape(parents) != (n,):
-        raise ValueError("zeta, parents and diffusion system disagree on pixel count")
+    if len(embedding) != n or np.shape(parents) != (n,):
+        raise ValueError("zeta, parents and embedding disagree on pixel count")
     labels = np.zeros(n, dtype=np.int64)
     labels[modes] = np.arange(1, modes.size + 1)
     order = _rank_order(z)
     top = order[0]
     if labels[top] == 0:
-        labels[top] = labels[nearest_in_diffusion(system, top, modes, t)]
+        candidates = np.unique(modes)
+        dists = np.linalg.norm(embedding[candidates] - embedding[top], axis=1)
+        labels[top] = labels[candidates[np.argmin(dists)]]
     for pixel in order[1:]:
         if labels[pixel] == 0:
             labels[pixel] = labels[parents[pixel]]
@@ -347,16 +346,25 @@ def mode_grid(
       columns are the ``k_n`` search, for the bandwidth and density;
     * each ``tau`` gets one reconstruction and one search of its spectra;
     * the graph and eigensystem run once per ``(k_n, tau)``, and the
-      predecessor scan, mode choice and labelling once per ``(seed, t)`` on
-      them; each such result is built here as one :class:`Clustering` of
-      the labels, the modes and every pixel's score ``zeta * d_t``.
+      embedding at each ``t`` once per ``(k_n, tau, t)``, shared by the
+      seeds;
+    * the predecessor scan (:func:`dt_values`), the scores ``zeta * d_t``,
+      the mode choice (:func:`select_modes`) and the labelling
+      (:func:`propagate_labels`) run once per ``(k_n, tau, t, seed)`` on
+      that embedding; each result is one :class:`Clustering` of the
+      labels, the modes and the scores.
 
     Each stage's input is released once consumed: the raw distances once
     the zetas are built, a reconstructed cloud once its search returns, a
     search's neighbour array once its last graph is built (before that
     graph's eigensolve), each graph once its eigensystem is solved (the
-    scan and labelling read only the eigenpairs), and each eigensystem
-    before the next graph is built.
+    scan and labelling read only the embedding), and each eigensystem and
+    embedding before the next graph is built.
+
+    Raises ``ValueError`` before any stage runs when a knob asks more of
+    the cloud than it has: more clusters or eigenpairs than pixels, a
+    ``k_n`` not below the pixel count, or more endmembers than pixels or
+    bands.
 
     A ``(k_n, tau)`` graph that splits into components maps each of its
     ``(k_n, t, tau, seed)`` keys to the :class:`DisconnectedGraphError` it
@@ -377,11 +385,15 @@ def mode_grid(
     k_max = max(k_ns)
     if k_max >= n:
         raise ValueError(f"k_n must be below the pixel count {n}")
+    if config.n_endmembers is not None and config.n_endmembers > min(n, cloud.bands):
+        raise ValueError(f"n_endmembers must be at most {min(n, cloud.bands)}, the pixel or band count")
+    if config.n_eigenpairs is not None and config.n_eigenpairs > n:
+        raise ValueError(f"n_eigenpairs must be at most the pixel count {n}")
     p, purities = config.n_endmembers, []
     for seed in seeds:
         model = unmix(cloud, p=p, restarts=config.restarts, rng=np.random.default_rng(seed))
         p = model.p
-        purities.append(purity(model))
+        purities.append(purity(model.abundances))
     del model
     neighbors, distances = knn_indices(cloud.spectra, k_max)
     zetas = {}
@@ -413,18 +425,20 @@ def mode_grid(
             except DisconnectedGraphError as exc:
                 # Stored without the traceback, whose frames hold the graph.
                 error = exc.with_traceback(None)
-                keys = [(k_n, t, tau, seed) for seed in seeds for t in ts]
+                keys = [(k_n, t, tau, seed) for t in ts for seed in seeds]
                 results.update(dict.fromkeys(keys, error))
                 continue
             finally:
                 del graph
-            for seed, z in zetas[k_n]:
-                for t in ts:
-                    dt, parents = dt_values(system, z, t)
-                    modes = select_modes(z, dt, config.n_clusters)
-                    labels = propagate_labels(system, z, modes, t, parents)
-                    results[k_n, t, tau, seed] = Clustering(LabelMap(labels), modes, z * dt)
-            del system
+            for t in ts:
+                embedding = system.embedding(t)
+                for seed, z in zetas[k_n]:
+                    dt, parents = dt_values(embedding, z)
+                    scores = z * dt
+                    modes = select_modes(scores, config.n_clusters)
+                    labels = propagate_labels(embedding, z, modes, parents)
+                    results[k_n, t, tau, seed] = Clustering(LabelMap(labels), modes, scores)
+            del system, embedding
     return results
 
 

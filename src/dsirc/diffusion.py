@@ -12,7 +12,6 @@ between the walk's t-step transition rows, computable spectrally as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sparse
@@ -28,7 +27,6 @@ __all__ = [
     "knn_indices",
     "knn_graph",
     "diffusion_system",
-    "nearest_in_diffusion",
 ]
 
 # Below this size a dense eigensolve is both faster and free of iterative
@@ -261,25 +259,19 @@ def _symmetric_pattern(neighbors: np.ndarray) -> sparse.csr_matrix:
 
 @dataclass(frozen=True)
 class DiffusionSystem:
-    """Eigensystem of the random walk on a KNN graph.
+    """The result of :func:`diffusion_system`: the eigensystem of the random
+    walk on a KNN graph.
 
     ``eigenvalues`` are sorted by decreasing magnitude (the leading one is
     1); ``eigenvectors`` columns are the matching right eigenvectors of
     ``P = D^{-1} W``, one row per node, orthonormal under the stationary
     distribution ``pi = deg / sum(deg)`` and signed so each column's
-    largest-magnitude entry is positive.
+    largest-magnitude entry is positive.  Both are C-ordered float64, so
+    each embedding row is contiguous.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        eigenvalues = np.ascontiguousarray(np.asarray(self.eigenvalues, dtype=np.float64))
-        eigenvectors = np.ascontiguousarray(np.asarray(self.eigenvectors, dtype=np.float64))
-        if eigenvalues.ndim != 1 or eigenvectors.shape[1:] != eigenvalues.shape:
-            raise ValueError("eigenvectors must be (n, n_pairs)")
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "eigenvectors", eigenvectors)
 
     @property
     def n(self) -> int:
@@ -348,7 +340,9 @@ def diffusion_system(graph: KnnGraph, n_eigenpairs: int) -> DiffusionSystem:
         )
     order = np.lexsort((-eigvals, -np.abs(eigvals)))[:n_eigenpairs]
     eigvals = np.clip(eigvals[order], -1.0, 1.0)
-    psi = eigvecs[:, order] * inv_sqrt[:, None] * np.sqrt(degrees.sum())
+    # Picking the columns leaves them Fortran-ordered; the scan's row norms
+    # are taken in C order.
+    psi = np.ascontiguousarray(eigvecs[:, order]) * inv_sqrt[:, None] * np.sqrt(degrees.sum())
     peaks = np.argmax(np.abs(psi), axis=0)
     flip = psi[peaks, np.arange(psi.shape[1])] < 0
     psi[:, flip] *= -1.0
@@ -357,19 +351,3 @@ def diffusion_system(graph: KnnGraph, n_eigenpairs: int) -> DiffusionSystem:
     eigvals[0] = 1.0
     psi[:, 0] = 1.0
     return DiffusionSystem(eigvals, psi)
-
-
-def nearest_in_diffusion(
-    system: DiffusionSystem, i: int, candidates: Sequence[int] | np.ndarray, t: float
-) -> int:
-    """Candidate node closest to ``i`` in diffusion distance (ties take the
-    smallest index)."""
-    cand = np.unique(np.asarray(candidates, dtype=np.intp))
-    if cand.size == 0:
-        raise ValueError("candidate set is empty")
-    n = system.n
-    if cand[0] < 0 or cand[-1] >= n or not 0 <= i < n:
-        raise IndexError("node index out of range")
-    embedding = system.embedding(t)
-    dists = np.linalg.norm(embedding[cand] - embedding[i], axis=1)
-    return int(cand[int(np.argmin(dists))])

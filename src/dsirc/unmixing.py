@@ -37,22 +37,11 @@ class RankDeficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class UnmixingModel:
-    """Endmembers ``(p, bands)`` and per-pixel abundances ``(n, p)``."""
+    """The result of :func:`unmix`: endmembers ``(p, bands)`` and per-pixel
+    non-negative abundances ``(n, p)``."""
 
     endmembers: np.ndarray
     abundances: np.ndarray
-
-    def __post_init__(self) -> None:
-        endmembers = np.ascontiguousarray(np.asarray(self.endmembers, dtype=np.float64))
-        abund = np.ascontiguousarray(np.asarray(self.abundances, dtype=np.float64))
-        if endmembers.ndim != 2 or endmembers.shape[0] < 1:
-            raise ValueError("endmembers must be (p, bands) with p >= 1")
-        if abund.ndim != 2 or abund.shape[1] != endmembers.shape[0]:
-            raise ValueError("abundances must be (n, p) matching the endmember count")
-        if abund.size and abund.min() < 0:
-            raise ValueError("abundances must be non-negative")
-        object.__setattr__(self, "endmembers", endmembers)
-        object.__setattr__(self, "abundances", abund)
 
     @property
     def p(self) -> int:
@@ -383,16 +372,20 @@ def _passive_solve(gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray) -> np
     return z
 
 
-def purity(model: UnmixingModel) -> np.ndarray:
+def purity(abundances: np.ndarray) -> np.ndarray:
     """Largest abundance share per pixel, max-normalized over the cloud.
 
-    Abundance rows are normalized to sum to one first (an all-zero row is
-    treated as uniform, purity ``1/p``), so the raw purity ``eta`` lies in
-    ``[1/p, 1]``; the result is ``eta / eta.max()``, which lies in
-    ``(0, 1]`` with a maximum of exactly 1.
+    ``abundances`` is a non-negative ``(n, p)`` array with ``p >= 1``, such
+    as :attr:`UnmixingModel.abundances`; anything else raises
+    ``ValueError``.  Its rows are normalized to sum to one first (an
+    all-zero row is treated as uniform, purity ``1/p``), so the raw purity
+    ``eta`` lies in ``[1/p, 1]``; the result is ``eta / eta.max()``, which
+    lies in ``(0, 1]`` with a maximum of exactly 1.
     """
-    a = model.abundances
-    p = model.p
+    a = np.asarray(abundances, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] < 1 or a.min() < 0:
+        raise ValueError("abundances must be a non-negative (n, p) array with p >= 1")
+    p = a.shape[1]
     sums = a.sum(axis=1)
     safe = np.where(sums > 0, sums, 1.0)
     shares = np.where(sums[:, None] > 0, a / safe[:, None], 1.0 / p)

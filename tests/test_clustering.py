@@ -44,7 +44,7 @@ from dsirc.diffusion import (
 )
 from dsirc.sar import IciConfig, sar
 from dsirc.synth import SynthConfig, synth_hsi
-from dsirc.unmixing import UnmixingModel, purity, unmix
+from dsirc.unmixing import purity, unmix
 
 
 def cloud_of(spectra):
@@ -145,7 +145,7 @@ def test_zeta_of_the_producers_lies_in_unit_interval():
     abund = rng.uniform(size=(41, 36)) * (rng.random((41, 36)) < 0.2)
     abund[:2] = 0.0
     abund[2, 5] = 1.0
-    eta_hat = purity(UnmixingModel(np.ones((36, 40)), abund))
+    eta_hat = purity(abund)
     for pair in [(f_hat, eta_hat), (f_hat, eta_hat[::-1]), (f_hat[::-1], eta_hat)]:
         z = zeta(*pair)
         assert z.min() > 0 and z.max() <= 1.0
@@ -189,13 +189,12 @@ def test_dt_values_match_naive_loop():
         z = rng.uniform(0.05, 1.0, size=system.n)
         for t in (1.0, 4.0, 30.0):
             np.testing.assert_allclose(
-                dt_values(system, z, t)[0], naive_dt(system, z, t), rtol=1e-12
+                dt_values(system.embedding(t), z)[0], naive_dt(system, z, t), rtol=1e-12
             )
 
 
 def test_dt_values_single_pixel():
-    system = DiffusionSystem(np.ones(1), np.ones((1, 1)))
-    dt, parents = dt_values(system, np.array([0.5]), 30.0)
+    dt, parents = dt_values(np.ones((1, 1)), np.array([0.5]))
     np.testing.assert_array_equal(dt, [0.0])
     np.testing.assert_array_equal(parents, [-1])
 
@@ -203,22 +202,17 @@ def test_dt_values_single_pixel():
 def test_dt_values_pixel_count_mismatch():
     system, _ = small_system()
     with pytest.raises(ValueError):
-        dt_values(system, np.full(system.n + 1, 0.5), 2.0)
+        dt_values(system.embedding(2.0), np.full(system.n + 1, 0.5))
 
 
 def test_select_modes_hand_case_and_ties():
     z = np.array([0.9, 0.5, 0.8])
-    np.testing.assert_array_equal(
-        select_modes(z, np.array([1.0, 10.0, 2.0]), 2), [1, 2]
-    )
+    np.testing.assert_array_equal(select_modes(z * np.array([1.0, 10.0, 2.0]), 2), [1, 2])
     tie = np.array([0.5, 0.5, 0.25])
-    np.testing.assert_array_equal(
-        select_modes(tie, np.array([2.0, 2.0, 4.0]), 3), [0, 1, 2]
-    )
-    with pytest.raises(ValueError):
-        select_modes(z, np.array([1.0, 2.0]), 1)
-    with pytest.raises(ValueError):
-        select_modes(z, np.array([1.0, 2.0, 3.0]), 4)
+    np.testing.assert_array_equal(select_modes(tie * np.array([2.0, 2.0, 4.0]), 3), [0, 1, 2])
+    for bad in (0, 4):
+        with pytest.raises(ValueError, match="n_clusters"):
+            select_modes(z, bad)
 
 
 def naive_propagate(system, z, modes, t):
@@ -241,7 +235,8 @@ def naive_propagate(system, z, modes, t):
 
 
 def propagate(system, z, modes, t):
-    return propagate_labels(system, z, modes, t, dt_values(system, z, t)[1])
+    embedding = system.embedding(t)
+    return propagate_labels(embedding, z, modes, dt_values(embedding, z)[1])
 
 
 def test_propagate_labels_match_naive_loop():
@@ -263,6 +258,17 @@ def test_propagate_top_pixel_falls_back_to_nearest_mode():
     got = propagate(system, z, modes, 3.0)
     assert got[top] in (1, 2, 3)
     np.testing.assert_array_equal(got, naive_propagate(system, z, modes, 3.0))
+
+
+def test_propagate_top_pixel_ties_go_to_the_smaller_mode():
+    # Pixel 0 ranks first and is no mode; modes 1 and 3 share one embedding
+    # row at its nearest distance, so it takes mode 1's label in any order.
+    embedding = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [1.0, 0.0]])
+    z = np.array([1.0, 0.5, 0.4, 0.3])
+    parents = dt_values(embedding, z)[1]
+    for modes in ([3, 1, 2], [1, 3, 2], [2, 3, 1]):
+        labels = propagate_labels(embedding, z, modes, parents)
+        assert labels[0] == labels[1] == modes.index(1) + 1
 
 
 def test_propagate_modes_keep_their_own_labels():
@@ -314,7 +320,7 @@ def test_parents_break_exact_ties_by_smaller_index():
     embedding = system.embedding(1.0)
     for _ in range(5):
         z = rng.uniform(0.05, 1.0, size=system.n)
-        dt, parents = dt_values(system, z, 1.0)
+        dt, parents = dt_values(embedding, z)
         want = naive_parents(system, z, 1.0)
         np.testing.assert_array_equal(parents, want)
         np.testing.assert_allclose(dt, naive_dt(system, z, 1.0), rtol=1e-12)
@@ -325,7 +331,7 @@ def test_parents_break_exact_ties_by_smaller_index():
             tied += int(np.count_nonzero(d == d.min()) > 1)
         assert tied > 0
         modes = rng.choice(system.n, size=3, replace=False)
-        got = propagate_labels(system, z, modes, 1.0, parents)
+        got = propagate_labels(embedding, z, modes, parents)
         np.testing.assert_array_equal(got, naive_propagate(system, z, modes, 1.0))
 
 
@@ -357,10 +363,23 @@ def test_dt_values_equal_push_scan():
     for system, t in cases:
         for _ in range(5):
             z = rng.uniform(0.05, 1.0, size=system.n)
-            dt, parents = dt_values(system, z, t)
+            dt, parents = dt_values(system.embedding(t), z)
             want_dt, want_parents = push_scan(system, z, t)
             np.testing.assert_array_equal(dt, want_dt)
             np.testing.assert_array_equal(parents, want_parents)
+
+
+def test_dt_values_read_any_layout_alike():
+    # A Fortran-ordered embedding is read as its C-ordered copy, so the row
+    # norms, which reduce differently over strided rows, keep their bits.
+    system, rng = screen_system()
+    for t in (1.0, 4.0, 30.0):
+        embedding = system.embedding(t)
+        z = rng.uniform(0.05, 1.0, size=system.n)
+        want_dt, want_parents = dt_values(embedding, z)
+        dt, parents = dt_values(np.asfortranarray(embedding), z)
+        np.testing.assert_array_equal(dt, want_dt)
+        np.testing.assert_array_equal(parents, want_parents)
 
 
 def tree_queries(monkeypatch):
@@ -399,7 +418,7 @@ def assert_screened_scan_equals_push_scan(monkeypatch, system, t, rng, rounds_ok
     for _ in range(trials):
         z = rng.uniform(0.05, 1.0, size=system.n)
         log.clear()
-        dt, parents = dt_values(system, z, t)
+        dt, parents = dt_values(system.embedding(t), z)
         want_dt, want_parents = push_scan(system, z, t)
         np.testing.assert_array_equal(dt, want_dt)
         np.testing.assert_array_equal(parents, want_parents)
@@ -469,7 +488,7 @@ def test_screened_scan_gathers_in_slices_on_collapsed_embedding():
     z = rng.uniform(0.05, 1.0, size=n)
     tracemalloc.start()
     try:
-        dt, parents = dt_values(constant, z, 1e9)
+        dt, parents = dt_values(constant.embedding(1e9), z)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -519,7 +538,7 @@ def test_public_stages_compose_to_the_pipeline(pipeline):
     cloud = cube_to_cloud(synth_hsi(SynthConfig(height=20, width=20, bands=12, seed=0)).cube)
     config = ClusterConfig(n_clusters=4, k_n=30, t=10.0, tau=2.0, seed=0)
     model = unmix(cloud, restarts=config.restarts, rng=np.random.default_rng(config.seed))
-    eta_hat = purity(model)
+    eta_hat = purity(model.abundances)
     distances = knn_indices(cloud.spectra, config.k_n)[1]
     z = zeta(kde_density(distances, auto_sigma0(distances)), eta_hat)
     spectra = cloud.spectra
@@ -527,9 +546,10 @@ def test_public_stages_compose_to_the_pipeline(pipeline):
         spectra = sar(cloud, IciConfig(tau=config.tau, lengths=config.lengths)).spectra
     graph = knn_graph(knn_indices(spectra, config.k_n)[0])
     system = diffusion_system(graph, min(cloud.n, max(2 * config.n_clusters, 50)))
-    dt, parents = dt_values(system, z, config.t)
-    modes = select_modes(z, dt, config.n_clusters)
-    labels = propagate_labels(system, z, modes, config.t, parents)
+    embedding = system.embedding(config.t)
+    dt, parents = dt_values(embedding, z)
+    modes = select_modes(z * dt, config.n_clusters)
+    labels = propagate_labels(embedding, z, modes, parents)
     want = pipeline(cloud, config)
     assert set(np.unique(labels)) == {1, 2, 3, 4}
     np.testing.assert_array_equal(labels, want.labels.labels)
@@ -656,6 +676,38 @@ def test_scan_holds_no_graph(monkeypatch, taus, seeds):
     mode_grid(cloud, config, [50, 60], [10.0, 30.0], taus, seeds)
     n_graphs = 2 if taus is None else 4
     assert scans == [graph for graph in range(1, n_graphs + 1) for _ in range(2 * len(seeds))]
+
+
+def test_mode_grid_forms_each_embedding_once(monkeypatch):
+    # Each (k_n, t) embedding is formed once and read by both seeds' scans
+    # and labellings.
+    calls = []
+    embedding = DiffusionSystem.embedding
+
+    def counted(system, t):
+        calls.append(t)
+        return embedding(system, t)
+
+    monkeypatch.setattr(DiffusionSystem, "embedding", counted)
+    cloud, _ = grid_cloud(np.random.default_rng(17))
+    config = ClusterConfig(n_clusters=3, n_endmembers=3)
+    grid = mode_grid(cloud, config, [50, 60], [10.0, 30.0], seeds=[0, 1])
+    assert len(grid) == 8
+    assert calls == [10.0, 30.0] * 2
+
+
+@pytest.mark.parametrize("knob, value", [("n_endmembers", 31), ("n_eigenpairs", 1601)])
+def test_mode_grid_checks_the_cloud_before_any_stage(monkeypatch, knob, value):
+    # 31 endmembers exceed the 30 bands, and 1,601 eigenpairs the 1,600
+    # pixels; both are rejected before unmixing starts.
+    def unmix(*args, **kwargs):
+        raise AssertionError("unmixing ran before the knobs were checked")
+
+    monkeypatch.setattr(clustering, "unmix", unmix)
+    cloud = cube_to_cloud(synth_hsi(SynthConfig()).cube)
+    config = replace(ClusterConfig(n_clusters=4, seed=0), **{knob: value})
+    with pytest.raises(ValueError, match=knob):
+        mode_grid(cloud, config, [config.k_n], [config.t], [config.tau])
 
 
 def test_one_knn_search_per_cloud(monkeypatch):

@@ -555,7 +555,7 @@ def bounded_pass(module_name):
         return lambda: knn_indices(x, 10)
     system = diffusion_system(knn_graph(knn_indices(x, 10)[0]), 20)
     z = np.random.default_rng(31).uniform(0.05, 1.0, size=300)
-    return lambda: dt_values(system, z, 1.0)
+    return lambda: dt_values(system.embedding(1.0), z)
 
 
 @pytest.mark.parametrize("module_name", ["dsirc.diffusion", "dsirc.clustering", "dsirc.sar"])

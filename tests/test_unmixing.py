@@ -17,7 +17,6 @@ from dsirc import unmixing
 from dsirc.synth import SynthConfig, synth_hsi
 from dsirc.unmixing import (
     RankDeficientDataError,
-    UnmixingModel,
     _ascend_volume,
     _noise_moment,
     _replacement_volumes,
@@ -450,7 +449,7 @@ def test_abundances_edge_rows(seed):
     np.testing.assert_array_equal(got[:2], 0.0)
     for row, k in zip(got[2:], np.repeat(np.arange(4), 3)):
         assert np.flatnonzero(row).tolist() == [k]
-    np.testing.assert_array_equal(purity(UnmixingModel(e, got)), [0.25] * 2 + [1.0] * 12)
+    np.testing.assert_array_equal(purity(got), [0.25] * 2 + [1.0] * 12)
 
 
 def test_rejected_entries_do_not_cycle_without_a_tolerance():
@@ -505,20 +504,27 @@ def test_abundances_warn_at_their_step_cap(monkeypatch):
 
 
 def test_purity_hand_values():
-    model = UnmixingModel(
-        endmembers=np.ones((2, 4)),
-        abundances=np.array([[0.2, 0.8], [0.0, 0.0], [0.3, 0.3]]),
-    )
+    a = np.array([[0.2, 0.8], [0.0, 0.0], [0.3, 0.3]])
     # Raw purities 0.8, 1/p = 0.5 for the all-zero row, and 0.5.
-    np.testing.assert_allclose(purity(model), np.array([0.8, 0.5, 0.5]) / 0.8)
-    np.testing.assert_allclose(purity(model), [1.0, 0.625, 0.625])
+    np.testing.assert_allclose(purity(a), np.array([0.8, 0.5, 0.5]) / 0.8)
+    np.testing.assert_allclose(purity(a), [1.0, 0.625, 0.625])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.ones(3), np.ones((3, 0)), np.array([[0.5, -0.1], [0.2, 0.2]])],
+    ids=["1-D", "no-endmembers", "negative"],
+)
+def test_purity_validation(bad):
+    with pytest.raises(ValueError, match=r"non-negative \(n, p\) array with p >= 1"):
+        purity(bad)
 
 
 def test_purity_pure_pixels_score_one():
     rng = np.random.default_rng(14)
     e = rng.uniform(0.1, 1.0, size=(3, 6))
     a = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=10)])
-    eta_hat = purity(UnmixingModel(e, a))
+    eta_hat = purity(a)
     np.testing.assert_allclose(eta_hat[:3], 1.0)
     assert eta_hat.max() == 1.0
     assert np.all(eta_hat > 0) and np.all(eta_hat <= 1)
@@ -535,13 +541,13 @@ def test_purity_lies_in_unit_interval_with_max_one():
         a[:, :2] += 0.05
         a[:3] = 0.0
         eta = [row.max() / row.sum() if row.sum() > 0 else 1.0 / p for row in a]
-        eta_hat = purity(UnmixingModel(np.ones((p, p + 1)), a))
+        eta_hat = purity(a)
         np.testing.assert_allclose(eta_hat, np.array(eta) / max(eta), rtol=1e-14)
         assert max(eta) < 1.0 and eta_hat.max() == 1.0
         assert eta_hat.min() > 0 and np.all(eta_hat <= 1.0)
         np.testing.assert_allclose(eta_hat[:3], (1.0 / p) / max(eta), rtol=1e-14)
         # All rows zero: every raw purity is 1/p, so every pixel reads 1.
-        np.testing.assert_array_equal(purity(UnmixingModel(np.ones((p, p + 1)), a[:3])), 1.0)
+        np.testing.assert_array_equal(purity(a[:3]), 1.0)
 
 
 # ---------------------------------------------------------------------------
