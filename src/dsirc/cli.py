@@ -25,6 +25,7 @@ import numpy as np
 from .clustering import (
     ClusterConfig,
     Clustering,
+    _cloud_limits,
     kmeans,
     mode_grid,
     spectral_clustering,
@@ -99,9 +100,15 @@ _DEFAULTS: dict[str, object] = {"algorithm": "dsirc", "seed": 0, "normalize": "n
     if name == field.name and field.default is not dataclasses.MISSING
 }
 
-# The sweep's default grids, and the keys each algorithm sweeps.
+# The sweep's default grids.
 _GRIDS = {"kn": "20,50,100,200", "t": "10,30,100", "tau": "1,2,3"}
-_SWEPT = {"kmeans": (), "sc": ("kn",), "dvic": ("kn", "t"), "dsirc": ("kn", "t", "tau")}
+
+# The pipeline keys each algorithm reads, each reading all of the one before
+# (and algorithm, seed and normalize): a sweep sweeps those with a grid, and
+# the loaded cloud is checked against those with a limit.
+_READS = {"kmeans": ("k", "restarts"), "sc": ("k", "kn", "restarts")}
+_READS["dvic"] = (*_READS["sc"], "sigma0", "t", "p", "eigenpairs")
+_READS["dsirc"] = (*_READS["dvic"], "tau", "lsar")
 
 
 class _Failed(Exception):
@@ -169,22 +176,15 @@ def _check_cloud_supports(
 ) -> None:
     """Raise ValueError, naming the key, when a value the algorithm reads in
     any combination (options overriding ``opts``) asks more of ``cloud``
-    than it has: more clusters than pixels, a k_n not below the pixel count,
-    more endmembers than bands or pixels, or more eigenpairs than pixels."""
-    n, bands = cloud.n, cloud.bands
-    algorithm = opts["algorithm"]
-    limits = [("k", n, f"more clusters than the {n} pixels")]
-    if algorithm != "kmeans":
-        limits.append(("kn", n - 1, f"not below the pixel count {n}"))
-    if algorithm in ("dsirc", "dvic"):
-        endmembers = f"more endmembers than the {bands} bands or the {n} pixels"
-        limits.append(("p", min(n, bands), endmembers))
-        limits.append(("eigenpairs", n, f"more eigenpairs than the {n} pixels"))
-    for key, most, reason in limits:
-        for combo in combos:
-            value = combo.get(key, opts[key])
-            if value is not None and value > most:
-                raise ValueError(f"bad {key} value {value}: {reason}")
+    than it has, by the limits ``mode_grid`` checks."""
+    limits = _cloud_limits(cloud)
+    for key, (_, name, _) in _OPTIONS.items():
+        if key in _READS[opts["algorithm"]] and name in limits:
+            most, reason = limits[name]
+            for combo in combos:
+                value = combo.get(key, opts[key])
+                if value is not None and value > most:
+                    raise ValueError(f"bad {key} value {value}: {reason}")
 
 
 def _normalized(cloud: PixelCloud, mode: str) -> PixelCloud:
@@ -307,7 +307,7 @@ def _prepare(args: argparse.Namespace, grids: dict[str, list] | None = None):
     """
     with _stage("configuration", 2):
         opts = _parse_options(args)
-        swept = _SWEPT[opts["algorithm"]] if grids else ()
+        swept = [key for key in _GRIDS if key in _READS[opts["algorithm"]]] if grids else []
         combos = [
             dict(zip(swept, values))
             for values in itertools.product(*(grids[key] for key in swept))
@@ -402,7 +402,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             best = row
     with _stage("output", 2, OSError):
         os.makedirs(args.out, exist_ok=True)
-        keys = ["kn", "t", "tau", "oa_median", "kappa_median"]
+        keys = [*_GRIDS, "oa_median", "kappa_median"]
         with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8") as fh:
             fh.write(",".join(keys) + "\n")
             for row in rows:

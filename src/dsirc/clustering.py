@@ -320,6 +320,19 @@ def propagate_labels(
 # Full pipelines
 
 
+def _cloud_limits(cloud: PixelCloud) -> dict[str, tuple[int, str]]:
+    """The largest value each knob the cloud bounds may take, by
+    :class:`ClusterConfig` field, and the reason a larger one fails; the
+    one statement of these limits, read by :func:`mode_grid` and the CLI."""
+    n, bands = cloud.n, cloud.bands
+    return {
+        "n_clusters": (n, f"more clusters than the {n} pixels"),
+        "k_n": (n - 1, f"not below the pixel count {n}"),
+        "n_endmembers": (min(n, bands), f"more endmembers than the {bands} bands or the {n} pixels"),
+        "n_eigenpairs": (n, f"more eigenpairs than the {n} pixels"),
+    }
+
+
 def mode_grid(
     cloud: PixelCloud,
     config: ClusterConfig,
@@ -362,9 +375,9 @@ def mode_grid(
     embedding before the next graph is built.
 
     Raises ``ValueError`` before any stage runs when a knob asks more of
-    the cloud than it has: more clusters or eigenpairs than pixels, a
-    ``k_n`` not below the pixel count, or more endmembers than pixels or
-    bands.
+    the cloud than it has (:func:`_cloud_limits`): more clusters or
+    eigenpairs than pixels, a ``k_n`` of the pixel count or more, or more
+    endmembers than pixels or bands.
 
     A ``(k_n, tau)`` graph that splits into components maps each of its
     ``(k_n, t, tau, seed)`` keys to the :class:`DisconnectedGraphError` it
@@ -374,28 +387,23 @@ def mode_grid(
     ts = list(dict.fromkeys(ts))
     grid_taus = [None] if taus is None else list(dict.fromkeys(taus))
     seeds = [config.seed] if seeds is None else list(dict.fromkeys(seeds))
-    n = cloud.n
     if not (k_ns and ts and grid_taus and seeds):
         raise ValueError("every grid needs at least one value")
     for k_n, t, tau, seed in itertools.product(k_ns, ts, grid_taus, seeds):
         # ClusterConfig rejects an invalid combination.
         replace(config, k_n=k_n, t=t, tau=config.tau if tau is None else tau, seed=seed)
-    if config.n_clusters > n:
-        raise ValueError("more clusters than pixels")
-    k_max = max(k_ns)
-    if k_max >= n:
-        raise ValueError(f"k_n must be below the pixel count {n}")
-    if config.n_endmembers is not None and config.n_endmembers > min(n, cloud.bands):
-        raise ValueError(f"n_endmembers must be at most {min(n, cloud.bands)}, the pixel or band count")
-    if config.n_eigenpairs is not None and config.n_eigenpairs > n:
-        raise ValueError(f"n_eigenpairs must be at most the pixel count {n}")
+    largest = replace(config, k_n=max(k_ns))
+    for field, (most, reason) in _cloud_limits(cloud).items():
+        value = getattr(largest, field)
+        if value is not None and value > most:
+            raise ValueError(f"bad {field} value {value}: {reason}")
     p, purities = config.n_endmembers, []
     for seed in seeds:
         model = unmix(cloud, p=p, restarts=config.restarts, rng=np.random.default_rng(seed))
         p = model.p
         purities.append(purity(model.abundances))
     del model
-    neighbors, distances = knn_indices(cloud.spectra, k_max)
+    neighbors, distances = knn_indices(cloud.spectra, largest.k_n)
     zetas = {}
     for k_n in k_ns:
         prefix = distances[:, :k_n]
@@ -409,12 +417,12 @@ def mode_grid(
         del neighbors
     n_pairs = config.n_eigenpairs
     if n_pairs is None:
-        n_pairs = min(n, max(2 * config.n_clusters, 50))
+        n_pairs = min(cloud.n, max(2 * config.n_clusters, 50))
     results = {}
     for tau in grid_taus:
         if tau is not None:
             neighbors = knn_indices(
-                sar(cloud, IciConfig(tau=tau, lengths=config.lengths)).spectra, k_max
+                sar(cloud, IciConfig(tau=tau, lengths=config.lengths)).spectra, largest.k_n
             )[0]
         for k_n in k_ns:
             graph = knn_graph(neighbors[:, :k_n])

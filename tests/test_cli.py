@@ -8,7 +8,15 @@ import pytest
 
 from dsirc import clustering, diffusion, unmixing
 from dsirc.cli import main
-from dsirc.core import ImageCube, LabelMap, load_envi, read_labels_csv, write_envi, write_labels_csv
+from dsirc.core import (
+    ImageCube,
+    LabelMap,
+    cube_to_cloud,
+    load_envi,
+    read_labels_csv,
+    write_envi,
+    write_labels_csv,
+)
 
 
 def make_scene(tmp_path, name="scene", **over):
@@ -836,6 +844,40 @@ def test_value_the_cube_cannot_support_is_configuration_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith(f"dsirc: configuration failed: bad {key} value ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, key, field",
+    [
+        ("--k 145", "k", "n_clusters"),
+        ("--kn 144", "kn", "k_n"),
+        ("--p 11", "p", "n_endmembers"),
+        ("--eigenpairs 145", "eigenpairs", "n_eigenpairs"),
+    ],
+)
+def test_cli_and_mode_grid_give_one_reason_for_a_limit(tmp_path, capsys, monkeypatch, flags, key, field):
+    # The CLI checks the cloud against the table mode_grid reads, so the
+    # same value on the same 144-pixel, 10-band cube fails for the same
+    # reason in both, before anything runs.
+    def unmix(*args, **kwargs):
+        raise AssertionError("unmixing ran before the knobs were checked")
+
+    monkeypatch.setattr(clustering, "unmix", unmix)
+    scene = make_scene(tmp_path, height="12", width="12", bands="10")
+    capsys.readouterr()
+    cube = [str(scene / "cube.hdr"), str(scene / "cube.raw")]
+    assert main(["cluster", *cube, "--out", str(tmp_path / "out"), "--k", "3", *flags.split()]) == 2
+    value = flags.split()[1]
+    cli_prefix = f"dsirc: configuration failed: bad {key} value {value}: "
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(cli_prefix)
+    config = clustering.ClusterConfig(**{"n_clusters": 3, field: int(value)})
+    cloud = cube_to_cloud(load_envi(*cube))
+    with pytest.raises(ValueError) as raised:
+        clustering.mode_grid(cloud, config, [config.k_n], [config.t], [config.tau])
+    grid_prefix = f"bad {field} value {value}: "
+    assert str(raised.value).startswith(grid_prefix)
+    assert err[len(cli_prefix):] == str(raised.value)[len(grid_prefix):]
 
 
 @pytest.mark.parametrize(

@@ -696,10 +696,14 @@ def test_mode_grid_forms_each_embedding_once(monkeypatch):
     assert calls == [10.0, 30.0] * 2
 
 
-@pytest.mark.parametrize("knob, value", [("n_endmembers", 31), ("n_eigenpairs", 1601)])
+@pytest.mark.parametrize(
+    "knob, value",
+    [("n_clusters", 1601), ("k_n", 1600), ("n_endmembers", 31), ("n_eigenpairs", 1601)],
+)
 def test_mode_grid_checks_the_cloud_before_any_stage(monkeypatch, knob, value):
-    # 31 endmembers exceed the 30 bands, and 1,601 eigenpairs the 1,600
-    # pixels; both are rejected before unmixing starts.
+    # 1,601 clusters or eigenpairs exceed the 1,600 pixels, a k_n of 1,600
+    # is not below them, and 31 endmembers exceed the 30 bands; each is
+    # rejected before unmixing starts.
     def unmix(*args, **kwargs):
         raise AssertionError("unmixing ran before the knobs were checked")
 
