@@ -209,18 +209,15 @@ def _run_grid(
     runs = [{**opts, **combo} for combo in combos]
     algorithm = opts["algorithm"]
     if algorithm not in ("dsirc", "dvic"):
+        baseline = kmeans if algorithm == "kmeans" else spectral_clustering
 
-        def baseline(run, seed):
+        def run_baseline(options, seed):
             try:
-                if algorithm == "kmeans":
-                    return kmeans(cloud, run["k"], restarts=run["restarts"], rng=seed)
-                return spectral_clustering(
-                    cloud, run["k"], run["kn"], restarts=run["restarts"], rng=seed
-                )
+                return baseline(cloud, dataclasses.replace(_cluster_config(options), seed=seed))
             except DisconnectedGraphError as exc:
                 return exc
 
-        return [[baseline(run, seed) for seed in seeds] for run in runs]
+        return [[run_baseline(options, seed) for seed in seeds] for options in runs]
     reconstruct = algorithm == "dsirc"
     keys = [(run["kn"], run["t"], run["tau"] if reconstruct else None) for run in runs]
     k_ns, ts, taus = zip(*keys)
@@ -377,29 +374,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if seeds < 1:
             raise ValueError("--seeds must be at least 1")
     opts, combos, cloud, gt = _prepare(args, grids)
-    # scores[i][j]: the metrics of combination i at the j-th seed;
-    # failures[i]: the first error of a combination that failed at any seed.
-    scores: list[list[dict[str, float]]] = [[] for _ in combos]
-    failures: dict[int, DisconnectedGraphError] = {}
+    # A combination that failed at any seed keeps its first error and gets
+    # no row.
+    rows: list[dict[str, object]] = []
+    failures: list[tuple[dict[str, object], DisconnectedGraphError]] = []
     with _stage("clustering", 1, Exception):
         grid = _run_grid(cloud, opts, combos, [opts["seed"] + offset for offset in range(seeds)])
-        for i, results in enumerate(grid):
-            for result in results:
-                if isinstance(result, DisconnectedGraphError):
-                    failures.setdefault(i, result)
-                else:
-                    scores[i].append(_score(result.labels, gt)[1])
-    rows: list[dict[str, object]] = []
-    best: dict[str, object] | None = None
-    for i, (combo, runs) in enumerate(zip(combos, scores)):
-        if i in failures:
-            continue
-        row: dict[str, object] = dict(combo)
-        row["oa_median"] = statistics.median(m["oa"] for m in runs)
-        row["kappa_median"] = statistics.median(m["kappa"] for m in runs)
-        rows.append(row)
-        if best is None or row["oa_median"] > best["oa_median"]:
-            best = row
+        for combo, results in zip(combos, grid):
+            error = next((r for r in results if isinstance(r, DisconnectedGraphError)), None)
+            if error is not None:
+                failures.append((combo, error))
+                continue
+            runs = [_score(result.labels, gt)[1] for result in results]
+            rows.append(
+                {
+                    **combo,
+                    "oa_median": statistics.median(m["oa"] for m in runs),
+                    "kappa_median": statistics.median(m["kappa"] for m in runs),
+                }
+            )
+    best = max(rows, key=lambda row: row["oa_median"], default=None)
     with _stage("output", 2, OSError):
         os.makedirs(args.out, exist_ok=True)
         keys = [*_GRIDS, "oa_median", "kappa_median"]
@@ -407,8 +401,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             fh.write(",".join(keys) + "\n")
             for row in rows:
                 fh.write(",".join(str(row.get(k, "")) for k in keys) + "\n")
-    for i, exc in failures.items():
-        described = " ".join(f"{k}={v}" for k, v in combos[i].items())
+    for combo, exc in failures:
+        described = " ".join(f"{k}={v}" for k, v in combo.items())
         print(f"dsirc: clustering failed for {described}: {exc}", file=sys.stderr)
     if best is not None:
         described = " ".join(f"{k}={best[k]}" for k in best)

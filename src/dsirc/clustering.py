@@ -5,7 +5,8 @@ and normalized spectral purity.  Each pixel's separation ``d_t`` is its
 diffusion distance to the nearest pixel of higher rank; the K pixels
 maximizing ``zeta * d_t`` become cluster modes, and remaining pixels take
 the label of their diffusion-nearest higher-ranked labeled pixel, in rank
-order.  K-means and spectral clustering baselines share the same interfaces.
+order.  The k-means and spectral clustering baselines take the same
+``(cloud, ClusterConfig)`` as the two pipelines.
 """
 
 from __future__ import annotations
@@ -323,7 +324,7 @@ def propagate_labels(
 def _cloud_limits(cloud: PixelCloud) -> dict[str, tuple[int, str]]:
     """The largest value each knob the cloud bounds may take, by
     :class:`ClusterConfig` field, and the reason a larger one fails; the
-    one statement of these limits, read by :func:`mode_grid` and the CLI."""
+    one statement of these limits, read by :func:`_check_cloud` and the CLI."""
     n, bands = cloud.n, cloud.bands
     return {
         "n_clusters": (n, f"more clusters than the {n} pixels"),
@@ -331,6 +332,16 @@ def _cloud_limits(cloud: PixelCloud) -> dict[str, tuple[int, str]]:
         "n_endmembers": (min(n, bands), f"more endmembers than the {bands} bands or the {n} pixels"),
         "n_eigenpairs": (n, f"more eigenpairs than the {n} pixels"),
     }
+
+
+def _check_cloud(cloud: PixelCloud, config: ClusterConfig, *fields: str) -> None:
+    """Raise ``ValueError`` when a ``config`` field among ``fields`` (by
+    default every one :func:`_cloud_limits` bounds) asks more of ``cloud``
+    than it has; the callers check before any work."""
+    for field, (most, reason) in _cloud_limits(cloud).items():
+        value = getattr(config, field)
+        if (not fields or field in fields) and value is not None and value > most:
+            raise ValueError(f"bad {field} value {value}: {reason}")
 
 
 def mode_grid(
@@ -393,10 +404,7 @@ def mode_grid(
         # ClusterConfig rejects an invalid combination.
         replace(config, k_n=k_n, t=t, tau=config.tau if tau is None else tau, seed=seed)
     largest = replace(config, k_n=max(k_ns))
-    for field, (most, reason) in _cloud_limits(cloud).items():
-        value = getattr(largest, field)
-        if value is not None and value > most:
-            raise ValueError(f"bad {field} value {value}: {reason}")
+    _check_cloud(cloud, largest)
     p, purities = config.n_endmembers, []
     for seed in seeds:
         model = unmix(cloud, p=p, restarts=config.restarts, rng=np.random.default_rng(seed))
@@ -529,67 +537,37 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 300)
     return labels, objective
 
 
-def _kmeans_labels(
-    x: np.ndarray, k: int, restarts: int, rng: np.random.Generator
-) -> np.ndarray:
-    best_labels: np.ndarray | None = None
-    best_objective = np.inf
-    for _ in range(restarts):
-        labels, objective = _lloyd(x, k, rng)
-        if objective < best_objective:
-            best_objective = objective
-            best_labels = labels
-    assert best_labels is not None
-    # Renumber clusters 1..k by first appearance, so the labeling does not
-    # depend on which restart won the internal numbering.
-    remap = np.zeros(k, dtype=np.int64)
-    next_label = 1
-    for lab in best_labels:
-        if remap[lab] == 0:
-            remap[lab] = next_label
-            next_label += 1
-    return remap[best_labels]
-
-
-def kmeans(
-    cloud: PixelCloud,
-    n_clusters: int,
-    restarts: int = 10,
-    rng: np.random.Generator | int | None = None,
-) -> Clustering:
+def kmeans(cloud: PixelCloud, config: ClusterConfig) -> Clustering:
     """Lloyd's algorithm with farthest-point seeding, best of ``restarts``.
 
-    Assignment ties go to the lower cluster index; clusters emptied during
-    iteration are reseeded at the point farthest from its assigned centroid.
+    Reads ``n_clusters``, ``restarts`` and ``seed`` of ``config``; the runs
+    draw their seeds from ``np.random.default_rng(seed)``.  Assignment ties
+    go to the lower cluster index; clusters emptied during iteration are
+    reseeded at the point farthest from its assigned centroid.  Clusters are
+    numbered 1..K by first appearance, so the labeling does not depend on
+    which restart won the internal numbering.
     """
-    if not 1 <= n_clusters <= cloud.n:
-        raise ValueError(f"n_clusters must be in [1, {cloud.n}]")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    rng = np.random.default_rng(rng)
-    labels = _kmeans_labels(cloud.spectra, n_clusters, restarts, rng)
-    return Clustering(LabelMap(labels))
+    _check_cloud(cloud, config, "n_clusters")
+    rng = np.random.default_rng(config.seed)
+    best_labels, best_objective = None, np.inf
+    for _ in range(config.restarts):
+        labels, objective = _lloyd(cloud.spectra, config.n_clusters, rng)
+        if objective < best_objective:
+            best_labels, best_objective = labels, objective
+    # Each cluster's new label is the rank of its first pixel's index.
+    _, first, inverse = np.unique(best_labels, return_index=True, return_inverse=True)
+    return Clustering(LabelMap(np.argsort(np.argsort(first))[inverse] + 1))
 
 
-def spectral_clustering(
-    cloud: PixelCloud,
-    n_clusters: int,
-    k_n: int,
-    restarts: int = 10,
-    rng: np.random.Generator | int | None = None,
-) -> Clustering:
-    """K-means in the coordinates of the walk's leading K eigenvectors.
+def spectral_clustering(cloud: PixelCloud, config: ClusterConfig) -> Clustering:
+    """:func:`kmeans` on the walk's leading K eigenvectors.
 
-    Pixel ``i`` maps to ``[psi_1(i), ..., psi_K(i)]`` from the KNN-graph
-    random walk (no time weighting), then :func:`kmeans` machinery runs on
-    those points.
+    Reads ``k_n`` as well as :func:`kmeans`' fields.  Pixel ``i`` maps to
+    ``[psi_1(i), ..., psi_K(i)]`` from the random walk on the ``k_n``
+    KNN graph (no time weighting), a cloud on the same grid that
+    :func:`kmeans` clusters with ``config``.
     """
-    if not 1 <= n_clusters <= cloud.n:
-        raise ValueError(f"n_clusters must be in [1, {cloud.n}]")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    rng = np.random.default_rng(rng)
-    system = diffusion_system(knn_graph(knn_indices(cloud.spectra, k_n)[0]), n_clusters)
-    coords = np.ascontiguousarray(system.eigenvectors[:, :n_clusters])
-    labels = _kmeans_labels(coords, n_clusters, restarts, rng)
-    return Clustering(LabelMap(labels))
+    _check_cloud(cloud, config, "n_clusters", "k_n")
+    graph = knn_graph(knn_indices(cloud.spectra, config.k_n)[0])
+    system = diffusion_system(graph, config.n_clusters)
+    return kmeans(PixelCloud(system.eigenvectors, cloud.grid), config)

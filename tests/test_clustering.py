@@ -866,7 +866,7 @@ def test_kmeans_attains_exhaustive_optimum_on_tiny_data():
     for trial in range(6):
         centers = rng.uniform(0.0, 10.0, size=(3, 2))
         x = np.vstack([c + rng.normal(scale=0.3, size=(3, 2)) for c in centers])
-        got = kmeans(cloud_of(x), 3, restarts=10, rng=trial)
+        got = kmeans(cloud_of(x), ClusterConfig(n_clusters=3, restarts=10, seed=trial))
         labels = got.labels.labels
         obj = 0.0
         for j in (1, 2, 3):
@@ -879,35 +879,58 @@ def test_kmeans_attains_exhaustive_optimum_on_tiny_data():
 def test_kmeans_labels_numbered_by_first_appearance():
     rng = np.random.default_rng(12)
     x = rng.uniform(size=(30, 3))
-    labels = kmeans(cloud_of(x), 4, rng=3).labels.labels
+    config = ClusterConfig(n_clusters=4, seed=3)
+    labels = kmeans(cloud_of(x), config).labels.labels
     seen = list(dict.fromkeys(labels.tolist()))
     assert seen == [1, 2, 3, 4]
+    # The same as the best run's labels renumbered by a plain loop (min
+    # keeps the first of equal objectives).
+    draws = np.random.default_rng(config.seed)
+    runs = [_lloyd(x, 4, draws) for _ in range(config.restarts)]
+    best = min(runs, key=lambda run: run[1])[0]
+    remap = {}
+    for label in best.tolist():
+        remap.setdefault(label, len(remap) + 1)
+    np.testing.assert_array_equal(labels, [remap[label] for label in best.tolist()])
 
 
 def test_kmeans_deterministic_and_validated(monkeypatch):
     rng = np.random.default_rng(13)
     x = rng.uniform(size=(25, 4))
-    a = kmeans(cloud_of(x), 3, rng=5).labels.labels
-    b = kmeans(cloud_of(x), 3, rng=5).labels.labels
+    config = ClusterConfig(n_clusters=3, k_n=5, seed=5)
+    a = kmeans(cloud_of(x), config).labels.labels
+    b = kmeans(cloud_of(x), config).labels.labels
     np.testing.assert_array_equal(a, b)
-    with pytest.raises(ValueError):
-        kmeans(cloud_of(x), 0)
-    with pytest.raises(ValueError):
-        kmeans(cloud_of(x), 26)
+    with pytest.raises(ValueError, match="n_clusters must be at least 1"):
+        replace(config, n_clusters=0)
     with pytest.raises(ValueError, match="restarts must be at least 1"):
-        kmeans(cloud_of(x), 3, restarts=0)
+        replace(config, restarts=0)
+    # A value the cloud cannot support fails with mode_grid's reason, and
+    # spectral clustering finds it before its KNN search.
+    too_many = replace(config, n_clusters=26)
+    with pytest.raises(ValueError) as from_grid:
+        mode_grid(cloud_of(x), too_many, [5], [10.0])
+    assert str(from_grid.value) == "bad n_clusters value 26: more clusters than the 25 pixels"
+    with pytest.raises(ValueError) as from_kmeans:
+        kmeans(cloud_of(x), too_many)
+    assert str(from_kmeans.value) == str(from_grid.value)
 
     def no_search(*args, **kwargs):
-        raise AssertionError("the KNN search ran before restarts was checked")
+        raise AssertionError("the KNN search ran before the cloud's limits were checked")
 
     monkeypatch.setattr(clustering, "knn_indices", no_search)
-    with pytest.raises(ValueError, match="restarts must be at least 1"):
-        spectral_clustering(cloud_of(x), 3, k_n=5, restarts=0)
+    for field, value, reason in (
+        ("n_clusters", 26, "more clusters than the 25 pixels"),
+        ("k_n", 25, "not below the pixel count 25"),
+    ):
+        with pytest.raises(ValueError) as from_sc:
+            spectral_clustering(cloud_of(x), replace(config, **{field: value}))
+        assert str(from_sc.value) == f"bad {field} value {value}: {reason}"
 
 
 def test_kmeans_survives_duplicate_heavy_data():
     x = np.array([[0.0], [0.0], [0.0], [0.0], [10.0], [10.0]])
-    labels = kmeans(cloud_of(x), 3, rng=0).labels.labels
+    labels = kmeans(cloud_of(x), ClusterConfig(n_clusters=3, seed=0)).labels.labels
     assert set(np.unique(labels)) == {1, 2, 3}
 
 
@@ -929,12 +952,32 @@ def test_spectral_clustering_splits_two_blobs():
     blob_a = rng.normal(scale=0.2, size=(30, 3))
     blob_b = rng.normal(scale=0.2, size=(30, 3)) + 5.0
     cloud = cloud_of(np.vstack([blob_a, blob_b]))
-    got = spectral_clustering(cloud, 2, k_n=30, rng=0)
+    got = spectral_clustering(cloud, ClusterConfig(n_clusters=2, k_n=30, seed=0))
     labels = got.labels.labels
     count_a = np.bincount(labels[:30], minlength=3)
     count_b = np.bincount(labels[30:], minlength=3)
     assert count_a.max() >= 27 and count_b.max() >= 27
     assert count_a.argmax() != count_b.argmax()
+
+
+# On these eigenvector clouds k-means' labels change with the seed at K = 4
+# and with the restart count at K = 8, so both must reach kmeans as given.
+@pytest.mark.parametrize(
+    "n_clusters, k_n, restarts, seed", [(2, 20, 1, 0), (4, 30, 3, 2), (8, 20, 3, 3)]
+)
+def test_spectral_clustering_is_kmeans_on_its_eigenvector_cloud(n_clusters, k_n, restarts, seed):
+    cloud = cube_to_cloud(synth_hsi(SynthConfig(height=16, width=16, bands=10, seed=seed)).cube)
+    config = ClusterConfig(n_clusters=n_clusters, k_n=k_n, restarts=restarts, seed=seed)
+    system = diffusion_system(knn_graph(knn_indices(cloud.spectra, k_n)[0]), n_clusters)
+    eigenvector_cloud = PixelCloud(system.eigenvectors, cloud.grid)
+    # The eigenvectors are C-ordered float64 with K columns, taken as they are.
+    assert eigenvector_cloud.spectra is system.eigenvectors
+    assert system.eigenvectors.shape == (cloud.n, n_clusters)
+    want = kmeans(eigenvector_cloud, config)
+    got = spectral_clustering(cloud, config)
+    assert got.labels.labels.dtype == want.labels.labels.dtype
+    np.testing.assert_array_equal(got.labels.labels, want.labels.labels)
+    assert got.modes is None and got.scores is None
 
 
 def test_spectral_clustering_disconnected_graph_raises():
@@ -943,7 +986,7 @@ def test_spectral_clustering_disconnected_graph_raises():
     blob_b = rng.normal(scale=0.1, size=(20, 3)) + 50.0
     cloud = cloud_of(np.vstack([blob_a, blob_b]))
     with pytest.raises(DisconnectedGraphError):
-        spectral_clustering(cloud, 2, k_n=4, rng=0)
+        spectral_clustering(cloud, ClusterConfig(n_clusters=2, k_n=4, seed=0))
 
 
 def test_clustering_container_roundtrip():
