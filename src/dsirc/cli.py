@@ -203,7 +203,8 @@ def _run_grid(
     KNN graph splits into components gets the error instead.
 
     ``dsirc`` and ``dvic`` run every combination and seed in one
-    :func:`mode_grid` call, so each stage runs once per distinct input;
+    :func:`mode_grid` call, so each stage runs once per distinct input
+    (dvic's combinations at ``tau = None``);
     ``kmeans`` and ``sc`` run once per combination and seed.
     """
     runs = [{**opts, **combo} for combo in combos]
@@ -218,12 +219,9 @@ def _run_grid(
                 return exc
 
         return [[run_baseline(options, seed) for seed in seeds] for options in runs]
-    reconstruct = algorithm == "dsirc"
-    keys = [(run["kn"], run["t"], run["tau"] if reconstruct else None) for run in runs]
+    keys = [(run["kn"], run["t"], run["tau"] if algorithm == "dsirc" else None) for run in runs]
     k_ns, ts, taus = zip(*keys)
-    grid = mode_grid(
-        cloud, _cluster_config(opts), k_ns, ts, taus if reconstruct else None, seeds
-    )
+    grid = mode_grid(cloud, _cluster_config(opts), k_ns, ts, taus, seeds)
     return [[grid[(*key, seed)] for seed in seeds] for key in keys]
 
 

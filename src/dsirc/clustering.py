@@ -349,26 +349,28 @@ def mode_grid(
     config: ClusterConfig,
     k_ns: Sequence[int],
     ts: Sequence[float],
-    taus: Sequence[float] | None = None,
+    taus: Sequence[float | None] | None = None,
     seeds: Sequence[int | None] | None = None,
 ) -> dict[tuple[int, float, float | None, int | None], Clustering | DisconnectedGraphError]:
     """The mode-based pipeline for every ``(k_n, t, tau, seed)`` of a grid.
 
     The grid's values replace ``config``'s ``k_n``, ``t``, ``tau`` and
-    ``seed``; ``seeds = None`` is the one seed ``config.seed``.  With
-    ``taus = None`` the graph is built on the raw spectra (:func:`dvic`) and
-    the results are keyed ``(k_n, t, None, seed)``; otherwise each ``tau``
-    gets a shape-adaptive reconstruction (:func:`dsirc`).  Each stage runs
-    once per distinct input, and every result equals a run with a
-    one-element grid:
+    ``seed``; ``seeds = None`` is the one seed ``config.seed``.  A ``tau``
+    of ``None`` builds the graph on the raw spectra (:func:`dvic`), and
+    ``taus = None`` is ``[None]``; a number gets a shape-adaptive
+    reconstruction (:func:`dsirc`).  ``None`` may sit beside numbers, so one
+    call compares the two pipelines.  Each stage runs once per distinct
+    input, and every result equals a run with a one-element grid:
 
     * unmixing, purity and the zetas run once per seed, each from
       ``np.random.default_rng(seed)`` (AVMAX's restarts are the only draws);
       HySime's endmember count does not depend on the seed, so it is
       estimated for the first seed and reused for the others;
     * the raw spectra get one search at ``max(k_ns)``, whose first ``k_n``
-      columns are the ``k_n`` search, for the bandwidth and density;
-    * each ``tau`` gets one reconstruction and one search of its spectra;
+      columns are the ``k_n`` search, for the bandwidth and density and,
+      at ``tau = None``, the graph;
+    * each numeric ``tau`` gets one reconstruction and one search of its
+      spectra;
     * the graph and eigensystem run once per ``(k_n, tau)``, and the
       embedding at each ``t`` once per ``(k_n, tau, t)``, shared by the
       seeds;
@@ -378,12 +380,24 @@ def mode_grid(
       that embedding; each result is one :class:`Clustering` of the
       labels, the modes and the scores.
 
+    The paper ranks pixels by density and purity and spreads labels in
+    diffusion distance, but does not say which spectra the density and
+    purity read.  Here they always read the raw spectra, and only the graph
+    (so the diffusion distances) reads the reconstructed ones.  That choice
+    carries the 4-endmember gain: on a 100 x 100 x 100 synthetic scene
+    (seed 0), running every stage on the reconstructed spectra read OA
+    0.638 against 0.972, as the reconstruction lowers the noise HySime
+    measures and it counts 31 endmembers in place of 4.
+
     Each stage's input is released once consumed: the raw distances once
     the zetas are built, a reconstructed cloud once its search returns, a
     search's neighbour array once its last graph is built (before that
     graph's eigensolve), each graph once its eigensystem is solved (the
-    scan and labelling read only the embedding), and each eigensystem and
-    embedding before the next graph is built.
+    scan and labelling read only the embedding), and each eigensystem,
+    embedding and scan output before the next graph is built.  ``None``
+    runs first, so the raw neighbours are gone before the first
+    reconstruction: a mixed grid's peak exceeds the larger of its two
+    halves' by at most the results it already holds.
 
     Raises ``ValueError`` before any stage runs when a knob asks more of
     the cloud than it has (:func:`_cloud_limits`): more clusters or
@@ -397,6 +411,7 @@ def mode_grid(
     k_ns = list(dict.fromkeys(k_ns))
     ts = list(dict.fromkeys(ts))
     grid_taus = [None] if taus is None else list(dict.fromkeys(taus))
+    grid_taus.sort(key=lambda tau: tau is not None)
     seeds = [config.seed] if seeds is None else list(dict.fromkeys(seeds))
     if not (k_ns and ts and grid_taus and seeds):
         raise ValueError("every grid needs at least one value")
@@ -419,9 +434,9 @@ def mode_grid(
         density = kde_density(prefix, sigma0)
         zetas[k_n] = [(seed, zeta(density, eta_hat)) for seed, eta_hat in zip(seeds, purities)]
     # Inputs are dropped once consumed (see the docstring); ``prefix`` views
-    # the distances, and with ``taus`` the raw neighbours are not used.
+    # the distances, and without ``None`` the raw neighbours are not used.
     del distances, prefix, density
-    if taus is not None:
+    if None not in grid_taus:
         del neighbors
     n_pairs = config.n_eigenpairs
     if n_pairs is None:
@@ -454,7 +469,7 @@ def mode_grid(
                     modes = select_modes(scores, config.n_clusters)
                     labels = propagate_labels(embedding, z, modes, parents)
                     results[k_n, t, tau, seed] = Clustering(LabelMap(labels), modes, scores)
-            del system, embedding
+            del system, embedding, dt, parents
     return results
 
 

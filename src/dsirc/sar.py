@@ -285,6 +285,14 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     PC field itself.  Pixels with the same number of region members are
     reconstructed together.
 
+    The paper reconstructs each pixel from "spectrally correlated pixels
+    within a data-adaptive spatial neighborhood".  The neighborhood follows
+    it; how correlation enters is this code's choice.  Every member is
+    weighted by its Pearson correlation with the center, clipped at 0, and
+    no cut drops weakly correlated members, so a member of another class
+    whose spectrum correlates with the center at 0.9 keeps a weight near
+    0.9.
+
     Working memory beyond the output, the centred spectra, a few values
     per pixel and one column interval per region row of each distinct
     length tuple is bounded: row spans, member counts and member lists are

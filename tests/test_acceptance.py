@@ -458,11 +458,13 @@ def test_criterion_9_indian_pines_stretch():
         aligned = align_labels(result.labels, gt)
         return overall_accuracy(aligned, gt)
 
-    # Each mode pipeline's grid is one mode_grid call, sharing its stages.
+    # Both mode pipelines' grids are one mode_grid call, sharing their
+    # stages: dvic's results are keyed tau = None.
     kn_grid, t_grid, tau_grid = (20, 50, 100, 200), (10.0, 30.0, 100.0), (1.0, 2.0, 3.0)
     config = ClusterConfig(n_clusters=k, seed=0)
-    best_dsirc = max(map(score, mode_grid(cloud, config, kn_grid, t_grid, tau_grid).values()))
-    best_dvic = max(map(score, mode_grid(cloud, config, kn_grid, t_grid).values()))
+    grid = mode_grid(cloud, config, kn_grid, t_grid, [None, *tau_grid])
+    best_dsirc = max(score(result) for key, result in grid.items() if key[2] is not None)
+    best_dvic = max(score(result) for key, result in grid.items() if key[2] is None)
     best_sc = max(
         score(spectral_clustering(cloud, replace(config, k_n=kn))) for kn in kn_grid
     )

@@ -636,6 +636,33 @@ def test_seed_axis_equals_one_seed_grids(taus):
     )
 
 
+@pytest.mark.parametrize(
+    "taus", [[None, 1.0, 2.0], [2.0, None, 1.0]], ids=["none-first", "none-between"]
+)
+def test_mixed_taus_equal_the_raw_and_reconstructed_grids(taus):
+    # τ = None beside numbers gives, key for key, the union of the raw
+    # ([None]) and reconstructed ([1.0, 2.0]) grids, wherever None stands;
+    # k_n = 4 splits every graph, raw or reconstructed.
+    cloud, _ = grid_cloud(np.random.default_rng(17))
+    config = ClusterConfig(n_clusters=3, restarts=1, n_endmembers=6)
+    grid = mode_grid(cloud, config, [4, 50], [10.0, 30.0], taus, [0, 1])
+    alone = mode_grid(cloud, config, [4, 50], [10.0, 30.0], [None], [0, 1])
+    alone.update(mode_grid(cloud, config, [4, 50], [10.0, 30.0], [1.0, 2.0], [0, 1]))
+    assert set(grid) == set(alone) and len(grid) == 24
+    assert {tau for _, _, tau, _ in grid} == {None, 1.0, 2.0}
+    for key, want in alone.items():
+        got = grid[key]
+        if key[0] == 4:
+            assert isinstance(got, DisconnectedGraphError) and str(got) == str(want)
+            continue
+        np.testing.assert_array_equal(got.labels.labels, want.labels.labels)
+        np.testing.assert_array_equal(got.modes, want.modes)
+        np.testing.assert_array_equal(got.scores, want.scores)
+    # The three graphs give different scores, so a mix-up of two would show.
+    for a, b in itertools.combinations([None, 1.0, 2.0], 2):
+        assert not np.array_equal(grid[50, 10.0, a, 0].scores, grid[50, 10.0, b, 0].scores)
+
+
 def test_diffusion_system_is_reproducible():
     # ARPACK draws its restart vectors from a generator; a fixed one makes
     # identical calls return identical eigenpairs, trailing
@@ -650,8 +677,8 @@ def test_diffusion_system_is_reproducible():
 
 @pytest.mark.parametrize(
     "taus, seeds",
-    [(None, [0]), ([1.0, 2.0], [0]), ([1.0, 2.0], [0, 1])],
-    ids=["dvic", "dsirc", "dsirc-seeds2"],
+    [(None, [0]), ([1.0, 2.0], [0]), ([1.0, 2.0], [0, 1]), ([None, 1.0, 2.0], [0])],
+    ids=["dvic", "dsirc", "dsirc-seeds2", "mixed"],
 )
 def test_scan_holds_no_graph(monkeypatch, taus, seeds):
     # The scan and labelling read only the eigenpairs, so every graph is
@@ -674,7 +701,7 @@ def test_scan_holds_no_graph(monkeypatch, taus, seeds):
     cloud, _ = grid_cloud(np.random.default_rng(17))
     config = ClusterConfig(n_clusters=3, n_endmembers=3, seed=0)
     mode_grid(cloud, config, [50, 60], [10.0, 30.0], taus, seeds)
-    n_graphs = 2 if taus is None else 4
+    n_graphs = 2 * len(taus or [None])
     assert scans == [graph for graph in range(1, n_graphs + 1) for _ in range(2 * len(seeds))]
 
 
@@ -715,20 +742,36 @@ def test_mode_grid_checks_the_cloud_before_any_stage(monkeypatch, knob, value):
 
 
 def test_one_knn_search_per_cloud(monkeypatch):
-    calls = []
+    # One unmixing per seed and one search of the raw spectra (the
+    # bandwidth, density and raw graph), then one reconstruction and one
+    # search of it per numeric tau: dvic, dsirc, and both in one grid.
+    calls = {name: [] for name in ("knn_indices", "unmix", "sar")}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return knn_indices(*args, **kwargs)
+    def counting(name):
+        stage = getattr(clustering, name)
 
-    monkeypatch.setattr("dsirc.clustering.knn_indices", counting)
-    monkeypatch.setattr("dsirc.diffusion.knn_indices", counting)
+        def counted(*args, **kwargs):
+            calls[name].append(args[0])
+            return stage(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(clustering, name, counting(name))
     cloud, _ = grid_cloud(np.random.default_rng(13))
     config = ClusterConfig(n_clusters=3, k_n=50, t=10.0, n_endmembers=3, seed=0)
-    dvic(cloud, config)
-    assert len(calls) == 1  # raw cloud: sigma0, density and graph
-    dsirc(cloud, config)
-    assert len(calls) == 3  # raw cloud, then the reconstructed cloud's graph
+
+    def mixed(cloud, config):
+        return mode_grid(cloud, config, [50, 60], [10.0], [None, 1.0, 2.0], [0, 1])
+
+    for run, n_seeds, n_clouds in [(dvic, 1, 0), (dsirc, 1, 1), (mixed, 2, 2)]:
+        for called in calls.values():
+            called.clear()
+        run(cloud, config)
+        assert len(calls["unmix"]) == n_seeds
+        assert len(calls["sar"]) == n_clouds
+        raw = [spectra is cloud.spectra for spectra in calls["knn_indices"]]
+        assert raw == [True] + [False] * n_clouds
 
 
 @pytest.mark.parametrize(
@@ -738,16 +781,21 @@ def test_one_knn_search_per_cloud(monkeypatch):
         (dsirc, [50], [True], 1),
         (lambda cloud, config: mode_grid(cloud, config, [50, 60], [10.0, 30.0], [1.0, 2.0]),
          [50, 60], [False, True, False, True], 2),
+        (lambda cloud, config: mode_grid(cloud, config, [50, 60], [10.0], [None, 1.0, 2.0]),
+         [50, 60], [False, True] * 3, 2),
     ],
-    ids=["dvic", "dsirc", "mode_grid"],
+    ids=["dvic", "dsirc", "mode_grid", "mixed"],
 )
 def test_eigensolve_holds_no_consumed_input(monkeypatch, run, k_ns, last_ks, n_clouds):
     # Weak references to every search's outputs, reconstructed cloud and
     # graph.  At each eigsh entry no distance array and no reconstructed
     # cloud is alive, one graph is, and a neighbour array only while a
-    # larger k_n of its search is still to come.
-    searches, clouds, graphs, last_k, entered = [], [], [], [], []
+    # larger k_n of its search is still to come.  No scan output is alive
+    # either, and once a reconstruction has run the raw search's neighbours
+    # are gone.
+    searches, clouds, graphs, last_k, entered, scans = [], [], [], [], [], []
     search, reconstruct, build = clustering.knn_indices, clustering.sar, clustering.knn_graph
+    scan = clustering.dt_values
     eigsh = scipy.sparse.linalg.eigsh
 
     def searched(spectra, k_n):
@@ -756,6 +804,8 @@ def test_eigensolve_holds_no_consumed_input(monkeypatch, run, k_ns, last_ks, n_c
         return neighbors, distances
 
     def reconstructed(cloud, config):
+        # Each reconstruction starts with no search's neighbours alive.
+        assert all(neighbors() is None for neighbors, _ in searches)
         out = reconstruct(cloud, config)
         clouds.append(weakref.ref(out))
         clouds.append(weakref.ref(out.spectra))
@@ -767,20 +817,28 @@ def test_eigensolve_holds_no_consumed_input(monkeypatch, run, k_ns, last_ks, n_c
         last_k.append(neighbors.shape[1] == k_ns[-1])
         return graph
 
+    def scanned(embedding, z):
+        dt, parents = scan(embedding, z)
+        scans.extend([weakref.ref(dt), weakref.ref(parents)])
+        return dt, parents
+
     def solve(s_matrix, **kw):
         def alive(refs):
             return sum(ref() is not None for ref in refs)
 
         assert alive(distances for _, distances in searches) == 0
+        assert alive(scans) == 0
         assert alive(clouds) == 0
         assert alive(graphs) == 1
         assert alive(neighbors for neighbors, _ in searches) == (0 if last_k[-1] else 1)
+        assert not clouds or searches[0][0]() is None
         entered.append(last_k[-1])
         return eigsh(s_matrix, **kw)
 
     monkeypatch.setattr(clustering, "knn_indices", searched)
     monkeypatch.setattr(clustering, "sar", reconstructed)
     monkeypatch.setattr(clustering, "knn_graph", built)
+    monkeypatch.setattr(clustering, "dt_values", scanned)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", solve)
     cloud, _ = grid_cloud(np.random.default_rng(17))
     config = ClusterConfig(n_clusters=3, k_n=50, t=10.0, n_endmembers=3, seed=0)
