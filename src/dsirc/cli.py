@@ -26,9 +26,10 @@ from .clustering import (
     ClusterConfig,
     Clustering,
     _cloud_limits,
+    _clustering,
+    _spectral_grid,
     kmeans,
     mode_grid,
-    spectral_clustering,
 )
 from .core import (
     EnviFormatError,
@@ -202,26 +203,22 @@ def _run_grid(
     one per seed, in ``combos`` and ``seeds`` order; a combination whose
     KNN graph splits into components gets the error instead.
 
-    ``dsirc`` and ``dvic`` run every combination and seed in one
-    :func:`mode_grid` call, so each stage runs once per distinct input
-    (dvic's combinations at ``tau = None``);
-    ``kmeans`` and ``sc`` run once per combination and seed.
+    Each algorithm makes one library call, so each stage runs once per
+    distinct input.  ``dsirc`` and ``dvic`` run every combination and seed
+    in one :func:`mode_grid` call (dvic's combinations at ``tau = None``);
+    ``sc`` runs one search at the largest k_n, one graph and eigensystem per
+    k_n and k-means per seed; ``kmeans``, which sweeps no key, runs once per
+    seed.
     """
     runs = [{**opts, **combo} for combo in combos]
-    algorithm = opts["algorithm"]
-    if algorithm not in ("dsirc", "dvic"):
-        baseline = kmeans if algorithm == "kmeans" else spectral_clustering
-
-        def run_baseline(options, seed):
-            try:
-                return baseline(cloud, dataclasses.replace(_cluster_config(options), seed=seed))
-            except DisconnectedGraphError as exc:
-                return exc
-
-        return [[run_baseline(options, seed) for seed in seeds] for options in runs]
-    keys = [(run["kn"], run["t"], run["tau"] if algorithm == "dsirc" else None) for run in runs]
-    k_ns, ts, taus = zip(*keys)
-    grid = mode_grid(cloud, _cluster_config(opts), k_ns, ts, taus, seeds)
+    algorithm, config = opts["algorithm"], _cluster_config(opts)
+    if algorithm == "kmeans":
+        return [[kmeans(cloud, dataclasses.replace(config, seed=seed)) for seed in seeds] for _ in runs]
+    if algorithm == "sc":
+        keys = [(run["kn"],) for run in runs]
+    else:
+        keys = [(run["kn"], run["t"], run["tau"] if algorithm == "dsirc" else None) for run in runs]
+    grid = (_spectral_grid if algorithm == "sc" else mode_grid)(cloud, config, *zip(*keys), seeds)
     return [[grid[(*key, seed)] for seed in seeds] for key in keys]
 
 
@@ -323,9 +320,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     opts, combos, cloud, gt = _prepare(args)
     with _stage("clustering", 1, Exception):  # algorithm failure on valid inputs
         [[result]] = _run_grid(cloud, opts, combos, [opts["seed"]])
-        if isinstance(result, DisconnectedGraphError):
-            raise result
-    labels = result.labels
+        labels = _clustering(result).labels
     metrics: dict[str, float] | None = None
     if gt is not None:
         labels, metrics = _score(labels, gt)

@@ -447,20 +447,12 @@ def mode_grid(
             neighbors = knn_indices(
                 sar(cloud, IciConfig(tau=tau, lengths=config.lengths)).spectra, largest.k_n
             )[0]
-        for k_n in k_ns:
-            graph = knn_graph(neighbors[:, :k_n])
-            if k_n == k_ns[-1]:
-                del neighbors
-            try:
-                system = diffusion_system(graph, n_pairs)
-            except DisconnectedGraphError as exc:
-                # Stored without the traceback, whose frames hold the graph.
-                error = exc.with_traceback(None)
-                keys = [(k_n, t, tau, seed) for t in ts for seed in seeds]
-                results.update(dict.fromkeys(keys, error))
+        systems = _eigensystems(neighbors, k_ns, n_pairs)
+        del neighbors
+        for k_n, system in systems:
+            if isinstance(system, DisconnectedGraphError):
+                results.update(dict.fromkeys(itertools.product([k_n], ts, [tau], seeds), system))
                 continue
-            finally:
-                del graph
             for t in ts:
                 embedding = system.embedding(t)
                 for seed, z in zetas[k_n]:
@@ -471,6 +463,30 @@ def mode_grid(
                     results[k_n, t, tau, seed] = Clustering(LabelMap(labels), modes, scores)
             del system, embedding, dt, parents
     return results
+
+
+def _eigensystems(neighbors: np.ndarray, k_ns: list[int], n_pairs: int):
+    """Yield ``(k_n, system)`` for each of the distinct ``k_ns`` in order:
+    the eigensystem of the graph on the first ``k_n`` columns of
+    ``neighbors``, or the :class:`DisconnectedGraphError` that graph raised.
+
+    The error is stored without its traceback, whose frames hold the graph.
+    ``neighbors`` is released once its last graph is built, each graph
+    before its system is yielded, and each system before the next graph is
+    built, so the caller that hands over ``neighbors`` and drops its own
+    references holds one graph or one system at a time.
+    """
+    for k_n in k_ns:
+        graph = knn_graph(neighbors[:, :k_n])
+        if k_n == k_ns[-1]:
+            del neighbors
+        try:
+            system = diffusion_system(graph, n_pairs)
+        except DisconnectedGraphError as exc:
+            system = exc.with_traceback(None)
+        del graph
+        yield k_n, system
+        del system
 
 
 def dsirc(cloud: PixelCloud, config: ClusterConfig) -> Clustering:
@@ -580,9 +596,38 @@ def spectral_clustering(cloud: PixelCloud, config: ClusterConfig) -> Clustering:
     Reads ``k_n`` as well as :func:`kmeans`' fields.  Pixel ``i`` maps to
     ``[psi_1(i), ..., psi_K(i)]`` from the random walk on the ``k_n``
     KNN graph (no time weighting), a cloud on the same grid that
-    :func:`kmeans` clusters with ``config``.
+    :func:`kmeans` clusters with ``config``.  It is the one-cell call of
+    :func:`_spectral_grid`, as :func:`dsirc` and :func:`dvic` are of
+    :func:`mode_grid`; a sweep makes one call of that grid, which runs one
+    search at the largest ``k_n``, one graph and eigensystem per ``k_n``
+    and k-means per seed.
     """
-    _check_cloud(cloud, config, "n_clusters", "k_n")
-    graph = knn_graph(knn_indices(cloud.spectra, config.k_n)[0])
-    system = diffusion_system(graph, config.n_clusters)
-    return kmeans(PixelCloud(system.eigenvectors, cloud.grid), config)
+    grid = _spectral_grid(cloud, config, [config.k_n], [config.seed])
+    return _clustering(grid[config.k_n, config.seed])
+
+
+def _spectral_grid(
+    cloud: PixelCloud, config: ClusterConfig, k_ns: Sequence[int], seeds: Sequence[int | None]
+) -> dict[tuple[int, int | None], Clustering | DisconnectedGraphError]:
+    """:func:`spectral_clustering` for every ``(k_n, seed)`` of a grid.
+
+    The spectra get one search at ``max(k_ns)``, whose first ``k_n`` columns
+    are the ``k_n`` search; the graph and eigensystem run once per ``k_n``,
+    and only :func:`kmeans`, the one stage that draws on the seed, runs per
+    ``(k_n, seed)``.  Every result equals a one-cell run.  Its callers pass
+    values their ``ClusterConfig`` accepts; the cloud is checked before any
+    stage runs, and a ``k_n`` whose graph splits maps each of its keys to
+    the :class:`DisconnectedGraphError` it raised.
+    """
+    k_ns, seeds = list(dict.fromkeys(k_ns)), list(dict.fromkeys(seeds))
+    _check_cloud(cloud, replace(config, k_n=max(k_ns)), "n_clusters", "k_n")
+    results = {}
+    systems = _eigensystems(knn_indices(cloud.spectra, max(k_ns))[0], k_ns, config.n_clusters)
+    for k_n, system in systems:
+        if isinstance(system, DisconnectedGraphError):
+            results.update(dict.fromkeys(itertools.product([k_n], seeds), system))
+            continue
+        eigenvectors = PixelCloud(system.eigenvectors, cloud.grid)
+        results.update({(k_n, seed): kmeans(eigenvectors, replace(config, seed=seed)) for seed in seeds})
+        del system, eigenvectors
+    return results

@@ -1,5 +1,6 @@
 """End-to-end CLI checks through ``main(argv)``: artifacts and exit codes."""
 
+import itertools
 import json
 import statistics
 
@@ -596,11 +597,14 @@ def test_sweep_sc_grid_rows(tmp_path):
         pytest.param("dvic", 1, ("40,60", "10,30", "1,2"), id="dvic"),
         pytest.param("dsirc", 2, ("40,60", "30", "1,2"), id="dsirc-seeds2"),
         pytest.param("dvic", 2, ("40,60", "10,30", "1"), id="dvic-seeds2"),
+        pytest.param("sc", 1, ("40,60,80", "10,30", "1,2"), id="sc"),
+        pytest.param("sc", 2, ("40,60", "10,30", "1,2"), id="sc-seeds2"),
     ],
 )
 def test_sweep_rows_equal_single_cluster_runs(tmp_path, algorithm, seeds, grids):
     # Each row is the median, over seeds 0.., of the cluster runs with its
-    # knobs, although the sweep shares stages between rows.
+    # knobs, although the sweep shares stages between rows.  A column the
+    # algorithm does not read (t for sc, tau for dvic and sc) is empty.
     scene = make_scene(tmp_path)
     cube = [str(scene / "cube.hdr"), str(scene / "cube.raw")]
     common = ["--gt", str(scene / "gt.csv"), "--algorithm", algorithm, "--k", "3"]
@@ -611,13 +615,14 @@ def test_sweep_rows_equal_single_cluster_runs(tmp_path, algorithm, seeds, grids)
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     keys = lines[0].split(",")
     rows = [dict(zip(keys, line.split(","))) for line in lines[1:]]
-    taus = [f"{float(tau)}" for tau in tau_grid.split(",")] if algorithm == "dsirc" else [""]
-    assert [(row["kn"], row["t"], row["tau"]) for row in rows] == [
-        (kn, f"{float(t)}", tau)
-        for kn in kn_grid.split(",")
-        for t in t_grid.split(",")
-        for tau in taus
-    ]
+    columns = {
+        "kn": kn_grid.split(","),
+        "t": [f"{float(t)}" for t in t_grid.split(",")] if algorithm != "sc" else [""],
+        "tau": [f"{float(tau)}" for tau in tau_grid.split(",")] if algorithm == "dsirc" else [""],
+    }
+    assert [(row["kn"], row["t"], row["tau"]) for row in rows] == list(
+        itertools.product(*columns.values())
+    )
     for i, row in enumerate(rows):
         knobs = [f"--{key}={row[key]}" for key in ("kn", "t", "tau") if row[key]]
         runs = []
@@ -632,11 +637,12 @@ def test_sweep_rows_equal_single_cluster_runs(tmp_path, algorithm, seeds, grids)
 
 @pytest.mark.parametrize(
     "algorithm, counts",
-    [("dsirc", (1, 1, 2, 3, 4, 8)), ("dvic", (1, 1, 0, 1, 2, 4))],
+    [("dsirc", (1, 1, 2, 3, 4, 8)), ("dvic", (1, 1, 0, 1, 2, 4)), ("sc", (0, 0, 0, 1, 2, 0))],
 )
 def test_sweep_runs_each_stage_once_per_distinct_input(tmp_path, monkeypatch, algorithm, counts):
     # ``counts`` are one seed's calls, in ``stages`` order.  A second seed
-    # repeats only the seeded stages: unmixing and each eigensystem's scans.
+    # repeats only the seeded stages: unmixing and each eigensystem's scans
+    # (and sc's k-means, which is not counted here).
     calls = {}
 
     def count(module, name):

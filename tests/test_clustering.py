@@ -745,6 +745,8 @@ def test_one_knn_search_per_cloud(monkeypatch):
     # One unmixing per seed and one search of the raw spectra (the
     # bandwidth, density and raw graph), then one reconstruction and one
     # search of it per numeric tau: dvic, dsirc, and both in one grid.
+    # Spectral clustering's grid neither unmixes nor reconstructs: its two
+    # k_n and two seeds read one search of the raw spectra.
     calls = {name: [] for name in ("knn_indices", "unmix", "sar")}
 
     def counting(name):
@@ -764,11 +766,15 @@ def test_one_knn_search_per_cloud(monkeypatch):
     def mixed(cloud, config):
         return mode_grid(cloud, config, [50, 60], [10.0], [None, 1.0, 2.0], [0, 1])
 
-    for run, n_seeds, n_clouds in [(dvic, 1, 0), (dsirc, 1, 1), (mixed, 2, 2)]:
+    def spectral(cloud, config):
+        return clustering._spectral_grid(cloud, config, [50, 60], [0, 1])
+
+    runs = [(dvic, 1, 0), (dsirc, 1, 1), (mixed, 2, 2), (spectral, 0, 0)]
+    for run, n_unmixings, n_clouds in runs:
         for called in calls.values():
             called.clear()
         run(cloud, config)
-        assert len(calls["unmix"]) == n_seeds
+        assert len(calls["unmix"]) == n_unmixings
         assert len(calls["sar"]) == n_clouds
         raw = [spectra is cloud.spectra for spectra in calls["knn_indices"]]
         assert raw == [True] + [False] * n_clouds
@@ -783,19 +789,22 @@ def test_one_knn_search_per_cloud(monkeypatch):
          [50, 60], [False, True, False, True], 2),
         (lambda cloud, config: mode_grid(cloud, config, [50, 60], [10.0], [None, 1.0, 2.0]),
          [50, 60], [False, True] * 3, 2),
+        (lambda cloud, config: clustering._spectral_grid(cloud, config, [50, 60], [0, 1]),
+         [50, 60], [False, True], 0),
     ],
-    ids=["dvic", "dsirc", "mode_grid", "mixed"],
+    ids=["dvic", "dsirc", "mode_grid", "mixed", "sc"],
 )
 def test_eigensolve_holds_no_consumed_input(monkeypatch, run, k_ns, last_ks, n_clouds):
-    # Weak references to every search's outputs, reconstructed cloud and
-    # graph.  At each eigsh entry no distance array and no reconstructed
-    # cloud is alive, one graph is, and a neighbour array only while a
-    # larger k_n of its search is still to come.  No scan output is alive
-    # either, and once a reconstruction has run the raw search's neighbours
-    # are gone.
+    # Weak references to every search's outputs, reconstructed cloud, graph
+    # and eigensystem (and its eigenvectors).  At each eigsh entry no
+    # distance array, no reconstructed cloud and no earlier eigensystem is
+    # alive, one graph is, and a neighbour array only while a larger k_n of
+    # its search is still to come.  No scan output is alive either, and
+    # once a reconstruction has run the raw search's neighbours are gone.
     searches, clouds, graphs, last_k, entered, scans = [], [], [], [], [], []
+    systems = []
     search, reconstruct, build = clustering.knn_indices, clustering.sar, clustering.knn_graph
-    scan = clustering.dt_values
+    scan, eigensystem = clustering.dt_values, clustering.diffusion_system
     eigsh = scipy.sparse.linalg.eigsh
 
     def searched(spectra, k_n):
@@ -822,12 +831,18 @@ def test_eigensolve_holds_no_consumed_input(monkeypatch, run, k_ns, last_ks, n_c
         scans.extend([weakref.ref(dt), weakref.ref(parents)])
         return dt, parents
 
+    def solved(graph, n_pairs):
+        system = eigensystem(graph, n_pairs)
+        systems.extend([weakref.ref(system), weakref.ref(system.eigenvectors)])
+        return system
+
     def solve(s_matrix, **kw):
         def alive(refs):
             return sum(ref() is not None for ref in refs)
 
         assert alive(distances for _, distances in searches) == 0
         assert alive(scans) == 0
+        assert alive(systems) == 0
         assert alive(clouds) == 0
         assert alive(graphs) == 1
         assert alive(neighbors for neighbors, _ in searches) == (0 if last_k[-1] else 1)
@@ -839,12 +854,14 @@ def test_eigensolve_holds_no_consumed_input(monkeypatch, run, k_ns, last_ks, n_c
     monkeypatch.setattr(clustering, "sar", reconstructed)
     monkeypatch.setattr(clustering, "knn_graph", built)
     monkeypatch.setattr(clustering, "dt_values", scanned)
+    monkeypatch.setattr(clustering, "diffusion_system", solved)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", solve)
     cloud, _ = grid_cloud(np.random.default_rng(17))
     config = ClusterConfig(n_clusters=3, k_n=50, t=10.0, n_endmembers=3, seed=0)
     run(cloud, config)
     assert entered == last_k == last_ks
     assert len(clouds) == 2 * n_clouds
+    assert len(systems) == 2 * len(last_ks)
 
 
 def test_pipeline_validation():
@@ -1036,6 +1053,25 @@ def test_spectral_clustering_is_kmeans_on_its_eigenvector_cloud(n_clusters, k_n,
     assert got.labels.labels.dtype == want.labels.labels.dtype
     np.testing.assert_array_equal(got.labels.labels, want.labels.labels)
     assert got.modes is None and got.scores is None
+
+
+def test_spectral_grid_equals_one_cell_runs():
+    # Every (k_n, seed) of the grid equals spectral_clustering with those
+    # knobs, though the grid searches once and solves once per k_n.  Each
+    # class has 48 pixels, so k_n = 4 keeps each class's graph to itself and
+    # its error is stored under every seed.
+    cloud, _ = grid_cloud(np.random.default_rng(17))
+    config = ClusterConfig(n_clusters=3, restarts=1)
+    grid = clustering._spectral_grid(cloud, config, [4, 50, 60], [0, 1, 2])
+    assert list(grid) == list(itertools.product([4, 50, 60], [0, 1, 2]))
+    with pytest.raises(DisconnectedGraphError) as raised:
+        spectral_clustering(cloud, replace(config, k_n=4, seed=0))
+    for (k_n, seed), got in grid.items():
+        if k_n == 4:
+            assert isinstance(got, DisconnectedGraphError) and str(got) == str(raised.value)
+            continue
+        want = spectral_clustering(cloud, replace(config, k_n=k_n, seed=seed))
+        np.testing.assert_array_equal(got.labels.labels, want.labels.labels)
 
 
 def test_spectral_clustering_disconnected_graph_raises():
