@@ -13,10 +13,12 @@ __version__ = "0.1.0"
 
 # Names in the modules' ``__all__`` lists that the package does not
 # re-export: the CLI's label writers and palette, SaR's ray directions,
-# unmixing's inner steps, and the console script's entry point (the package
-# does not import the CLI).
+# unmixing's inner steps, the console script's entry point (the package
+# does not import the CLI), and the ``sar`` function, whose name is its
+# submodule's: ``dsirc.sar`` is the module.
 _LEFT_OUT = frozenset(
     {
+        "sar",
         "LABEL_PALETTE",
         "label_colors",
         "read_labels_csv",

@@ -1,9 +1,9 @@
-"""Core data model and I/O: image cubes, pixel clouds, labels, ENVI files.
+"""Core data model and I/O: pixel clouds, labels, ENVI files.
 
-The canonical in-memory layout for a hyperspectral image is band-sequential:
-a float64 array of shape ``(bands, height, width)``.  Pixel-level algorithms
-work on a flattened view (:class:`PixelCloud`) whose rows enumerate the grid
-in row-major order, ``i = row * width + col``.
+A cube is a plain C-contiguous float64 array of shape ``(bands, height,
+width)``; it only carries an image between ENVI files and
+:func:`cube_to_cloud`.  Every algorithm reads a :class:`PixelCloud`, whose
+rows enumerate the grid in row-major order, ``i = row * width + col``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "EnviFormatError",
     "DegenerateCovarianceError",
-    "ImageCube",
     "PixelCloud",
     "LabelMap",
     "load_envi",
@@ -56,39 +55,6 @@ class DegenerateCovarianceError(ValueError):
 
 
 @dataclass(frozen=True)
-class ImageCube:
-    """A reflectance cube stored band-sequentially as ``(bands, height, width)``.
-
-    The array is converted to float64 on construction and must be finite.
-    Instances are treated as immutable after construction.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if data.ndim != 3:
-            raise ValueError("cube data must be 3-D (bands, height, width)")
-        if min(data.shape) < 1:
-            raise ValueError("cube dimensions must all be at least 1")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("cube contains non-finite values")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def bands(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-
-@dataclass(frozen=True)
 class PixelCloud:
     """The spectra of a full image grid, one row per pixel in row-major order.
 
@@ -104,8 +70,8 @@ class PixelCloud:
         spectra = np.ascontiguousarray(np.asarray(self.spectra, dtype=np.float64))
         if spectra.ndim != 2:
             raise ValueError("spectra must be 2-D (n, bands)")
-        if spectra.shape[0] < 1:
-            raise ValueError("pixel cloud must contain at least one pixel")
+        if min(spectra.shape) < 1:
+            raise ValueError("pixel cloud must contain at least one pixel and one band")
         height, width = map(int, self.grid)
         if min(height, width) < 1 or height * width != spectra.shape[0]:
             raise ValueError(f"{spectra.shape[0]} spectra do not fill a {height}x{width} grid")
@@ -200,14 +166,16 @@ def _header_int(fields: dict[str, str], key: str, default: str | None = None) ->
         raise EnviFormatError(f"header key {key!r} is not an integer: {value!r}") from exc
 
 
-def load_envi(header_path: str, data_path: str) -> ImageCube:
-    """Load an ENVI image (text header + raw binary) into an :class:`ImageCube`.
+def load_envi(header_path: str, data_path: str) -> np.ndarray:
+    """Load an ENVI image (text header + raw binary) as a cube: a C-contiguous
+    float64 ``(bands, height, width)`` array.
 
     Only 32-bit little-endian floats (data type 4, byte order 0) are
     supported; those keys default when absent.  ``bsq``, ``bil`` and ``bip``
-    interleaves are all de-interleaved to the canonical band-sequential
-    layout.  The payload starts ``header offset`` bytes (default 0) into the
-    data file, and the file size must equal that offset plus the payload.
+    interleaves are all de-interleaved to the cube's band-sequential order.
+    The payload starts ``header offset`` bytes (default 0) into the data
+    file, and the file size must equal that offset plus the payload.
+    Non-finite data raises :class:`EnviFormatError`.
     """
     fields = _parse_envi_header(header_path)
     missing = [k for k in ("samples", "lines", "bands", "interleave") if k not in fields]
@@ -243,20 +211,33 @@ def load_envi(header_path: str, data_path: str) -> ImageCube:
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise EnviFormatError("data file contains non-finite values")
-    return ImageCube(arr)
+    return arr
+
+
+def _cube_shape(cube: np.ndarray) -> tuple[int, int, int]:
+    """The ``(bands, height, width)`` of ``cube``; raises ValueError unless
+    it is 3-D with every axis at least 1."""
+    if np.ndim(cube) != 3 or min(np.shape(cube)) < 1:
+        raise ValueError(f"cube shape {np.shape(cube)} is not (bands, height, width), each >= 1")
+    return np.shape(cube)
 
 
 def write_envi(
-    cube: ImageCube, header_path: str, data_path: str, interleave: str = "bsq"
+    cube: np.ndarray, header_path: str, data_path: str, interleave: str = "bsq"
 ) -> None:
-    """Write a cube as an ENVI float32 little-endian header/data pair."""
+    """Write a ``(bands, height, width)`` cube as an ENVI float32
+    little-endian header/data pair; raises ValueError if it is not 3-D, has
+    an empty axis or holds a non-finite value."""
+    bands, height, width = _cube_shape(cube)
+    if not np.all(np.isfinite(cube)):
+        raise ValueError("cube contains non-finite values")
     interleave = interleave.lower()
-    arr = cube.data.transpose(_interleave_axes(interleave, ValueError))
+    arr = np.asarray(cube).transpose(_interleave_axes(interleave, ValueError))
     header = (
         "ENVI\n"
-        f"samples = {cube.width}\n"
-        f"lines = {cube.height}\n"
-        f"bands = {cube.bands}\n"
+        f"samples = {width}\n"
+        f"lines = {height}\n"
+        f"bands = {bands}\n"
         "data type = 4\n"
         f"interleave = {interleave}\n"
         "byte order = 0\n"
@@ -270,10 +251,12 @@ def write_envi(
 # Cube <-> cloud
 
 
-def cube_to_cloud(cube: ImageCube) -> PixelCloud:
-    """Flatten a cube to an ``(n, bands)`` cloud in row-major pixel order."""
-    b, h, w = cube.data.shape
-    return PixelCloud(np.ascontiguousarray(cube.data.reshape(b, h * w).T), (h, w))
+def cube_to_cloud(cube: np.ndarray) -> PixelCloud:
+    """Flatten a ``(bands, height, width)`` cube to an ``(n, bands)`` cloud
+    in row-major pixel order; raises ValueError unless the cube is 3-D with
+    no empty axis (the cloud rejects non-finite values)."""
+    b, h, w = _cube_shape(cube)
+    return PixelCloud(np.asarray(cube).reshape(b, h * w).T, (h, w))
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,8 @@ class DiffusionSystem:
     def embedding(self, t: float) -> np.ndarray:
         """Eigenvectors scaled by ``|lambda|^t``; Euclidean distances in this
         embedding are diffusion distances at time ``t``."""
-        if t < 0:
-            raise ValueError("t must be non-negative")
+        if not 0 <= t < np.inf:
+            raise ValueError("t must be finite and non-negative")
         return self.eigenvectors * np.abs(self.eigenvalues) ** t
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ImageCube, LabelMap
+from .core import LabelMap
 
 __all__ = ["SynthConfig", "SynthScene", "synth_hsi"]
 
@@ -57,9 +57,10 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SynthScene:
-    """A generated scene: noisy cube, ground truth, and the clean model."""
+    """A generated scene: the noisy ``(bands, height, width)`` float64 cube,
+    ground truth, and the clean model."""
 
-    cube: ImageCube
+    cube: np.ndarray
     gt: LabelMap
     endmembers: np.ndarray
     abundances: np.ndarray
@@ -180,9 +181,8 @@ def synth_hsi(config: SynthConfig | None = None) -> SynthScene:
     clean = abundances @ endmembers
     signal_range = float(clean.max() - clean.min())
     noisy = clean + rng.standard_normal(clean.shape) * (config.noise * signal_range)
-    data = noisy.T.reshape(config.bands, config.height, config.width)
     return SynthScene(
-        cube=ImageCube(data),
+        cube=np.ascontiguousarray(noisy.T).reshape(config.bands, config.height, config.width),
         gt=LabelMap(gt),
         endmembers=endmembers,
         abundances=abundances,

@@ -237,7 +237,7 @@ def avmax(
 # and a row's result is the solve on its final passive set alone, so the
 # block size reaches it only if the rounding of a gradient flips a choice
 # that decides that set, which needs a gradient within tol of zero.
-_BLOCK_ELEMENTS = 1_048_576
+_NNLS_ELEMENTS = 1_048_576
 
 
 def abundances(endmembers: np.ndarray, spectra: np.ndarray) -> np.ndarray:
@@ -258,7 +258,7 @@ def abundances(endmembers: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     and an abundance does at or below ``10 * eps * p`` times its row's
     largest, so scaling ``endmembers`` and ``spectra`` together leaves the
     abundances unchanged.  Rows run in blocks of at most
-    ``_BLOCK_ELEMENTS`` passive-system entries.
+    ``_NNLS_ELEMENTS`` passive-system entries.
 
     A row stops when no variable outside its passive set has a residual
     gradient below ``-tol``, so each solution satisfies the KKT conditions
@@ -286,7 +286,7 @@ def abundances(endmembers: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     out = np.zeros(rhs.shape)
     unfinished = sum(
         _lawson_hanson(gram, rhs[rows], out[rows], tol, 3 * p)
-        for rows in _blocks(len(rhs), p * p, _BLOCK_ELEMENTS)
+        for rows in _blocks(len(rhs), p * p, _NNLS_ELEMENTS)
     )
     if unfinished:
         warnings.warn(

@@ -10,7 +10,6 @@ import pytest
 from dsirc import clustering, diffusion, unmixing
 from dsirc.cli import main
 from dsirc.core import (
-    ImageCube,
     LabelMap,
     cube_to_cloud,
     load_envi,
@@ -57,7 +56,7 @@ def test_synth_writes_all_artifacts(tmp_path, capsys):
     for name in ("cube.hdr", "cube.raw", "gt.csv", "gt.ppm", "endmembers.csv", "abundances.csv"):
         assert (out / name).exists(), name
     cube = load_envi(str(out / "cube.hdr"), str(out / "cube.raw"))
-    assert cube.data.shape == (12, 16, 16)
+    assert cube.shape == (12, 16, 16)
     gt, coords = read_labels_csv(str(out / "gt.csv"))
     assert gt.n == 256
     assert set(np.unique(gt.labels)) == {1, 2, 3}
@@ -196,10 +195,10 @@ def test_cluster_mode_pipeline_disconnected_graph_exits_one(tmp_path, capsys, al
 def test_cluster_zero_automatic_bandwidth_exits_one_and_names_its_cause(tmp_path, capsys, algorithm):
     # The top 10 of 16 rows zero-filled, as a no-data block.
     scene = make_scene(tmp_path)
-    data = load_envi(str(scene / "cube.hdr"), str(scene / "cube.raw")).data.copy()
+    data = load_envi(str(scene / "cube.hdr"), str(scene / "cube.raw"))
     data[:, :10, :] = 0.0
     cube = [str(tmp_path / "nodata.hdr"), str(tmp_path / "nodata.raw")]
-    write_envi(ImageCube(data), *cube)
+    write_envi(data, *cube)
     argv = ["cluster", *cube, "--out", str(tmp_path / "run"), "--algorithm", algorithm]
     assert main([*argv, "--k", "3", "--kn", "100"]) == 1
     assert capsys.readouterr().err == (

@@ -34,7 +34,7 @@ from dsirc.clustering import (
     spectral_clustering,
     zeta,
 )
-from dsirc.core import _BLOCK_ELEMENTS, ImageCube, PixelCloud, cube_to_cloud
+from dsirc.core import _BLOCK_ELEMENTS, PixelCloud, cube_to_cloud
 from dsirc.diffusion import (
     DiffusionSystem,
     DisconnectedGraphError,
@@ -65,7 +65,7 @@ def grid_cloud(rng, rows=12, cols=12, bands=8):
     for r in range(rows):
         for c in range(cols):
             cube[:, r, c] = means[owner[c]] + rng.normal(scale=0.015, size=bands)
-    return cube_to_cloud(ImageCube(cube)), np.tile(owner + 1, rows)
+    return cube_to_cloud(cube), np.tile(owner + 1, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from dsirc.clustering import dt_values
 from dsirc.core import (
     LABEL_PALETTE,
     EnviFormatError,
-    ImageCube,
     LabelMap,
     PixelCloud,
     cube_to_cloud,
@@ -31,26 +30,55 @@ from dsirc.unmixing import project_affine_pca
 
 
 def random_cube(rng, bands=5, height=4, width=6):
-    return ImageCube(rng.standard_normal((bands, height, width)))
+    return rng.standard_normal((bands, height, width))
 
 
 # ---------------------------------------------------------------------------
 # containers
 
 
-def test_image_cube_accessors():
-    rng = np.random.default_rng(0)
-    cube = random_cube(rng)
-    assert (cube.bands, cube.height, cube.width) == (5, 4, 6)
+def bad_cubes():
+    """Arrays no cube function accepts: 2-D, an empty axis, NaN, inf."""
+    yield np.zeros((3, 4))
+    for shape in ((0, 2, 2), (2, 0, 2), (2, 2, 0)):
+        yield np.zeros(shape)
+    for value in (np.nan, np.inf, -np.inf):
+        cube = np.zeros((2, 2, 2))
+        cube[1, 0, 1] = value
+        yield cube
 
 
-def test_image_cube_rejects_bad_shapes_and_nonfinite():
-    with pytest.raises(ValueError):
-        ImageCube(np.zeros((3, 4)))
-    bad = np.zeros((2, 2, 2))
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
-        ImageCube(bad)
+def test_image_cube_rejects_bad_shapes_and_nonfinite(tmp_path):
+    # A cube is a plain array, checked where it enters the package: by
+    # cube_to_cloud (the cloud checks finiteness) and by write_envi, which
+    # writes nothing for a rejected cube.
+    hdr, raw = tmp_path / "c.hdr", tmp_path / "c.raw"
+    for cube in bad_cubes():
+        with pytest.raises(ValueError):
+            cube_to_cloud(cube)
+        with pytest.raises(ValueError) as exc:
+            write_envi(cube, str(hdr), str(raw))
+        assert type(exc.value) is ValueError
+        assert not hdr.exists() and not raw.exists()
+
+
+def test_cube_checks_name_the_cause(tmp_path):
+    hdr, raw = str(tmp_path / "c.hdr"), str(tmp_path / "c.raw")
+    with pytest.raises(ValueError, match=r"^cube shape \(3, 4\) is not \(bands, height, width\)"):
+        cube_to_cloud(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match=r"^cube shape \(2, 0, 2\) is not"):
+        write_envi(np.zeros((2, 0, 2)), hdr, raw)
+    nan_cube = np.ones((2, 2, 2))
+    nan_cube[0, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="^spectra contain non-finite values$"):
+        cube_to_cloud(nan_cube)
+    with pytest.raises(ValueError, match="^cube contains non-finite values$"):
+        write_envi(nan_cube, hdr, raw)
+
+
+def test_pixel_cloud_rejects_zero_bands():
+    with pytest.raises(ValueError, match="one band"):
+        PixelCloud(np.zeros((4, 0)), (2, 2))
 
 
 def test_pixel_cloud_validates_coords():
@@ -86,16 +114,16 @@ def test_cube_cloud_round_trip_is_bit_exact():
         cube = random_cube(rng, bands=3, height=5, width=7)
         cloud = cube_to_cloud(cube)
         assert cloud.grid == (5, 7)
-        np.testing.assert_array_equal(cloud.spectra.T.reshape(3, 5, 7), cube.data)
+        np.testing.assert_array_equal(cloud.spectra.T.reshape(3, 5, 7), cube)
 
 
 def test_cube_to_cloud_row_major_order():
-    cube = ImageCube(np.arange(24, dtype=float).reshape(2, 3, 4))
+    cube = np.arange(24, dtype=float).reshape(2, 3, 4)
     cloud = cube_to_cloud(cube)
     np.testing.assert_array_equal(cloud.coords[0], [0, 0])
     np.testing.assert_array_equal(cloud.coords[1], [0, 1])
     np.testing.assert_array_equal(cloud.coords[4], [1, 0])
-    np.testing.assert_array_equal(cloud.spectra[5], cube.data[:, 1, 1])
+    np.testing.assert_array_equal(cloud.spectra[5], cube[:, 1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +138,16 @@ def test_envi_round_trip(tmp_path, interleave):
     raw = str(tmp_path / "img.raw")
     write_envi(cube, hdr, raw, interleave=interleave)
     loaded = load_envi(hdr, raw)
-    np.testing.assert_allclose(loaded.data, cube.data, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(loaded, cube, rtol=0, atol=1e-6)
 
 
 def test_envi_round_trip_is_exact_for_float32_data(tmp_path):
     rng = np.random.default_rng(3)
-    data = rng.standard_normal((2, 3, 4)).astype(np.float32).astype(np.float64)
-    cube = ImageCube(data)
+    cube = rng.standard_normal((2, 3, 4)).astype(np.float32).astype(np.float64)
     write_envi(cube, str(tmp_path / "a.hdr"), str(tmp_path / "a.raw"))
     loaded = load_envi(str(tmp_path / "a.hdr"), str(tmp_path / "a.raw"))
-    np.testing.assert_array_equal(loaded.data, cube.data)
+    np.testing.assert_array_equal(loaded, cube)
+    assert loaded.dtype == np.float64 and loaded.flags.c_contiguous
 
 
 def write_header(path, text):
@@ -191,7 +219,7 @@ def test_load_envi_ignores_brace_blocks_and_is_case_insensitive(tmp_path):
     )
     raw.write_bytes(payload.tobytes())
     cube = load_envi(str(hdr), str(raw))
-    np.testing.assert_array_equal(cube.data[0].ravel(), payload.astype(np.float64))
+    np.testing.assert_array_equal(cube[0].ravel(), payload.astype(np.float64))
 
 
 def test_load_envi_rejects_contradictory_keys(tmp_path):
@@ -215,7 +243,7 @@ def test_load_envi_interleave_layouts_agree(tmp_path):
         hdr = str(tmp_path / f"{inter}.hdr")
         raw = str(tmp_path / f"{inter}.raw")
         write_envi(cube, hdr, raw, interleave=inter)
-        loaded[inter] = load_envi(hdr, raw).data
+        loaded[inter] = load_envi(hdr, raw)
     np.testing.assert_array_equal(loaded["bsq"], loaded["bil"])
     np.testing.assert_array_equal(loaded["bsq"], loaded["bip"])
 
@@ -245,8 +273,8 @@ def test_envi_layouts_match_hand_built_payloads(tmp_path, interleave):
         "data type = 4\nbyte order = 0\n",
     )
     raw.write_bytes(payload)
-    np.testing.assert_array_equal(load_envi(str(hdr), str(raw)).data, data)
-    write_envi(ImageCube(data), str(tmp_path / "w.hdr"), str(tmp_path / "w.raw"), interleave)
+    np.testing.assert_array_equal(load_envi(str(hdr), str(raw)), data)
+    write_envi(data, str(tmp_path / "w.hdr"), str(tmp_path / "w.raw"), interleave)
     assert (tmp_path / "w.raw").read_bytes() == payload
 
 
@@ -287,7 +315,7 @@ def test_load_envi_skips_the_header_offset(tmp_path, interleave):
     write_header(tmp_path / "offset.hdr", header + "header offset = 16\n")
     (tmp_path / "offset.raw").write_bytes(b"\xff" * 16 + payload)
     shifted = load_envi(str(tmp_path / "offset.hdr"), str(tmp_path / "offset.raw"))
-    np.testing.assert_array_equal(shifted.data, plain.data)
+    np.testing.assert_array_equal(shifted, plain)
 
 
 @pytest.mark.parametrize(

@@ -611,3 +611,11 @@ def test_diffusion_system_validation():
         diffusion_system(graph, system.n + 1)
     with pytest.raises(ValueError):
         system.embedding(-1.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -1e-9])
+def test_embedding_rejects_a_time_that_is_not_finite_and_non_negative(t):
+    system = diffusion_system(connected_graph(), 5)
+    with pytest.raises(ValueError, match="^t must be finite and non-negative$"):
+        system.embedding(t)
+    assert np.isfinite(system.embedding(0.0)).all()

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dsirc.core import PixelCloud, cube_to_cloud, first_pc, ImageCube
+from dsirc.core import PixelCloud, cube_to_cloud, first_pc
 from dsirc.synth import SynthConfig, synth_hsi
 from dsirc.sar import (
     DIRECTION_STEPS,
@@ -421,7 +421,7 @@ def test_reconstruct_pixel_matches_weighted_mean_oracle():
     rng = np.random.default_rng(13)
     for trial in range(30):
         h, w, bands = 5, 6, 4
-        spectra = cube_to_cloud(ImageCube(rng.standard_normal((bands, h, w)))).spectra
+        spectra = cube_to_cloud(rng.standard_normal((bands, h, w))).spectra
         r0 = int(rng.integers(0, h))
         c0 = int(rng.integers(0, w))
         dir_lengths = tuple(int(l) for l in rng.integers(1, 4, size=8))
@@ -436,7 +436,7 @@ def test_reconstruct_pixel_matches_weighted_mean_oracle():
 def test_batched_reconstruction_equals_per_pixel_reference_bitwise():
     rng = np.random.default_rng(21)
     h, w, bands = 9, 10, 7
-    spectra = cube_to_cloud(ImageCube(rng.standard_normal((bands, h, w)))).spectra
+    spectra = cube_to_cloud(rng.standard_normal((bands, h, w))).spectra
     # Zero-variance rows, one of them a center: they take weight 0, or give
     # the center's own spectrum back.
     spectra[[3, 40, 41]] = 1.0
@@ -455,7 +455,7 @@ def test_batched_reconstruction_equals_per_pixel_reference_bitwise():
 
 def test_reconstruct_singleton_region_returns_input():
     rng = np.random.default_rng(14)
-    spectra = cube_to_cloud(ImageCube(rng.standard_normal((3, 4, 4)))).spectra
+    spectra = cube_to_cloud(rng.standard_normal((3, 4, 4))).spectra
     members = library_region((1, 1), (1,) * 8, (4, 4))
     np.testing.assert_array_equal(library_reconstruct(spectra, members, 5), spectra[5])
 
@@ -469,7 +469,7 @@ def test_reconstruct_identical_neighbors_average_to_the_same_spectrum():
 
 def test_reconstruction_is_a_convex_combination():
     rng = np.random.default_rng(15)
-    spectra = cube_to_cloud(ImageCube(rng.standard_normal((5, 6, 6)))).spectra
+    spectra = cube_to_cloud(rng.standard_normal((5, 6, 6))).spectra
     region = library_region((3, 3), (3,) * 8, (6, 6))
     got = library_reconstruct(spectra, region, 3 * 6 + 3)
     members = spectra[region]
@@ -543,7 +543,7 @@ def scalar_sar(cloud, config):
 
 def noisy_cloud(rng, field, bands=5):
     data = np.stack([field * (b + 1) for b in range(bands)])
-    return cube_to_cloud(ImageCube(data + rng.normal(scale=0.05, size=data.shape)))
+    return cube_to_cloud(data + rng.normal(scale=0.05, size=data.shape))
 
 
 def ramp_field(h, w):
@@ -616,9 +616,9 @@ def test_sar_denoises_a_smooth_scene():
     smooth = np.add.outer(np.linspace(0, 1, h), np.linspace(0, 1, w))
     clean = np.stack([np.cos(b) + smooth for b in range(bands)])
     noisy = clean + rng.normal(scale=0.1, size=clean.shape)
-    cloud = cube_to_cloud(ImageCube(noisy))
+    cloud = cube_to_cloud(noisy)
     out = sar(cloud)
-    clean_cloud = cube_to_cloud(ImageCube(clean))
+    clean_cloud = cube_to_cloud(clean)
     mse_in = float(np.mean((cloud.spectra - clean_cloud.spectra) ** 2))
     mse_out = float(np.mean((out.spectra - clean_cloud.spectra) ** 2))
     assert mse_out < mse_in

@@ -10,7 +10,8 @@ from dsirc.synth import SynthConfig, SynthScene, synth_hsi
 def test_shapes_and_types():
     config = SynthConfig(height=20, width=24, bands=16, n_endmembers=3, seed=5)
     scene = synth_hsi(config)
-    assert scene.cube.data.shape == (16, 20, 24)
+    assert scene.cube.shape == (16, 20, 24)
+    assert scene.cube.dtype == np.float64 and scene.cube.flags.c_contiguous
     assert scene.gt.labels.shape == (20 * 24,)
     assert scene.endmembers.shape == (3, 16)
     assert scene.abundances.shape == (20 * 24, 3)
@@ -102,11 +103,11 @@ def test_endmember_pairs_are_distinct_and_decorrelated():
 def test_same_seed_is_bitwise_reproducible():
     a = synth_hsi(SynthConfig(seed=11))
     b = synth_hsi(SynthConfig(seed=11))
-    np.testing.assert_array_equal(a.cube.data, b.cube.data)
+    np.testing.assert_array_equal(a.cube, b.cube)
     np.testing.assert_array_equal(a.gt.labels, b.gt.labels)
     np.testing.assert_array_equal(a.endmembers, b.endmembers)
     c = synth_hsi(SynthConfig(seed=12))
-    assert not np.array_equal(a.cube.data, c.cube.data)
+    assert not np.array_equal(a.cube, c.cube)
 
 
 def test_more_blobs_than_endmembers_reuses_them():
@@ -138,4 +139,4 @@ def test_config_validation():
 def test_scene_is_plain_container():
     scene = synth_hsi(SynthConfig(seed=14))
     assert isinstance(scene, SynthScene)
-    assert scene.cube.bands == scene.endmembers.shape[1]
+    assert scene.cube.shape[0] == scene.endmembers.shape[1]

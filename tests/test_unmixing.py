@@ -471,7 +471,7 @@ def test_abundances_do_not_depend_on_the_block_size(monkeypatch):
     x = rng.uniform(-0.5, 1.0, size=(300, 6)) @ e + rng.normal(0.0, 0.05, size=(300, 20))
     want = abundances(e, x)
     for budget in (1, 36, 7 * 36):
-        monkeypatch.setattr(unmixing, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(unmixing, "_NNLS_ELEMENTS", budget)
         np.testing.assert_array_equal(abundances(e, x), want)
 
 
