@@ -35,6 +35,7 @@ from .core import (
     EnviFormatError,
     LabelMap,
     PixelCloud,
+    _grid_coords,
     cube_to_cloud,
     load_envi,
     read_labels_csv,
@@ -251,8 +252,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             os.path.join(args.out, "cube.hdr"),
             os.path.join(args.out, "cube.raw"),
         )
-        cloud = cube_to_cloud(scene.cube)
-        write_labels_csv(os.path.join(args.out, "gt.csv"), scene.gt, cloud.coords)
+        coords = _grid_coords(config.height, config.width)
+        write_labels_csv(os.path.join(args.out, "gt.csv"), scene.gt, coords)
         write_label_ppm(os.path.join(args.out, "gt.ppm"), scene.gt, config.height, config.width)
         np.savetxt(os.path.join(args.out, "endmembers.csv"), scene.endmembers, delimiter=",")
         np.savetxt(os.path.join(args.out, "abundances.csv"), scene.abundances, delimiter=",")

@@ -78,8 +78,8 @@ class ClusterConfig:
             raise ValueError("n_clusters must be at least 1")
         if self.k_n < 1:
             raise ValueError("k_n must be at least 1")
-        if self.sigma0 is not None and not self.sigma0 > 0:
-            raise ValueError("sigma0 must be positive")
+        if self.sigma0 is not None and not 0 < self.sigma0 < np.inf:
+            raise ValueError("sigma0 must be finite and positive")
         if not 0 <= self.t < np.inf:
             raise ValueError("t must be finite and non-negative")
         if self.restarts < 1:
@@ -123,8 +123,8 @@ def kde_density(distances: np.ndarray, sigma0: float) -> np.ndarray:
     float, with a ``RuntimeWarning`` that counts such pixels, so it ranks
     last instead of failing the run.
     """
-    if not sigma0 > 0:
-        raise ValueError("sigma0 must be positive")
+    if not 0 < sigma0 < np.inf:
+        raise ValueError("sigma0 must be finite and positive")
     f = np.exp(-(distances**2) / sigma0**2).sum(axis=1)
     tiny = np.finfo(np.float64).tiny
     floored = int(np.count_nonzero(f < tiny))

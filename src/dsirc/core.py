@@ -46,6 +46,12 @@ def _blocks(count: int, per_item: int, budget: int | None = None) -> list[slice]
     return [slice(i, min(i + size, count)) for i in range(0, max(count, 1), size)]
 
 
+def _grid_coords(height: int, width: int) -> np.ndarray:
+    """The ``(height * width, 2)`` ``(row, col)`` of each pixel of a grid, in
+    row-major order."""
+    return np.column_stack(np.divmod(np.arange(height * width, dtype=np.intp), width))
+
+
 class EnviFormatError(ValueError):
     """Raised when an ENVI header/data pair is malformed or inconsistent."""
 
@@ -91,7 +97,7 @@ class PixelCloud:
     @property
     def coords(self) -> np.ndarray:
         """The ``(n, 2)`` ``(row, col)`` of each pixel, in row-major order."""
-        return np.column_stack(np.divmod(np.arange(self.n, dtype=np.intp), self.grid[1]))
+        return _grid_coords(*self.grid)
 
 
 @dataclass(frozen=True)

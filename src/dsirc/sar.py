@@ -51,8 +51,8 @@ class IciConfig:
     lengths: tuple[int, ...] = (1, 2, 3, 5, 7, 9)
 
     def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be finite and positive")
         lengths = tuple(int(l) for l in self.lengths)
         if not lengths:
             raise ValueError("lengths must be non-empty")
@@ -201,48 +201,47 @@ def estimate_noise_sigma(grid: np.ndarray) -> float:
     return mad / (0.6745 * np.sqrt(2.0))
 
 
-def _directional_estimate_stacks(grid: np.ndarray, lengths: tuple[int, ...]) -> list[np.ndarray]:
-    """Per-direction stacks of LPA estimates, shape ``(len(lengths), h, w)``.
+def _ray_estimates(grid: np.ndarray, step: tuple[int, int], lengths: tuple[int, ...]) -> np.ndarray:
+    """LPA estimates along one ray, shape ``(len(lengths), h, w)``.
 
-    Entry ``[m][li, r, c]`` is the equal-weight average of ``lengths[li]``
-    samples of ``grid`` along ray ``m + 1`` from ``(r, c)``, samples outside
-    the grid replaced by the last in-bounds one, so every tap is used.  The
-    samples are accumulated in ray order.
+    Entry ``[li, r, c]`` is the equal-weight average of ``lengths[li]``
+    samples of ``grid`` taken from ``(r, c)`` by the ``(d_row, d_col)``
+    ``step`` (one of :data:`DIRECTION_STEPS`), samples outside the grid
+    replaced by the last in-bounds one, so every tap is used.  The samples
+    are accumulated in ray order.
     """
     h, w = grid.shape
+    dr, dc = step
     max_len = max(lengths)
     rows = np.arange(h, dtype=np.intp)[:, None]
     cols = np.arange(w, dtype=np.intp)[None, :]
-    stacks: list[np.ndarray] = []
-    for dr, dc in DIRECTION_STEPS:
-        # Steps available before the ray leaves the grid, per pixel.
-        avail = np.full((h, w), max_len, dtype=np.intp)
-        if dr > 0:
-            avail = np.minimum(avail, h - 1 - rows)
-        elif dr < 0:
-            avail = np.minimum(avail, rows)
-        if dc > 0:
-            avail = np.minimum(avail, w - 1 - cols)
-        elif dc < 0:
-            avail = np.minimum(avail, cols)
-        samples = []
-        for s in range(max_len):
-            step = np.minimum(s, avail)
-            samples.append(grid[rows + step * dr, cols + step * dc])
-        stack = np.empty((len(lengths), h, w))
-        for li, length in enumerate(lengths):
-            weight = 1.0 / length
-            acc = np.zeros((h, w))
-            for s in range(length):
-                acc += weight * samples[s]
-            stack[li] = acc
-        stacks.append(stack)
-    return stacks
+    # Steps available before the ray leaves the grid, per pixel.
+    avail = np.full((h, w), max_len, dtype=np.intp)
+    if dr > 0:
+        avail = np.minimum(avail, h - 1 - rows)
+    elif dr < 0:
+        avail = np.minimum(avail, rows)
+    if dc > 0:
+        avail = np.minimum(avail, w - 1 - cols)
+    elif dc < 0:
+        avail = np.minimum(avail, cols)
+    samples = []
+    for s in range(max_len):
+        offset = np.minimum(s, avail)
+        samples.append(grid[rows + offset * dr, cols + offset * dc])
+    stack = np.empty((len(lengths), h, w))
+    for li, length in enumerate(lengths):
+        weight = 1.0 / length
+        acc = np.zeros((h, w))
+        for s in range(length):
+            acc += weight * samples[s]
+        stack[li] = acc
+    return stack
 
 
 def _select_lengths(estimates: np.ndarray, sigma: float, config: IciConfig) -> np.ndarray:
     """Largest candidate length whose confidence interval still intersects
-    all shorter ones, for every ray at once.
+    all shorter ones, at every position at once.
 
     The first axis of ``estimates`` runs over ``config.lengths``.  Interval
     ``l`` is ``estimate ± tau * sigma * gain(l)``, with ``gain(l)`` the noise
@@ -265,12 +264,14 @@ def _length_tuples(grid: np.ndarray, config: IciConfig) -> tuple[np.ndarray, np.
     ``grid``, and the row of each pixel's tuple, pixels in row-major order.
 
     The noise scale of the interval rule is estimated from ``grid`` itself.
+    The rule runs on one ray's estimates at a time, so only those and the
+    selected lengths are held.
     """
-    estimates = np.stack(_directional_estimate_stacks(grid, config.lengths), axis=1)
-    selected = _select_lengths(estimates, estimate_noise_sigma(grid), config)
-    tuples, inverse = np.unique(
-        selected.reshape(len(DIRECTION_STEPS), -1).T, axis=0, return_inverse=True
-    )
+    sigma = estimate_noise_sigma(grid)
+    selected = np.empty((grid.size, len(DIRECTION_STEPS)), dtype=np.intp)
+    for m, step in enumerate(DIRECTION_STEPS):
+        selected[:, m] = _select_lengths(_ray_estimates(grid, step, config.lengths), sigma, config).ravel()
+    tuples, inverse = np.unique(selected, axis=0, return_inverse=True)
     return tuples, inverse.ravel()  # numpy 2.0.0 keeps an extra axis here
 
 
@@ -293,8 +294,10 @@ def sar(cloud: PixelCloud, config: IciConfig | None = None) -> PixelCloud:
     whose spectrum correlates with the center at 0.9 keeps a weight near
     0.9.
 
-    Working memory beyond the output, the centred spectra, a few values
-    per pixel and one column interval per region row of each distinct
+    The interval rule holds one ray's estimates at a time: about 32
+    float64 per pixel with the default six lengths, and under 64 (a test
+    pins it).  Working memory beyond the output, the centred spectra, that
+    working set and one column interval per region row of each distinct
     length tuple is bounded: row spans, member counts and member lists are
     formed in blocks of at most ``core._BLOCK_ELEMENTS`` (65,536) entries
     (or one region's), each region gather holds at most that many values

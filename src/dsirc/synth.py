@@ -51,8 +51,8 @@ class SynthConfig:
             raise ValueError("more blobs than pixels along an axis")
         if self.mixing_width < 0:
             raise ValueError("mixing_width must be non-negative")
-        if self.noise < 0:
-            raise ValueError("noise must be non-negative")
+        if not 0 <= self.noise < np.inf:
+            raise ValueError("noise must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,8 @@ def synth_hsi(config: SynthConfig | None = None) -> SynthScene:
     Abundances are separable products of the per-axis blend weights, so each
     pixel's abundance row sums to exactly 1; the ground-truth label of a
     pixel is its owning blob's endmember plus 1.  Noise is i.i.d. Gaussian
-    with sigma equal to ``config.noise`` times the clean signal range.
+    with sigma equal to ``config.noise`` times the clean signal range;
+    raises RuntimeError when that noise overflows float64.
     """
     if config is None:
         config = SynthConfig()
@@ -180,7 +181,10 @@ def synth_hsi(config: SynthConfig | None = None) -> SynthScene:
     gt = blob_to_endmember[row_owner[:, None], col_owner[None, :]].reshape(n) + 1
     clean = abundances @ endmembers
     signal_range = float(clean.max() - clean.min())
-    noisy = clean + rng.standard_normal(clean.shape) * (config.noise * signal_range)
+    with np.errstate(over="ignore"):
+        noisy = clean + rng.standard_normal(clean.shape) * (config.noise * signal_range)
+    if not np.all(np.isfinite(noisy)):
+        raise RuntimeError(f"noise {config.noise} overflows the float64 range")
     return SynthScene(
         cube=np.ascontiguousarray(noisy.T).reshape(config.bands, config.height, config.width),
         gt=LabelMap(gt),

@@ -157,24 +157,21 @@ def _replacement_volumes(projected: np.ndarray, vertices: np.ndarray, j: int) ->
 def _ascend_volume(projected: np.ndarray, start: np.ndarray, max_cycles: int = 500) -> tuple[float, np.ndarray]:
     """Cyclic single-vertex ascent of simplex volume from a starting index set.
 
-    Warns (``RuntimeWarning``) when ``max_cycles`` cycles all moved a vertex,
-    so the ascent stopped at the cap rather than at a local maximum.
+    Returns the final set's volume and the set, after at least one cycle
+    (``max_cycles >= 1``).  Warns (``RuntimeWarning``) when ``max_cycles``
+    cycles all moved a vertex, so the ascent stopped at the cap rather than
+    at a local maximum.
     """
     indices = np.asarray(start, dtype=np.intp).copy()
     p = indices.shape[0]
-    volume = 0.0
     for _ in range(max_cycles):
         changed = False
         for j in range(p):
             vols = _replacement_volumes(projected, projected[indices], j)
-            current = vols[indices[j]]
             best = int(np.argmax(vols))
-            if vols[best] > current:
+            if vols[best] > vols[indices[j]]:
                 indices[j] = best
-                volume = float(vols[best])
                 changed = True
-            else:
-                volume = float(current)
         if not changed:
             break
     else:
@@ -183,7 +180,7 @@ def _ascend_volume(projected: np.ndarray, start: np.ndarray, max_cycles: int = 5
             RuntimeWarning,
             stacklevel=2,
         )
-    return volume, indices
+    return float(vols[indices[-1]]), indices
 
 
 def avmax(

@@ -34,7 +34,7 @@ from dsirc.sar import (
     DIRECTION_STEPS,
     IciConfig,
     _clipped_spans,
-    _directional_estimate_stacks,
+    _ray_estimates,
     _row_spans,
     _select_lengths,
     _span_members,
@@ -172,7 +172,7 @@ def test_criterion_2_sar_component_oracles():
         center = (int(rng.integers(0, h)), int(rng.integers(0, w)))
         direction = int(rng.integers(1, 9))
         length = int(rng.choice(lengths))
-        est = _directional_estimate_stacks(grid, lengths)[direction - 1][lengths.index(length)]
+        est = _ray_estimates(grid, DIRECTION_STEPS[direction - 1], lengths)[lengths.index(length)]
         lpa_exact += est[center] == walk_average(grid, center, direction, length)
 
     ici_exact = 0

@@ -70,6 +70,23 @@ def test_synth_rejects_bad_config(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "y"), "--noise", "-1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "noise, code, cause",
+    [
+        ("nan", 2, "configuration failed: noise must be finite and non-negative"),
+        ("inf", 2, "configuration failed: noise must be finite and non-negative"),
+        ("1e308", 1, "generation failed: noise 1e+308 overflows the float64 range"),
+    ],
+    ids=["nan", "inf", "1e308"],
+)
+def test_synth_non_finite_scene_writes_nothing(tmp_path, capsys, noise, code, cause):
+    out = tmp_path / "scene"
+    argv = ["synth", "--out", str(out), "--height", "6", "--width", "6", "--bands", "5"]
+    assert main([*argv, "--noise", noise]) == code
+    assert capsys.readouterr().err == f"dsirc: {cause}\n"
+    assert not out.exists()
+
+
 def test_synth_output_collision_is_io_error(tmp_path):
     blocker = tmp_path / "taken"
     blocker.write_text("")
@@ -230,6 +247,8 @@ def test_cluster_usage_errors(tmp_path):
         "--t=nan",
         "--t=inf",
         "--tau=0",
+        "--tau=inf",
+        "--sigma0=inf",
         "--lsar=0",
         "--algorithm=kmeans --restarts=0",
         "--algorithm=sc --kn=0",
@@ -822,6 +841,15 @@ def test_sweep_rejects_infinite_t(tmp_path, capsys):
     )
     assert code == 2
     assert "configuration failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_infinite_tau(tmp_path, capsys):
+    scene = make_scene(tmp_path)
+    out = tmp_path / "s"
+    cube = [str(scene / "cube.hdr"), str(scene / "cube.raw"), "--gt", str(scene / "gt.csv")]
+    assert main(["sweep", *cube, "--out", str(out), "--k", "3", "--tau-grid", "1,inf"]) == 2
+    assert capsys.readouterr().err == "dsirc: configuration failed: tau must be finite and positive\n"
     assert not out.exists()
 
 

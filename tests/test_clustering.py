@@ -101,8 +101,10 @@ def test_kde_density_matches_naive_sum():
 def test_kde_requires_positive_bandwidth():
     rng = np.random.default_rng(2)
     cloud = cloud_of(rng.uniform(size=(10, 3)))
-    with pytest.raises(ValueError):
-        kde_density(knn_indices(cloud.spectra, 3)[1], 0.0)
+    distances = knn_indices(cloud.spectra, 3)[1]
+    for sigma0 in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma0 must be finite and positive"):
+            kde_density(distances, sigma0)
 
 
 def test_kde_floors_underflowing_rows():
@@ -897,6 +899,8 @@ def test_cluster_config_validation():
         ClusterConfig(n_clusters=2, k_n=0)
     with pytest.raises(ValueError):
         ClusterConfig(n_clusters=2, sigma0=0.0)
+    with pytest.raises(ValueError, match="sigma0 must be finite and positive"):
+        ClusterConfig(n_clusters=2, sigma0=float("inf"))
     with pytest.raises(ValueError):
         ClusterConfig(n_clusters=2, t=-1.0)
     with pytest.raises(ValueError):
@@ -913,6 +917,8 @@ def test_cluster_config_validation():
         ClusterConfig(n_clusters=2, seed=-1)
     with pytest.raises(ValueError):
         ClusterConfig(n_clusters=2, tau=0.0)
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        ClusterConfig(n_clusters=2, tau=float("inf"))
     with pytest.raises(ValueError):
         ClusterConfig(n_clusters=2, lengths=(2, 1))
     assert ClusterConfig(n_clusters=2, lengths=[1.0, 2.0]).lengths == (1, 2)

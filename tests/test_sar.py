@@ -23,7 +23,8 @@ from dsirc.sar import (
     IciConfig,
     _centred_rows,
     _clipped_spans,
-    _directional_estimate_stacks,
+    _length_tuples,
+    _ray_estimates,
     _reconstruct,
     _row_spans,
     _select_lengths,
@@ -42,9 +43,10 @@ LADDER = (1, 2, 3, 5, 7, 9)
 
 def library_estimate(grid, direction, length, center):
     """The library's average of ``length`` samples along ray ``direction``,
-    read from the stacks ``sar`` computes for the default ladder."""
-    stacks = _directional_estimate_stacks(np.asarray(grid, dtype=np.float64), LADDER)
-    return stacks[direction - 1][LADDER.index(length)][center]
+    read from the ray's stack that ``sar`` computes for the default ladder."""
+    step = DIRECTION_STEPS[direction - 1]
+    stack = _ray_estimates(np.asarray(grid, dtype=np.float64), step, LADDER)
+    return stack[LADDER.index(length)][center]
 
 
 def walk_average(grid, center, direction, length):
@@ -158,6 +160,9 @@ def test_ici_divergent_second_estimate_selects_shortest():
 def test_ici_config_validation():
     with pytest.raises(ValueError):
         IciConfig(tau=0.0)
+    for tau in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            IciConfig(tau=tau)
     with pytest.raises(ValueError):
         IciConfig(lengths=(2, 2))
     with pytest.raises(ValueError):
@@ -601,6 +606,22 @@ def test_sar_working_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * 2**20
+
+
+def test_interval_rule_holds_one_ray_at_a_time():
+    # The eight rays' estimates at once, with their stacked copy and the
+    # rule's bounds over all of them, held 192 float64 per pixel; one ray's
+    # at a time holds about 32.
+    cube = synth_hsi(SynthConfig(height=100, width=100, bands=30, seed=0)).cube
+    cloud = cube_to_cloud(cube)
+    grid = first_pc(cloud).reshape(cloud.grid)
+    tracemalloc.start()
+    try:
+        _length_tuples(grid, IciConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 8 * grid.size
 
 
 def test_sar_constant_image_is_unchanged():

@@ -134,6 +134,15 @@ def test_config_validation():
         SynthConfig(mixing_width=-1)
     with pytest.raises(ValueError):
         SynthConfig(noise=-0.1)
+    for noise in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise must be finite and non-negative"):
+            SynthConfig(noise=noise)
+
+
+def test_overflowing_noise_fails_generation():
+    # A finite noise scale whose draws overflow float64 makes no scene.
+    with pytest.raises(RuntimeError, match="overflows"):
+        synth_hsi(SynthConfig(height=6, width=6, bands=5, noise=1e308))
 
 
 def test_scene_is_plain_container():
